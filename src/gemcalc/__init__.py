@@ -18,6 +18,7 @@ from .core import (
     residue_components,
     residue_count,
     residue_table,
+    residue_vector,
     serialize_gem,
     simplex_counts,
     subgraph,
@@ -60,6 +61,7 @@ from .embeddings import (
     cyclic_permutations,
     g_degree_definition,
     g_degree_formula,
+    genus_twices,
     pair_residue_sum,
     reduced_g_degree,
     regular_genus,

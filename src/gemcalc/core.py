@@ -16,16 +16,19 @@ Colors appear in ascending order, vertices run 1..2p, and no floats occur.
 from __future__ import annotations
 
 import json
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import factorial
 from typing import Iterable, Mapping
 
 __all__ = [
+    "ENUMERATION_BUDGET",
+    "MAX_DIMENSION",
     "ColoredGraph",
     "GemError",
     "ResidueTable",
+    "check_dimension",
     "euler_characteristic_complex",
     "is_bipartite",
     "is_connected",
@@ -33,6 +36,7 @@ __all__ = [
     "residue_components",
     "residue_count",
     "residue_table",
+    "residue_vector",
     "serialize_gem",
     "simplex_counts",
     "subgraph",
@@ -43,9 +47,22 @@ class GemError(ValueError):
     """A document, matching family, or operation argument violates the gem contract."""
 
 
-# One lock for every per-graph residue cache.  Values are deterministic, so
-# contention only costs a recomputation, never a wrong answer.
-_CACHE_LOCK = threading.Lock()
+# ceiling on enumerated spaces: the (2p-1)!!^d raw gem stream of exhaustive
+# enumeration, and the d!/2 cyclic permutations every genus battery walks
+ENUMERATION_BUDGET = 1_500_000
+
+# largest dimension whose d!/2 cyclic permutations fit the budget (d = 9)
+MAX_DIMENSION = next(d for d in range(2, 64) if factorial(d + 1) // 2 > ENUMERATION_BUDGET)
+
+
+def check_dimension(d: int) -> None:
+    """Refuse a dimension whose d!/2 cyclic permutations exceed the budget."""
+    if d > MAX_DIMENSION:
+        half = factorial(d) // 2 if d <= 20 else f"{d}!/2"
+        raise GemError(
+            f"dimension d={d} has d!/2 = {half} cyclic permutations, more than the "
+            f"enumeration budget {ENUMERATION_BUDGET}; d <= {MAX_DIMENSION} is supported"
+        )
 
 
 @dataclass(frozen=True)
@@ -62,7 +79,7 @@ class ColoredGraph:
     order: int
     matchings: tuple[tuple[int, ...], ...]
     source_colors: tuple[int, ...] | None = field(default=None, compare=False)
-    _residues: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _vector: tuple[int, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.d < 0:
@@ -98,12 +115,18 @@ class ColoredGraph:
         return range(self.d + 1)
 
 
-def _check_colors(g: ColoredGraph, colors: Iterable[int]) -> frozenset[int]:
-    b = frozenset(colors)
-    for c in b:
+def _color_mask(g: ColoredGraph, colors: Iterable[int]) -> int:
+    mask = 0
+    for c in colors:
         if not 0 <= c <= g.d:
             raise GemError(f"color {c} out of range 0..{g.d}")
-    return b
+        mask |= 1 << c
+    return mask
+
+
+def _sorted_colors(g: ColoredGraph, colors: Iterable[int]) -> list[int]:
+    mask = _color_mask(g, colors)
+    return [c for c in g.colors if mask >> c & 1]
 
 
 def _component_count(order: int, mats: list[tuple[int, ...]]) -> int:
@@ -128,20 +151,67 @@ def _component_count(order: int, mats: list[tuple[int, ...]]) -> int:
     return count
 
 
+def _build_vector(order: int, matchings: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Component counts of every color subset, by subset DP over union-find.
+
+    The components of ``mask`` are those of ``mask`` minus its top color,
+    merged along the edges of that color: one union-find pass over the
+    component labels of the smaller set.  Labels are kept only for sets
+    without the last color, the only ones that are ever extended.
+    """
+    n = len(matchings)
+    edges = [[(v, w - 1) for v, w in enumerate(mu) if v < w - 1] for mu in matchings]
+    counts = [0] * (1 << n)
+    counts[0] = order
+    extended = 1 << (n - 1)
+    labels: list[list[int]] = [list(range(order))] + [[]] * (extended - 1)
+    for mask in range(1, 1 << n):
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        label = labels[rest]
+        parent = list(range(order))
+        count = counts[rest]
+        for v, w in edges[top]:
+            a = label[v]
+            while parent[a] != a:
+                a = parent[a]
+            b = label[w]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                parent[b] = a
+                count -= 1
+        counts[mask] = count
+        if mask < extended:
+            for x in range(order):
+                r = x
+                while parent[r] != r:
+                    r = parent[r]
+                parent[x] = r
+            labels[mask] = [parent[x] for x in label]
+    return tuple(counts)
+
+
+def residue_vector(g: ColoredGraph) -> tuple[int, ...]:
+    """Residue counts of every color subset, indexed by bitmask.
+
+    Entry ``mask`` is the number of components of the subgraph keeping the
+    colors whose bits are set; entry 0 is the vertex count.  Built once per
+    graph, on first use, and kept on it.
+    """
+    vec = g._vector
+    if vec is None:
+        vec = _build_vector(g.order, g.matchings)
+        object.__setattr__(g, "_vector", vec)
+    return vec
+
+
 def residue_count(g: ColoredGraph, colors: Iterable[int]) -> int:
     """Number of connected components of the subgraph keeping only these colors.
 
-    The empty color set yields one component per vertex.  Results are
-    memoized on the graph.
+    The empty color set yields one component per vertex.
     """
-    b = _check_colors(g, colors)
-    cached = g._residues.get(b)
-    if cached is not None:
-        return cached
-    n = _component_count(g.order, [g.matchings[c] for c in sorted(b)])
-    with _CACHE_LOCK:
-        g._residues[b] = n
-    return n
+    return residue_vector(g)[_color_mask(g, colors)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,16 +227,20 @@ class ResidueTable:
 
 
 def residue_table(g: ColoredGraph) -> ResidueTable:
-    """Materialize residue counts for every subset of the color set."""
+    """Residue counts for every subset of the color set, keyed by frozenset."""
+    vec = residue_vector(g)
     counts = {}
     for h in range(g.d + 2):
         for b in combinations(g.colors, h):
-            counts[frozenset(b)] = residue_count(g, b)
+            counts[frozenset(b)] = vec[sum(1 << c for c in b)]
     return ResidueTable(d=g.d, order=g.order, counts=counts)
 
 
 def is_connected(g: ColoredGraph) -> bool:
-    return residue_count(g, g.colors) == 1
+    """One union-find pass over all colors, or a lookup once the vector exists."""
+    if g._vector is not None:
+        return g._vector[-1] == 1
+    return _component_count(g.order, list(g.matchings)) == 1
 
 
 def is_bipartite(g: ColoredGraph) -> bool:
@@ -197,8 +271,9 @@ def simplex_counts(g: ColoredGraph) -> tuple[int, ...]:
     N_d equals the graph order.
     """
     out = [0] * (g.d + 1)
-    for h in range(g.d + 1):
-        out[g.d - h] = sum(residue_count(g, b) for b in combinations(g.colors, h))
+    vec = residue_vector(g)
+    for mask in range(len(vec) - 1):
+        out[g.d - mask.bit_count()] += vec[mask]
     return tuple(out)
 
 
@@ -238,7 +313,7 @@ def subgraph(g: ColoredGraph, colors: Iterable[int], component_of: int) -> Color
     colors are relabeled to 0..#B-1 in ascending order of the original
     colors, which are retained in ``source_colors``.
     """
-    b = sorted(_check_colors(g, colors))
+    b = _sorted_colors(g, colors)
     if not b:
         raise GemError("subgraph needs a non-empty color set")
     if not 1 <= component_of <= g.order:
@@ -248,7 +323,7 @@ def subgraph(g: ColoredGraph, colors: Iterable[int], component_of: int) -> Color
 
 def residue_components(g: ColoredGraph, colors: Iterable[int]) -> list[ColoredGraph]:
     """All components of the chosen-colors subgraph, ordered by least vertex."""
-    b = sorted(_check_colors(g, colors))
+    b = _sorted_colors(g, colors)
     if not b:
         raise GemError("residue components need a non-empty color set")
     out = []
@@ -291,6 +366,7 @@ def parse_gem(text: str) -> ColoredGraph:
         raise GemError("field 'd' must be an integer")
     if d < 2:
         raise GemError(f"gem documents require dimension >= 2, got {d}")
+    check_dimension(d)
     if not isinstance(vertices, int) or isinstance(vertices, bool):
         raise GemError("field 'vertices' must be an integer")
     if not isinstance(matchings, list):

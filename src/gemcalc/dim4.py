@@ -6,6 +6,13 @@ e' = (e_0, e_2, e_4, e_1, e_3); the edges of e and e' jointly exhaust the
 ten color pairs, the degree equals six times the genus sum of any such
 pair, and the six pairs are exactly the classes of the (unique) odd
 partition for n = 5.
+
+Every identity reads its residue counts from the graph's residue vector
+and its genera as integer "twice" values (see ``genus_twices``), through
+index tables built once.  Singular-manifold recognition and the component
+side of the residue-degree identity are the exception: they walk residue
+components extracted as graphs of their own, so neither collapses into an
+algebraic consequence of the vector they are checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .core import (
     ColoredGraph,
@@ -22,19 +29,17 @@ from .core import (
     is_bipartite,
     is_connected,
     residue_components,
-    residue_count,
+    residue_vector,
 )
 from .embeddings import (
     HalfInt,
     canonical_perm,
     cyclic_permutations,
-    g_degree_definition,
     g_degree_formula,
+    genus_twices,
     pair_residue_sum,
-    regular_genus,
-    regular_genus_min,
 )
-from .perms import CyclicPerm, cycle_pairs
+from .perms import CyclicPerm, cycle_masks, perm_index
 
 __all__ = [
     "ClassificationResult",
@@ -45,6 +50,7 @@ __all__ = [
     "check_corollary_12rho",
     "check_difference_a",
     "check_difference_b",
+    "check_identities",
     "classify_crystallization",
     "consecutive_triples",
     "crystallization_profile",
@@ -107,10 +113,44 @@ def skip_triples(eps: CyclicPerm) -> list[tuple[int, int, int]]:
     ]
 
 
+def _mask(colors) -> int:
+    return sum(1 << c for c in colors)
+
+
+# Index tables over cyclic_permutations(4), read by every identity below.
+_PERMS = cyclic_permutations(4)
+_PARTNER = tuple(perm_index(4)[associated_permutation(eps)] for eps in _PERMS)
+_PAIRS = tuple((perm_index(4)[a], perm_index(4)[b]) for a, b in associated_pairs())
+_ADJACENT, _SKIP = cycle_masks(4, 1), cycle_masks(4, 2)  # pairs (e_j, e_{j+1}), (e_j, e_{j+2})
+_CONSECUTIVE3 = tuple(tuple(consecutive_triples(eps)) for eps in _PERMS)
+_SKIP3 = tuple(tuple(skip_triples(eps)) for eps in _PERMS)
+_TRIPLE_MASK = {t: _mask(t) for t in combinations(range(5), 3)}
+_TRIPLE_PAIRS = tuple(  # (rst, rs, rt, st) masks of the ten triples
+    (m,) + tuple(_mask(pr) for pr in combinations(t, 2)) for t, m in _TRIPLE_MASK.items()
+)
+_HATS = tuple(0b11111 ^ (1 << i) for i in range(5))  # the colors other than i
+
+
+def _index(eps: CyclicPerm) -> int:
+    """Position of a five-color cyclic permutation in ``cyclic_permutations(4)``."""
+    if len(eps) != 5:
+        raise GemError(f"associated permutations need five colors, got {len(eps)}")
+    return perm_index(4)[canonical_perm(eps)]
+
+
+def _hat_sum(vec: tuple[int, ...]) -> int:
+    return sum(vec[m] for m in _HATS)
+
+
 class SurfaceType(NamedTuple):
     orientable: bool
     euler: int
     genus: HalfInt  # orientable genus, or half the non-orientable genus
+
+
+def _surface_euler(g: ColoredGraph) -> int:
+    # connected 3-colored graph: faces minus edges plus vertices
+    return pair_residue_sum(g) - g.p
 
 
 def surface_type(g: ColoredGraph) -> SurfaceType:
@@ -118,20 +158,29 @@ def surface_type(g: ColoredGraph) -> SurfaceType:
     _require_d(g, 2)
     if not is_connected(g):
         raise GemError("surface type requires a connected graph")
-    chi = pair_residue_sum(g) - g.p
+    chi = _surface_euler(g)
     return SurfaceType(is_bipartite(g), chi, HalfInt(2 - chi))
+
+
+def _hat_residues(g: ColoredGraph) -> Iterator[list[ColoredGraph]]:
+    """Components of each residue missing one color, extracted as graphs."""
+    for i in g.colors:
+        yield residue_components(g, [x for x in g.colors if x != i])
+
+
+def _closed(g: ColoredGraph) -> bool:
+    return all(_surface_euler(comp) == 2 for comps in _hat_residues(g) for comp in comps)
+
+
+def _singular(hat_components) -> bool:
+    return all(_closed(comp) for comps in hat_components for comp in comps)
 
 
 @lru_cache(maxsize=4096)
 def is_closed_3_manifold(g: ColoredGraph) -> bool:
     """True iff every 3-colored residue component of the 4-colored graph is a sphere."""
     _require_d(g, 3)
-    for c in g.colors:
-        rest = [x for x in g.colors if x != c]
-        for comp in residue_components(g, rest):
-            if surface_type(comp).euler != 2:
-                return False
-    return True
+    return _closed(g)
 
 
 @lru_cache(maxsize=4096)
@@ -140,18 +189,20 @@ def is_singular_4_manifold(g: ColoredGraph) -> bool:
     _require_d(g, 4)
     if not is_connected(g):
         raise GemError("singular-manifold recognition requires a connected graph")
-    for c in g.colors:
-        rest = [x for x in g.colors if x != c]
-        for comp in residue_components(g, rest):
-            if not is_closed_3_manifold(comp):
-                return False
-    return True
+    return _singular(_hat_residues(g))
 
 
-def _hat_residue_sum(g: ColoredGraph) -> int:
-    return sum(
-        residue_count(g, [x for x in g.colors if x != i]) for i in g.colors
-    )
+def _require_singular(g: ColoredGraph, what: str) -> None:
+    _require_d(g, 4)
+    if not is_singular_4_manifold(g):
+        raise GemError(f"{what} requires a singular-manifold graph")
+
+
+def _euler_via_pair(vec: tuple[int, ...], twices: tuple[int, ...], i: int, p: int) -> int:
+    twice = twices[i] + twices[_PARTNER[i]] + 2 * (_hat_sum(vec) - p - 2)
+    if twice % 2:
+        raise GemError("internal invariant violation: non-integral Euler characteristic")
+    return twice // 2
 
 
 def euler_char_via_genus(g: ColoredGraph, eps: CyclicPerm) -> int:
@@ -160,14 +211,16 @@ def euler_char_via_genus(g: ColoredGraph, eps: CyclicPerm) -> int:
 
     Must equal the simplicial Euler characteristic and not depend on eps.
     """
-    _require_d(g, 4)
-    if not is_singular_4_manifold(g):
-        raise GemError("Euler characteristic via genera requires a singular-manifold graph")
-    pair_sum = regular_genus(g, eps) + regular_genus(g, associated_permutation(eps))
-    value = pair_sum + _hat_residue_sum(g) - g.p - 2
-    if not value.is_integer:
-        raise GemError("internal invariant violation: non-integral Euler characteristic")
-    return value.to_int()
+    _require_singular(g, "Euler characteristic via genera")
+    return _euler_via_pair(residue_vector(g), genus_twices(g), _index(eps), g.p)
+
+
+def _adjacent_minus_skip(vec: tuple[int, ...], i: int) -> int:
+    return sum([vec[m] for m in _ADJACENT[i]]) - sum([vec[m] for m in _SKIP[i]])
+
+
+def _difference_a(vec: tuple[int, ...], twices: tuple[int, ...], i: int) -> bool:
+    return twices[_PARTNER[i]] - twices[i] == _adjacent_minus_skip(vec, i)
 
 
 def check_difference_a(g: ColoredGraph, eps: CyclicPerm) -> bool:
@@ -177,10 +230,22 @@ def check_difference_a(g: ColoredGraph, eps: CyclicPerm) -> bool:
     implementation bug, not a property of the input.
     """
     _require_d(g, 4)
-    diff = regular_genus(g, associated_permutation(eps)) - regular_genus(g, eps)
-    adjacent = sum(residue_count(g, pair) for pair in cycle_pairs(eps, 1))
-    skip = sum(residue_count(g, pair) for pair in cycle_pairs(eps, 2))
-    return 2 * diff == adjacent - skip
+    i = _index(eps)
+    return _difference_a(residue_vector(g), genus_twices(g), i)
+
+
+def _difference_b(vec: tuple[int, ...], twices: tuple[int, ...], i: int) -> bool:
+    consec = sum(vec[_TRIPLE_MASK[t]] for t in _CONSECUTIVE3[i])
+    skip = sum(vec[_TRIPLE_MASK[t]] for t in _SKIP3[i])
+    return twices[_PARTNER[i]] - twices[i] == 2 * (consec - skip)
+
+
+def _triple_relation(vec: tuple[int, ...], p: int) -> bool:
+    # 2 g_{rst} = g_{rs} + g_{rt} + g_{st} - p on all ten triples
+    return all(
+        2 * vec[rst] == vec[rs] + vec[rt] + vec[st] - p
+        for rst, rs, rt, st in _TRIPLE_PAIRS
+    )
 
 
 def check_difference_b(g: ColoredGraph, eps: CyclicPerm) -> bool:
@@ -190,25 +255,15 @@ def check_difference_b(g: ColoredGraph, eps: CyclicPerm) -> bool:
     sums, and separately cross-checks the relation
     2 g_{rst} = g_{rs} + g_{rt} + g_{st} - p on all ten triples.
     """
-    _require_d(g, 4)
-    if not is_singular_4_manifold(g):
-        raise GemError("triple-residue difference requires a singular-manifold graph")
-    diff = regular_genus(g, associated_permutation(eps)) - regular_genus(g, eps)
-    consec = sum(residue_count(g, t) for t in consecutive_triples(eps))
-    skip = sum(residue_count(g, t) for t in skip_triples(eps))
-    if diff != consec - skip:
-        return False
-    for r, s, t in combinations(g.colors, 3):
-        lhs = 2 * residue_count(g, (r, s, t))
-        rhs = (
-            residue_count(g, (r, s))
-            + residue_count(g, (r, t))
-            + residue_count(g, (s, t))
-            - g.p
-        )
-        if lhs != rhs:
-            return False
-    return True
+    _require_singular(g, "triple-residue difference")
+    vec = residue_vector(g)
+    return _difference_b(vec, genus_twices(g), _index(eps)) and _triple_relation(vec, g.p)
+
+
+def _corollary_12rho(vec: tuple[int, ...], twices: tuple[int, ...]) -> tuple[bool, bool]:
+    left = sum(twices) == 12 * min(twices)
+    right = all(_adjacent_minus_skip(vec, i) == 0 for i in range(len(twices)))
+    return left, right
 
 
 def check_corollary_12rho(g: ColoredGraph) -> tuple[bool, bool]:
@@ -219,16 +274,8 @@ def check_corollary_12rho(g: ColoredGraph) -> tuple[bool, bool]:
     The two must co-occur.
     """
     _require_d(g, 4)
-    rho_min, _ = regular_genus_min(g)
-    left = g_degree_definition(g) == 12 * rho_min
-    right = True
-    for eps in cyclic_permutations(4):
-        adjacent = sum(residue_count(g, pair) for pair in cycle_pairs(eps, 1))
-        skip = sum(residue_count(g, pair) for pair in cycle_pairs(eps, 2))
-        if adjacent != skip:
-            right = False
-            break
-    return left, right
+    twices = genus_twices(g)
+    return _corollary_12rho(residue_vector(g), twices)
 
 
 @dataclass(frozen=True)
@@ -257,15 +304,19 @@ def crystallization_profile(g: ColoredGraph, m: int) -> CrystallizationProfile:
     _require_d(g, 4)
     if m < 0:
         raise GemError(f"rank metadata must be non-negative, got {m}")
-    for i in g.colors:
-        if residue_count(g, [x for x in g.colors if x != i]) != 1:
+    vec = residue_vector(g)
+    for i, hat in enumerate(_HATS):
+        if vec[hat] != 1:
             raise GemError(f"residue missing color {i} is disconnected: not a crystallization")
     if not is_singular_4_manifold(g):
         raise GemError("graph fails the singular-manifold residue test")
+    return _ledger(g, vec, m)
+
+
+def _ledger(g: ColoredGraph, vec: tuple[int, ...], m: int) -> CrystallizationProfile:
+    """The profile of a graph already known to pass the residue tests."""
     chi = euler_characteristic_complex(g)
-    g_triples = {
-        t: residue_count(g, t) for t in combinations(range(5), 3)
-    }
+    g_triples = {t: vec[mask] for t, mask in _TRIPLE_MASK.items()}
     t_triples = {t: v - 1 - m for t, v in g_triples.items()}
     for t, v in t_triples.items():
         if v < 0:
@@ -314,27 +365,28 @@ def classify_crystallization(
     """
     if g.p != profile.half_order:
         raise GemError("profile does not belong to this graph")
+    return _classify(profile, residue_vector(g), genus_twices(g))
+
+
+def _classify(
+    profile: CrystallizationProfile, vec: tuple[int, ...], twices: tuple[int, ...]
+) -> ClassificationResult:
     t = profile.t_triples
-    witness = None
-    for eps in cyclic_permutations(4):
-        if all(t[tri] == 0 for tri in consecutive_triples(eps)):
-            witness = eps
-            break
+    witness = next(
+        (_PERMS[i] for i, tris in enumerate(_CONSECUTIVE3) if all(t[tri] == 0 for tri in tris)),
+        None,
+    )
     stmt_witness = witness is not None
-    stmt_gap = False
-    for eps in cyclic_permutations(4):
-        diff = regular_genus(g, associated_permutation(eps)) - regular_genus(g, eps)
-        if diff == profile.q:
-            stmt_gap = True
-            break
-    rho_min, _ = regular_genus_min(g)
-    stmt_genus = rho_min == 2 * profile.euler + 5 * profile.m - 4
+    stmt_gap = any(
+        twices[j] - twices[i] == 2 * profile.q for i, j in enumerate(_PARTNER)
+    )
+    stmt_genus = min(twices) == 2 * (2 * profile.euler + 5 * profile.m - 4)
     if not (stmt_gap == stmt_witness == stmt_genus):
         raise GemError(
             "internal invariant violation: classification statements disagree "
             f"(gap={stmt_gap}, witness={stmt_witness}, genus={stmt_genus})"
         )
-    left, right = check_corollary_12rho(g)
+    left, right = _corollary_12rho(vec, twices)
     if left != right:
         raise GemError(
             "internal invariant violation: minimal-degree criterion sides disagree"
@@ -357,6 +409,17 @@ def classify_crystallization(
     return ClassificationResult(kind=kind, witness=witness, satisfies_12rho=left)
 
 
+def _residue_degree_holds(
+    g: ColoredGraph, vec: tuple[int, ...], hat_components, omega_twice: int
+) -> bool:
+    component_twice = sum(
+        g_degree_formula(comp).twice for comps in hat_components for comp in comps
+    )
+    if omega_twice != 6 * (g.p + 4 - _hat_sum(vec)) + component_twice:
+        return False
+    return component_twice % 2 == 0 and (component_twice // 2) % 3 == 0
+
+
 def residue_degree_identity(g: ColoredGraph) -> bool:
     """Degree of the graph against the degrees of its 4-colored residues.
 
@@ -367,13 +430,105 @@ def residue_degree_identity(g: ColoredGraph) -> bool:
     _require_d(g, 4)
     if not is_connected(g):
         raise GemError("the residue-degree identity requires a connected graph")
-    component_total = HalfInt(0)
-    for i in g.colors:
-        rest = [x for x in g.colors if x != i]
-        for comp in residue_components(g, rest):
-            component_total = component_total + g_degree_formula(comp)
-    lhs = g_degree_definition(g)
-    rhs = 3 * (g.p + 4 - _hat_residue_sum(g)) + component_total
-    if lhs != rhs:
-        return False
-    return component_total.is_integer and component_total.to_int() % 3 == 0
+    return _residue_degree_holds(
+        g, residue_vector(g), _hat_residues(g), sum(genus_twices(g))
+    )
+
+
+# --- the five-color part of the identity battery -----------------------------
+
+
+def check_identities(
+    g: ColoredGraph, twices: tuple[int, ...], flags: dict, checks: dict
+) -> None:
+    """Evaluate the five-color identities of one connected graph into the
+    battery's ``flags`` and ``checks``.
+
+    ``twices`` is :func:`genus_twices` of the graph; ``flags`` already holds
+    ``bipartite`` and, where computed, ``odd_reduced_degree``.  One
+    extraction of the five 4-colored residues serves both the singular
+    walk, which stops at the first non-sphere, and the component side of the
+    residue-degree identity.
+    """
+    vec = residue_vector(g)
+    omega_twice = sum(twices)
+    hat_components = list(_hat_residues(g))
+    singular = _singular(hat_components)
+    flags["singular_manifold"] = singular
+
+    pair_twices = [twices[a] + twices[b] for a, b in _PAIRS]
+    checks["pair_degree_identity"] = all(omega_twice == 6 * t for t in pair_twices)
+    pair_sum_twice = 2 * (2 + 3 * g.p) - pair_residue_sum(g)
+    checks["pair_sum_constant"] = all(t == pair_sum_twice for t in pair_twices)
+    checks["pair_difference_bicolored"] = all(
+        _difference_a(vec, twices, i) for i in range(len(twices))
+    )
+    left, right = _corollary_12rho(vec, twices)
+    checks["minimal_degree_biconditional"] = left == right
+    if flags.get("odd_reduced_degree"):
+        checks["odd_reduced_forces_nonorientable"] = not flags["bipartite"] and not singular
+    checks["residue_degree_identity"] = _residue_degree_holds(
+        g, vec, hat_components, omega_twice
+    )
+    if not singular:
+        return
+
+    checks["singular_degree_divisibility"] = omega_twice >= 0 and omega_twice % 12 == 0
+    checks["pair_difference_tricolored"] = all(
+        _difference_b(vec, twices, i) for i in range(len(twices))
+    ) and _triple_relation(vec, g.p)
+    chi = euler_characteristic_complex(g)
+    checks["euler_formula_agreement"] = all(
+        _euler_via_pair(vec, twices, a, g.p) == chi for a, _ in _PAIRS
+    )
+    if all(vec[hat] == 1 for hat in _HATS):
+        _crystallization_checks(g, vec, twices, flags, checks)
+
+
+def _crystallization_checks(g, vec, twices, flags, checks) -> None:
+    """Profile the graph with rank 0 asserted and check the excess identities."""
+    try:
+        profile = _ledger(g, vec, 0)
+    except GemError:
+        checks["crystallization_profile_consistent"] = False
+        return
+    checks["crystallization_profile_consistent"] = True
+    flags["crystallization_profile"] = True
+    q = profile.q
+    base = 2 * profile.euler + 5 * profile.m - 4
+
+    ok_diff = ok_offset = True
+    for i, partner in enumerate(_PARTNER):
+        skip_excess = sum(profile.t_triples[t] for t in _SKIP3[i])
+        diff_twice = twices[partner] - twices[i]
+        if diff_twice != 2 * (q - 2 * skip_excess) or diff_twice > 2 * q:
+            ok_diff = False
+        if twices[i] != 2 * (base + skip_excess):
+            ok_offset = False
+    checks["excess_difference_identity"] = ok_diff
+    checks["excess_genus_offset"] = ok_offset
+    checks["excess_pair_sum"] = all(
+        twices[a] + twices[b] == 2 * (2 * base + q) for a, b in _PAIRS
+    )
+    try:
+        _classify(profile, vec, twices)
+        checks["classification_consistent"] = True
+    except GemError:
+        checks["classification_consistent"] = False
+
+    chi, m, p = profile.euler, profile.m, g.p
+    ok_bounds = True
+    for a, b in _PAIRS:
+        lo, hi = sorted((twices[a], twices[b]))
+        # chi between 2*rho - p + 3 for the two genera of the pair
+        if not (lo - p + 3 <= chi <= hi - p + 3):
+            ok_bounds = False
+        # quarter-resolution chain, scaled by 4
+        if not (8 + lo - 10 * m - q <= 4 * chi <= 8 + hi - 10 * m - q):
+            ok_bounds = False
+        # single-genus chains on the smaller genus of the pair
+        if not (lo - p + 3 <= chi <= lo - p + q + 3):
+            ok_bounds = False
+        if not (8 + lo - 10 * m - q <= 4 * chi <= 8 + lo - 10 * m):
+            ok_bounds = False
+    checks["euler_bounds"] = ok_bounds

@@ -19,11 +19,12 @@ half-integer; floats never appear.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Sequence, TYPE_CHECKING
 
-from .core import ColoredGraph, GemError, is_connected, residue_count
-from .perms import CyclicPerm, canonical_perm, cycle_pairs, cyclic_permutations
+from .core import ColoredGraph, GemError, is_connected, residue_count, residue_vector
+from .perms import CyclicPerm, canonical_perm, cycle_masks, cycle_pairs, cyclic_permutations
 
 if TYPE_CHECKING:
     from .cycle_decomp import DecompositionClass
@@ -36,7 +37,9 @@ __all__ = [
     "cyclic_permutations",
     "g_degree_definition",
     "g_degree_formula",
+    "genus_twices",
     "pair_residue_sum",
+    "reduced_degree_formula",
     "reduced_g_degree",
     "regular_genus",
     "regular_genus_min",
@@ -142,12 +145,36 @@ def _require_connected(g: ColoredGraph) -> None:
 
 
 def pair_residue_sum(g: ColoredGraph) -> int:
-    """Sum of g_{rs} over all unordered color pairs."""
+    """Sum of g_{rs} over all unordered color pairs.
+
+    Walks the bicolored cycles directly rather than reading the residue
+    vector: residue components use no vector of their own, and on a whole
+    graph the closed degree formula then cross-checks the vector.
+    """
+    partners = [[w - 1 for w in mu] for mu in g.matchings]
     total = 0
-    for r in range(g.d + 1):
-        for s in range(r + 1, g.d + 1):
-            total += residue_count(g, (r, s))
+    for r, s in combinations(range(g.d + 1), 2):
+        mu_r, mu_s = partners[r], partners[s]
+        seen = [False] * g.order
+        for v in range(g.order):
+            if not seen[v]:
+                total += 1
+                x = v
+                while not seen[x]:
+                    seen[x] = True
+                    y = mu_r[x]
+                    seen[y] = True
+                    x = mu_s[y]
     return total
+
+
+def genus_twices(g: ColoredGraph) -> tuple[int, ...]:
+    """Twice the regular genus of every canonical permutation, in the order
+    of :func:`cyclic_permutations`, read off the residue vector."""
+    vec = residue_vector(g)
+    _require_connected(g)
+    base = 2 + (g.d - 1) * g.p
+    return tuple(base - sum([vec[m] for m in masks]) for masks in cycle_masks(g.d))
 
 
 def regular_genus(g: ColoredGraph, eps: Sequence[int]) -> HalfInt:
@@ -168,11 +195,15 @@ def regular_genus(g: ColoredGraph, eps: Sequence[int]) -> HalfInt:
 
 def g_degree_definition(g: ColoredGraph) -> HalfInt:
     """Gurau degree as the literal sum of genera over all canonical permutations."""
-    _require_connected(g)
-    total = 0
-    for eps in cyclic_permutations(g.d):
-        total += regular_genus(g, eps).twice
-    return HalfInt(total)
+    return HalfInt(sum(genus_twices(g)))
+
+
+def reduced_degree_formula(g: ColoredGraph) -> int:
+    """The closed form d + p*(d-1)*d/2 - sum_{r<s} g_{rs}.
+
+    For d >= 3 it is 2 * degree / (d-1)!; at d = 2 it is twice the genus.
+    """
+    return g.d + g.p * (g.d - 1) * g.d // 2 - pair_residue_sum(g)
 
 
 def g_degree_formula(g: ColoredGraph) -> HalfInt:
@@ -184,8 +215,7 @@ def g_degree_formula(g: ColoredGraph) -> HalfInt:
     if g.d < 3:
         raise GemError("the closed degree formula needs d >= 3; use the definition for d = 2")
     _require_connected(g)
-    reduced = g.d + g.p * (g.d - 1) * g.d // 2 - pair_residue_sum(g)
-    return HalfInt(factorial(g.d - 1) * reduced)
+    return HalfInt(factorial(g.d - 1) * reduced_degree_formula(g))
 
 
 def reduced_g_degree(g: ColoredGraph) -> int:
@@ -225,14 +255,7 @@ def class_genus_sum(g: ColoredGraph, cls: "DecompositionClass") -> HalfInt:
 
 def regular_genus_min(g: ColoredGraph) -> tuple[HalfInt, tuple[CyclicPerm, ...]]:
     """Minimum genus over all canonical permutations, with every minimizer."""
-    _require_connected(g)
-    best: HalfInt | None = None
-    winners: list[CyclicPerm] = []
-    for eps in cyclic_permutations(g.d):
-        rho = regular_genus(g, eps)
-        if best is None or rho < best:
-            best, winners = rho, [eps]
-        elif rho == best:
-            winners.append(eps)
-    assert best is not None
-    return best, tuple(winners)
+    twices = genus_twices(g)
+    best = min(twices)
+    perms = cyclic_permutations(g.d)
+    return HalfInt(best), tuple(perms[i] for i, t in enumerate(twices) if t == best)

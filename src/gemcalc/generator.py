@@ -14,7 +14,14 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .core import ColoredGraph, GemError, euler_characteristic_complex, is_bipartite, is_connected
+from .core import (
+    ENUMERATION_BUDGET,
+    ColoredGraph,
+    GemError,
+    euler_characteristic_complex,
+    is_bipartite,
+    is_connected,
+)
 from .dim4 import is_singular_4_manifold
 from .embeddings import reduced_g_degree
 
@@ -31,9 +38,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-
-# raw-space ceiling for exhaustive enumeration: (2p-1)!!^d streams
-ENUMERATION_BUDGET = 1_500_000
 
 # per-sample rejection ceiling before a filter is declared infeasible
 REJECTION_BUDGET = 100_000

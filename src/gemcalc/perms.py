@@ -13,7 +13,14 @@ from typing import Sequence
 
 CyclicPerm = tuple[int, ...]
 
-__all__ = ["CyclicPerm", "canonical_perm", "cyclic_permutations", "cycle_pairs"]
+__all__ = [
+    "CyclicPerm",
+    "canonical_perm",
+    "cycle_masks",
+    "cycle_pairs",
+    "cyclic_permutations",
+    "perm_index",
+]
 
 
 def canonical_perm(seq: Sequence[int]) -> CyclicPerm:
@@ -49,3 +56,22 @@ def cycle_pairs(eps: Sequence[int], step: int = 1) -> list[tuple[int, int]]:
         a, b = eps[j], eps[(j + step) % n]
         out.append((a, b) if a < b else (b, a))
     return out
+
+
+@lru_cache(maxsize=None)
+def perm_index(d: int) -> dict[CyclicPerm, int]:
+    """Position of each canonical permutation in :func:`cyclic_permutations`."""
+    return {eps: i for i, eps in enumerate(cyclic_permutations(d))}
+
+
+@lru_cache(maxsize=None)
+def cycle_masks(d: int, step: int = 1) -> tuple[tuple[int, ...], ...]:
+    """Color-pair bitmasks of :func:`cycle_pairs`, per canonical permutation.
+
+    Entry i lists ``(1 << a) | (1 << b)`` for the pairs of the i-th
+    permutation, ready to index a residue vector.
+    """
+    return tuple(
+        tuple((1 << a) | (1 << b) for a, b in cycle_pairs(eps, step))
+        for eps in cyclic_permutations(d)
+    )

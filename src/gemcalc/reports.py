@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Iterable, Iterator
@@ -20,6 +21,7 @@ from typing import Iterable, Iterator
 from .core import (
     ColoredGraph,
     GemError,
+    check_dimension,
     euler_characteristic_complex,
     is_bipartite,
     is_connected,
@@ -28,7 +30,6 @@ from .core import (
     serialize_gem,
 )
 from .cycle_decomp import (
-    DecompositionClass,
     PARTITION_EVEN_SUPPORTED,
     PARTITION_ODD_SUPPORTED,
     partition_even,
@@ -37,20 +38,15 @@ from .cycle_decomp import (
 )
 from .dim4 import (
     associated_pairs,
-    associated_permutation,
-    check_corollary_12rho,
-    check_difference_b,
+    check_identities,
     classify_crystallization,
     crystallization_profile,
     euler_char_via_genus,
-    is_singular_4_manifold,
-    residue_degree_identity,
-    skip_triples,
     surface_type,
 )
-from .embeddings import HalfInt, cyclic_permutations, pair_residue_sum, regular_genus
+from .embeddings import HalfInt, cyclic_permutations, genus_twices, reduced_degree_formula
 from .generator import GenSpec, enumerate_gems, random_gem
-from .perms import cycle_pairs
+from .perms import perm_index
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -76,20 +72,31 @@ def worker_count() -> int:
     return max(1, n)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _perm_key(eps: Iterable[int]) -> str:
     return ",".join(str(c) for c in eps)
 
 
-def _classes_for(d: int) -> tuple[DecompositionClass, ...]:
-    """Partition classes used for the class-sum constancy check."""
+@lru_cache(maxsize=None)
+def _class_indices(d: int) -> tuple[tuple[int, ...], ...]:
+    """Permutation indices of the partition classes for the class-sum check."""
     n = d + 1
     if n % 2:
         if n in PARTITION_ODD_SUPPORTED:
-            return partition_odd(n).classes
-        return (walecki_decomposition(n),)
-    if n in PARTITION_EVEN_SUPPORTED:
-        return partition_even(n).classes
-    return ()
+            classes = partition_odd(n).classes
+        else:
+            classes = (walecki_decomposition(n),)
+    elif n in PARTITION_EVEN_SUPPORTED:
+        classes = partition_even(n).classes
+    else:
+        return ()
+    index = perm_index(d)
+    return tuple(tuple(index[cyc] for cyc in cls.cycles) for cls in classes)
 
 
 def check_graph(g: ColoredGraph) -> tuple[dict[str, bool], dict[str, bool]]:
@@ -99,15 +106,16 @@ def check_graph(g: ColoredGraph) -> tuple[dict[str, bool], dict[str, bool]]:
     manifold, odd reduced degree, crystallization profile accepted); checks
     map stable names to pass/fail.
     """
+    return _check(g, genus_twices(g))
+
+
+def _check(g: ColoredGraph, twices: tuple[int, ...]) -> tuple[dict, dict]:
     d = g.d
     checks: dict[str, bool] = {}
     flags: dict[str, bool] = {}
 
-    perms = cyclic_permutations(d)
-    genus = {eps: regular_genus(g, eps) for eps in perms}
-    omega_twice = sum(r.twice for r in genus.values())
-    pair_sum = pair_residue_sum(g)
-    reduced = d + g.p * (d - 1) * d // 2 - pair_sum
+    omega_twice = sum(twices)
+    reduced = reduced_degree_formula(g)
 
     bipartite = is_bipartite(g)
     flags["bipartite"] = bipartite
@@ -122,19 +130,18 @@ def check_graph(g: ColoredGraph) -> tuple[dict[str, bool], dict[str, bool]]:
             and (omega_twice // factorial(d - 1)) % 2 == 1
         )
     if bipartite:
-        checks["bipartite_genera_integral"] = all(r.is_integer for r in genus.values())
+        checks["bipartite_genera_integral"] = all(t % 2 == 0 for t in twices)
         if d >= 4 and d % 2 == 0:
             checks["bipartite_degree_divisibility"] = (
                 omega_twice % (2 * factorial(d - 1)) == 0
             )
 
-    classes = _classes_for(d)
+    classes = _class_indices(d)
     if classes:
-        sums = [
-            sum(genus[cyc].twice for cyc in cls.cycles) for cls in classes
-        ]
         expected = reduced if d % 2 == 0 else 2 * reduced
-        checks["class_genus_sum_constant"] = all(s == expected for s in sums)
+        checks["class_genus_sum_constant"] = all(
+            sum(twices[i] for i in cls) == expected for cls in classes
+        )
 
     if d == 2:
         st = surface_type(g)
@@ -148,102 +155,8 @@ def check_graph(g: ColoredGraph) -> tuple[dict[str, bool], dict[str, bool]]:
         )
 
     if d == 4:
-        singular = is_singular_4_manifold(g)
-        flags["singular_manifold"] = singular
-
-        pair_twices = [
-            genus[a].twice + genus[b].twice for a, b in associated_pairs()
-        ]
-        checks["pair_degree_identity"] = all(
-            omega_twice == 6 * t for t in pair_twices
-        )
-        checks["pair_sum_constant"] = all(
-            t == 2 * (2 + 3 * g.p) - pair_sum for t in pair_twices
-        )
-        ok_a = True
-        for eps in perms:
-            partner = associated_permutation(eps)
-            adjacent = sum(residue_count(g, pr) for pr in cycle_pairs(eps, 1))
-            skip = sum(residue_count(g, pr) for pr in cycle_pairs(eps, 2))
-            if genus[partner].twice - genus[eps].twice != adjacent - skip:
-                ok_a = False
-                break
-        checks["pair_difference_bicolored"] = ok_a
-        left, right = check_corollary_12rho(g)
-        checks["minimal_degree_biconditional"] = left == right
-        if flags.get("odd_reduced_degree"):
-            checks["odd_reduced_forces_nonorientable"] = not bipartite and not singular
-        checks["residue_degree_identity"] = residue_degree_identity(g)
-
-        if singular:
-            checks["singular_degree_divisibility"] = (
-                omega_twice >= 0 and omega_twice % 12 == 0
-            )
-            checks["pair_difference_tricolored"] = all(
-                check_difference_b(g, eps) for eps in perms
-            )
-            chi = euler_characteristic_complex(g)
-            checks["euler_formula_agreement"] = all(
-                euler_char_via_genus(g, a) == chi for a, _ in associated_pairs()
-            )
-            hats_connected = all(
-                residue_count(g, [x for x in g.colors if x != i]) == 1
-                for i in g.colors
-            )
-            if hats_connected:
-                _crystallization_checks(g, genus, checks, flags)
+        check_identities(g, twices, flags, checks)
     return flags, checks
-
-
-def _crystallization_checks(g, genus, checks, flags) -> None:
-    """Profile the graph with rank 0 asserted and check the excess identities."""
-    try:
-        profile = crystallization_profile(g, 0)
-    except GemError:
-        checks["crystallization_profile_consistent"] = False
-        return
-    checks["crystallization_profile_consistent"] = True
-    flags["crystallization_profile"] = True
-    q = profile.q
-    base = 2 * profile.euler + 5 * profile.m - 4
-
-    ok_diff = ok_offset = True
-    for eps in cyclic_permutations(4):
-        partner = associated_permutation(eps)
-        skip_excess = sum(profile.t_triples[t] for t in skip_triples(eps))
-        diff_twice = genus[partner].twice - genus[eps].twice
-        if diff_twice != 2 * (q - 2 * skip_excess) or diff_twice > 2 * q:
-            ok_diff = False
-        if genus[eps].twice != 2 * (base + skip_excess):
-            ok_offset = False
-    checks["excess_difference_identity"] = ok_diff
-    checks["excess_genus_offset"] = ok_offset
-    checks["excess_pair_sum"] = all(
-        genus[a].twice + genus[b].twice == 2 * (2 * base + q)
-        for a, b in associated_pairs()
-    )
-    try:
-        classify_crystallization(profile, g)
-        checks["classification_consistent"] = True
-    except GemError:
-        checks["classification_consistent"] = False
-
-    chi, m, p = profile.euler, profile.m, g.p
-    ok_bounds = True
-    for a, b in associated_pairs():
-        lo, hi = sorted((genus[a].twice, genus[b].twice))
-        # chi between 2*rho - p + 3 for the two genera of the pair
-        if not (lo - p + 3 <= chi <= hi - p + 3):
-            ok_bounds = False
-        # quarter-resolution chain, scaled by 4
-        if not (8 + lo - 10 * m - q <= 4 * chi <= 8 + hi - 10 * m - q):
-            ok_bounds = False
-        # single-genus chains on the smaller genus of the pair
-        if not (lo - p + 3 <= chi <= lo - p + q + 3):
-            ok_bounds = False
-        if not (8 + lo - 10 * m - q <= 4 * chi <= 8 + lo - 10 * m):
-            ok_bounds = False
-    checks["euler_bounds"] = ok_bounds
 
 
 def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
@@ -252,12 +165,10 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
         raise GemError("analysis requires a connected graph")
     d = g.d
     perms = cyclic_permutations(d)
-    genus = {eps: regular_genus(g, eps) for eps in perms}
-    omega = HalfInt(sum(r.twice for r in genus.values()))
-    rho_min = min(genus.values())
-    minimizers = [eps for eps in perms if genus[eps] == rho_min]
+    twices = genus_twices(g)
+    rho_min = min(twices)
 
-    flags, checks = check_graph(g)
+    flags, checks = _check(g, twices)
     report: dict = {
         "schema": REPORT_SCHEMA,
         "kind": "analysis",
@@ -279,17 +190,17 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
             },
         },
         "euler_characteristic": euler_characteristic_complex(g),
-        "genera": {_perm_key(eps): str(genus[eps]) for eps in perms},
+        "genera": {_perm_key(eps): str(HalfInt(t)) for eps, t in zip(perms, twices)},
         "regular_genus": {
-            "value": str(rho_min),
-            "minimizers": [_perm_key(eps) for eps in minimizers],
+            "value": str(HalfInt(rho_min)),
+            "minimizers": [_perm_key(eps) for eps, t in zip(perms, twices) if t == rho_min],
         },
-        "gurau_degree": str(omega),
+        "gurau_degree": str(HalfInt(sum(twices))),
         "checks": checks,
         "violations": sorted(name for name, ok in checks.items() if not ok),
     }
     if d >= 3:
-        report["reduced_degree"] = omega.twice // factorial(d - 1)
+        report["reduced_degree"] = sum(twices) // factorial(d - 1)
     if d == 2:
         st = surface_type(g)
         report["surface"] = {
@@ -298,10 +209,13 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
             "genus": str(st.genus),
         }
     if d == 4:
-        singular = flags.get("singular_manifold", False)
+        singular = flags["singular_manifold"]
+        index = perm_index(4)
         block: dict = {
             "associated_pair_sums": {
-                f"{_perm_key(a)}|{_perm_key(b)}": str(genus[a] + genus[b])
+                f"{_perm_key(a)}|{_perm_key(b)}": str(
+                    HalfInt(twices[index[a]] + twices[index[b]])
+                )
                 for a, b in associated_pairs()
             },
             "singular_manifold": singular,
@@ -409,12 +323,15 @@ def campaign_report(
 
     The corpus order is deterministic; with several workers the batches are
     merged in corpus order, so the report does not depend on the worker
-    count.  The first few violating gems are embedded verbatim.
+    count.  The pool never exceeds the usable CPUs or the batch count,
+    whatever ``threads`` asks for.  The first few violating gems are
+    embedded verbatim.
     """
     if threads is None:
         threads = worker_count()
     if d < 2:
         raise GemError(f"campaigns need d >= 2, got {d}")
+    check_dimension(d)
     if max_p < 1:
         raise GemError(f"campaigns need a positive half-order bound, got {max_p}")
     if mode == "random" and count < 1:
@@ -434,8 +351,9 @@ def campaign_report(
     if current:
         batches.append(current)
 
-    if threads > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, _usable_cpus(), len(batches))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_battery_batch, [d] * len(batches), batches))
     else:
         results = [_battery_batch(d, batch) for batch in batches]

@@ -124,6 +124,61 @@ def test_verify_worker_sharding_invisible(tmp_path, monkeypatch):
     assert solo.read_bytes() == duo.read_bytes()
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus, expected", [(8, 4), (3, 3)])
+def test_verify_pool_capped_by_cpus_and_batches(
+    tmp_path, monkeypatch, cpus, expected
+):
+    # 60 gems in batches of 16 make 4 batches; GEMCALC_THREADS asks for 10000
+    monkeypatch.setattr(reports_module, "_BATCH_SIZE", 16)
+    monkeypatch.setattr(reports_module, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(
+        reports_module.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+    monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setenv("GEMCALC_THREADS", "10000")
+    args = ["verify", "--d", "4", "--mode", "random", "--p", "2",
+            "--count", "60", "--seed", "31"]
+    capped, solo = tmp_path / "capped.json", tmp_path / "solo.json"
+    assert main(args + ["--out", str(capped)]) == 0
+    assert _SerialPool.created == [expected]
+    monkeypatch.setenv("GEMCALC_THREADS", "1")
+    assert main(args + ["--out", str(solo)]) == 0
+    assert _SerialPool.created == [expected]  # one worker: no pool at all
+    assert capped.read_bytes() == solo.read_bytes()
+
+
+def test_dimension_beyond_permutation_budget_refused(tmp_path, capsys):
+    from gemcalc.perms import cyclic_permutations
+
+    cached = cyclic_permutations.cache_info().currsize
+    path = tmp_path / "dipole12.json"
+    path.write_text(serialize_gem(ColoredGraph(d=12, order=2, matchings=((2, 1),) * 13)))
+    assert main(["analyze", str(path)]) == 2
+    assert "d=12 has d!/2 = 239500800" in capsys.readouterr().err
+    rc = main(["verify", "--d", "12", "--mode", "random", "--p", "1", "--count", "1"])
+    assert rc == 2
+    assert "d=12 has d!/2 = 239500800" in capsys.readouterr().err
+    assert cyclic_permutations.cache_info().currsize == cached
+
+
 def test_verify_violation_exit_code(tmp_path, monkeypatch, capsys):
     # force a lying check to exercise the counterexample path
     real = reports_module.check_graph

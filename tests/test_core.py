@@ -19,10 +19,12 @@ from gemcalc import (
     residue_components,
     residue_count,
     residue_table,
+    residue_vector,
     serialize_gem,
     simplex_counts,
     subgraph,
 )
+from gemcalc.core import MAX_DIMENSION
 
 from conftest import (
     M_A,
@@ -45,6 +47,19 @@ def test_parse_rejects_loop():
     text = json.dumps({"d": 4, "vertices": 2, "matchings": [[1, 2]] + [[2, 1]] * 4})
     with pytest.raises(GemError, match="loop forbidden at vertex 1"):
         parse_gem(text)
+
+
+def test_parse_refuses_dimension_beyond_permutation_budget():
+    # 10!/2 = 1,814,400 cyclic permutations exceed the budget; 9!/2 do not
+    def dipole_doc(d):
+        return json.dumps({"d": d, "vertices": 2, "matchings": [[2, 1]] * (d + 1)})
+
+    with pytest.raises(GemError, match=r"d=10 has d!/2 = 1814400"):
+        parse_gem(dipole_doc(10))
+    with pytest.raises(GemError, match=r"d=12 has d!/2 = 239500800"):
+        parse_gem(dipole_doc(12))
+    assert MAX_DIMENSION == 9
+    assert parse_gem(dipole_doc(9)).d == 9
 
 
 def test_parse_g4_document(g4):
@@ -93,6 +108,28 @@ def test_residue_counts_g4(g4):
     for b_size in range(6):
         for b in combinations(range(5), b_size):
             assert residue_count(g4, b) == oracle_components(g4, b)
+    # every entry of the vector, over a seeded corpus per dimension
+    shapes = {2: (5, 30), 3: (4, 30), 4: (4, 25), 5: (3, 15), 6: (2, 10)}
+    for d, (p, count) in shapes.items():
+        for g in corpus(d, p, count, seed=200 + d):
+            vec = residue_vector(g)
+            assert len(vec) == 2 ** (d + 1)
+            for mask, value in enumerate(vec):
+                colors = [c for c in range(d + 1) if mask >> c & 1]
+                assert value == oracle_components(g, colors), (d, g, colors)
+            assert simplex_counts(g) == oracle_simplex_counts(g)
+            assert is_connected(g) == (oracle_components(g, range(d + 1)) == 1)
+
+
+def test_residue_vector_built_once(g4):
+    fresh = ColoredGraph(d=4, order=4, matchings=g4.matchings)
+    assert fresh == g4
+    # connectivity alone does not build the vector
+    assert is_connected(fresh)
+    assert fresh._vector is None
+    vec = residue_vector(fresh)
+    assert residue_vector(fresh) is vec
+    assert residue_count(fresh, (0, 1)) == vec[0b00011]
 
 
 def test_residue_color_out_of_range(g4):

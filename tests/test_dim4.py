@@ -31,9 +31,11 @@ from gemcalc import (
     residue_components,
     residue_count,
     residue_degree_identity,
+    residue_vector,
     subgraph,
     surface_type,
 )
+from gemcalc.reports import check_graph
 from gemcalc.dim4 import NEITHER, SEMI_SIMPLE, WEAK_SEMI_SIMPLE, skip_triples
 
 from conftest import M_A, M_B, M_C, corpus
@@ -323,3 +325,37 @@ def test_dimension_guards(g4, rp2_gem):
         is_singular_4_manifold(rp2_gem)
     with pytest.raises(GemError, match="4-colored"):
         is_closed_3_manifold(g4)
+
+
+# --- independence of the component-side checks ---------------------------------
+
+
+def _bump(g: ColoredGraph, colors) -> ColoredGraph:
+    """An equal graph whose residue vector has one entry raised by one."""
+    h = ColoredGraph(d=g.d, order=g.order, matchings=g.matchings)
+    vec = list(residue_vector(h))
+    vec[sum(1 << c for c in colors)] += 1
+    object.__setattr__(h, "_vector", tuple(vec))
+    return h
+
+
+def test_tampered_pair_count_breaks_residue_degree_identity(odd_degree_witness):
+    # the component side walks extracted residues, so it disagrees with a
+    # degree read off a corrupted parent vector
+    flags, checks = check_graph(odd_degree_witness)
+    assert not flags["singular_manifold"]
+    assert checks["residue_degree_identity"]
+    flags, checks = check_graph(_bump(odd_degree_witness, (0, 1)))
+    assert not flags["singular_manifold"]
+    assert checks["residue_degree_identity"] is False
+
+
+def test_tampered_triple_count_breaks_tricolored_difference(g4):
+    # singular-manifold recognition walks extracted residues, so a corrupted
+    # triple count cannot switch the tricolored identity off
+    flags, checks = check_graph(g4)
+    assert flags["singular_manifold"] and checks["pair_difference_tricolored"]
+    flags, checks = check_graph(_bump(g4, (0, 1, 2)))
+    assert flags["singular_manifold"]
+    assert checks["pair_difference_tricolored"] is False
+    assert checks["residue_degree_identity"]
