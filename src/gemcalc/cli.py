@@ -140,11 +140,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             "multiplicity": cls.multiplicity,
             "classes": [[list(cyc) for cyc in cls.cycles]],
         }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(doc, "json", args.out)
     return 0
 
 
@@ -178,9 +174,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "non_bipartite_only": args.nonbipartite,
         "files": files,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    (out_dir / "manifest.json").write_text(report_json(manifest))
     print(f"wrote {len(files)} gems and manifest.json to {out_dir}")
     return 0
 
@@ -209,11 +203,7 @@ def cmd_search_odd(args: argparse.Namespace) -> int:
             ),
             "gem": json.loads(serialize_gem(witness)),
         }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(doc, "json", args.out)
     return 0
 
 

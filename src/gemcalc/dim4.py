@@ -12,7 +12,9 @@ and its genera as integer "twice" values (see ``genus_twices``), through
 index tables built once.  Singular-manifold recognition and the component
 side of the residue-degree identity are the exception: they walk residue
 components extracted as graphs of their own, so neither collapses into an
-algebraic consequence of the vector they are checked against.
+algebraic consequence of the vector they are checked against.  Manifold
+recognition extracts only 3-colored residues: each 3-colored residue of a
+4-colored residue component is a 3-colored residue of the whole graph.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .core import (
     ColoredGraph,
@@ -162,34 +164,30 @@ def surface_type(g: ColoredGraph) -> SurfaceType:
     return SurfaceType(is_bipartite(g), chi, HalfInt(2 - chi))
 
 
-def _hat_residues(g: ColoredGraph) -> Iterator[list[ColoredGraph]]:
-    """Components of each residue missing one color, extracted as graphs."""
-    for i in g.colors:
-        yield residue_components(g, [x for x in g.colors if x != i])
-
-
-def _closed(g: ColoredGraph) -> bool:
-    return all(_surface_euler(comp) == 2 for comps in _hat_residues(g) for comp in comps)
-
-
-def _singular(hat_components) -> bool:
-    return all(_closed(comp) for comps in hat_components for comp in comps)
+def _spherical_triples(g: ColoredGraph) -> bool:
+    """True iff every component of every 3-colored residue is a sphere."""
+    return all(
+        _surface_euler(comp) == 2
+        for triple in combinations(g.colors, 3)
+        for comp in residue_components(g, triple)
+    )
 
 
 @lru_cache(maxsize=4096)
 def is_closed_3_manifold(g: ColoredGraph) -> bool:
     """True iff every 3-colored residue component of the 4-colored graph is a sphere."""
     _require_d(g, 3)
-    return _closed(g)
+    return _spherical_triples(g)
 
 
 @lru_cache(maxsize=4096)
 def is_singular_4_manifold(g: ColoredGraph) -> bool:
-    """True iff every 4-colored residue component represents a closed 3-manifold."""
+    """True iff every 4-colored residue component represents a closed 3-manifold,
+    that is, iff every 3-colored residue component is a sphere."""
     _require_d(g, 4)
     if not is_connected(g):
         raise GemError("singular-manifold recognition requires a connected graph")
-    return _singular(_hat_residues(g))
+    return _spherical_triples(g)
 
 
 def _require_singular(g: ColoredGraph, what: str) -> None:
@@ -409,11 +407,11 @@ def _classify(
     return ClassificationResult(kind=kind, witness=witness, satisfies_12rho=left)
 
 
-def _residue_degree_holds(
-    g: ColoredGraph, vec: tuple[int, ...], hat_components, omega_twice: int
-) -> bool:
+def _residue_degree_holds(g: ColoredGraph, vec: tuple[int, ...], omega_twice: int) -> bool:
     component_twice = sum(
-        g_degree_formula(comp).twice for comps in hat_components for comp in comps
+        g_degree_formula(comp).twice
+        for hat in combinations(g.colors, 4)
+        for comp in residue_components(g, hat)
     )
     if omega_twice != 6 * (g.p + 4 - _hat_sum(vec)) + component_twice:
         return False
@@ -430,9 +428,7 @@ def residue_degree_identity(g: ColoredGraph) -> bool:
     _require_d(g, 4)
     if not is_connected(g):
         raise GemError("the residue-degree identity requires a connected graph")
-    return _residue_degree_holds(
-        g, residue_vector(g), _hat_residues(g), sum(genus_twices(g))
-    )
+    return _residue_degree_holds(g, residue_vector(g), sum(genus_twices(g)))
 
 
 # --- the five-color part of the identity battery -----------------------------
@@ -445,15 +441,13 @@ def check_identities(
     battery's ``flags`` and ``checks``.
 
     ``twices`` is :func:`genus_twices` of the graph; ``flags`` already holds
-    ``bipartite`` and, where computed, ``odd_reduced_degree``.  One
-    extraction of the five 4-colored residues serves both the singular
-    walk, which stops at the first non-sphere, and the component side of the
-    residue-degree identity.
+    ``bipartite`` and, where computed, ``odd_reduced_degree``.  The
+    singular test walks the ten 3-colored residues and stops at the first
+    non-sphere; the residue-degree identity walks the five 4-colored ones.
     """
     vec = residue_vector(g)
     omega_twice = sum(twices)
-    hat_components = list(_hat_residues(g))
-    singular = _singular(hat_components)
+    singular = _spherical_triples(g)
     flags["singular_manifold"] = singular
 
     pair_twices = [twices[a] + twices[b] for a, b in _PAIRS]
@@ -467,9 +461,7 @@ def check_identities(
     checks["minimal_degree_biconditional"] = left == right
     if flags.get("odd_reduced_degree"):
         checks["odd_reduced_forces_nonorientable"] = not flags["bipartite"] and not singular
-    checks["residue_degree_identity"] = _residue_degree_holds(
-        g, vec, hat_components, omega_twice
-    )
+    checks["residue_degree_identity"] = _residue_degree_holds(g, vec, omega_twice)
     if not singular:
         return
 

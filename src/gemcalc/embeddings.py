@@ -183,10 +183,8 @@ def regular_genus(g: ColoredGraph, eps: Sequence[int]) -> HalfInt:
     Integral whenever the graph is bipartite (orientable case); in general
     an exact half-integer.
     """
-    if len(eps) != g.d + 1:
-        raise GemError(
-            f"permutation has {len(eps)} colors, graph has {g.d + 1}"
-        )
+    if sorted(eps) != list(g.colors):
+        raise GemError(f"{tuple(eps)} is not a permutation of the colors 0..{g.d}")
     _require_connected(g)
     s = sum(residue_count(g, pair) for pair in cycle_pairs(eps))
     # 2*rho = 2 - chi = 2 - s + (d-1)*p

@@ -25,7 +25,6 @@ from .core import (
     euler_characteristic_complex,
     is_bipartite,
     is_connected,
-    parse_gem,
     residue_count,
     serialize_gem,
 )
@@ -278,13 +277,12 @@ def _campaign_graphs(d: int, mode: str, max_p: int, count: int, seed: int) -> It
         raise GemError(f"unknown campaign mode {mode!r}")
 
 
-def _battery_batch(d: int, gems: list[str]) -> tuple[dict, dict, list]:
-    """Worker: evaluate the battery on serialized gems; counters plus violations."""
+def _battery_batch(gems: list[ColoredGraph]) -> tuple[dict, dict, list]:
+    """Worker: evaluate the battery on a batch; counters plus serialized violations."""
     counters: dict[str, int] = {"graphs": 0}
     stats: dict[str, list[int]] = {}
     violations: list[tuple[int, str, str]] = []
-    for idx, text in enumerate(gems):
-        g = parse_gem(text)
+    for idx, g in enumerate(gems):
         flags, checks = check_graph(g)
         counters["graphs"] += 1
         for name, value in flags.items():
@@ -295,7 +293,7 @@ def _battery_batch(d: int, gems: list[str]) -> tuple[dict, dict, list]:
             ev[0] += 1
             if not ok:
                 ev[1] += 1
-                violations.append((idx, name, text))
+                violations.append((idx, name, serialize_gem(g)))
     return counters, stats, violations
 
 
@@ -341,10 +339,10 @@ def campaign_report(
     stats: dict[str, list[int]] = {}
     violations: list[tuple[int, str, str]] = []
 
-    batches: list[list[str]] = []
-    current: list[str] = []
+    batches: list[list[ColoredGraph]] = []
+    current: list[ColoredGraph] = []
     for g in _campaign_graphs(d, mode, max_p, count, seed):
-        current.append(serialize_gem(g))
+        current.append(g)
         if len(current) >= _BATCH_SIZE:
             batches.append(current)
             current = []
@@ -354,9 +352,9 @@ def campaign_report(
     workers = min(threads, _usable_cpus(), len(batches))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_battery_batch, [d] * len(batches), batches))
+            results = list(pool.map(_battery_batch, batches))
     else:
-        results = [_battery_batch(d, batch) for batch in batches]
+        results = [_battery_batch(batch) for batch in batches]
 
     offset = 0
     for batch, result in zip(batches, results):

@@ -38,7 +38,7 @@ from gemcalc import (
 from gemcalc.reports import check_graph
 from gemcalc.dim4 import NEITHER, SEMI_SIMPLE, WEAK_SEMI_SIMPLE, skip_triples
 
-from conftest import M_A, M_B, M_C, corpus
+from conftest import M_A, M_B, M_C, corpus, oracle_components, oracle_faces
 
 
 # --- associated permutations --------------------------------------------------
@@ -124,6 +124,41 @@ def test_singular_4_manifold(dipole4, g4, odd_degree_witness):
     assert not is_singular_4_manifold(odd_degree_witness)
     embedded_rp2 = ColoredGraph(d=4, order=4, matchings=(M_A, M_B, M_C, M_A, M_A))
     assert not is_singular_4_manifold(embedded_rp2)
+
+
+def _oracle_spherical(g: ColoredGraph) -> bool:
+    # a closed surface has chi <= 2, so the components of the {r,s,t}-residue
+    # are all spheres iff their Euler characteristics (F - E + V = faces - p
+    # in total) sum to twice the number of components
+    return all(
+        oracle_faces(g, r, s) + oracle_faces(g, r, t) + oracle_faces(g, s, t) - g.p
+        == 2 * oracle_components(g, (r, s, t))
+        for r, s, t in combinations(range(g.d + 1), 3)
+    )
+
+
+def test_singular_4_manifold_matches_face_oracle():
+    graphs = [g for p in (1, 2) for g in enumerate_gems(4, p, connected_only=True)]
+    graphs += [
+        g for p in range(1, 7) for g in corpus(4, p, 100, seed=200 + p, connected_only=True)
+    ]
+    outcomes = set()
+    for g in graphs:
+        expected = _oracle_spherical(g)
+        assert is_singular_4_manifold(g) == expected
+        flags, _ = check_graph(g)
+        assert flags["singular_manifold"] == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_closed_3_manifold_matches_face_oracle():
+    outcomes = set()
+    for g in [g for p in range(1, 7) for g in corpus(3, p, 150, seed=300 + p)]:
+        expected = _oracle_spherical(g)
+        assert is_closed_3_manifold(g) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 # --- Euler characteristic through genera ---------------------------------------

@@ -130,6 +130,10 @@ def test_regular_genus_matches_walking_oracle(g4):
 def test_regular_genus_errors(g4):
     with pytest.raises(GemError, match="colors"):
         regular_genus(g4, (0, 1, 2))
+    # non-permutations are refused with a GemError, so the CLI exits 2
+    for eps in [(0, 0, 0, 0, 0), (0, 1, 2, 3, 3), (1, 2, 3, 4, 5)]:
+        with pytest.raises(GemError, match="not a permutation"):
+            regular_genus(g4, eps)
     two_dipoles = ColoredGraph(d=4, order=4, matchings=(M_A,) * 5)
     with pytest.raises(GemError, match="connected"):
         regular_genus(two_dipoles, (0, 1, 2, 3, 4))
