@@ -17,8 +17,6 @@ from pathlib import Path
 
 from .core import GemError, parse_gem, serialize_gem
 from .cycle_decomp import (
-    PARTITION_EVEN_SUPPORTED,
-    PARTITION_ODD_SUPPORTED,
     partition_even,
     partition_odd,
     validate_class,
@@ -35,7 +33,6 @@ from .reports import (
     campaign_report,
     render_text,
     report_json,
-    worker_count,
 )
 
 __all__ = ["main"]
@@ -75,7 +72,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         max_p=args.p,
         count=args.count,
         seed=args.seed,
-        threads=worker_count(),
     )
     _emit(report, args.format, args.out)
     if report["status"] != "ok":
@@ -98,48 +94,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     n = args.n
-    if args.full:
-        if n % 2:
-            if n not in PARTITION_ODD_SUPPORTED:
-                raise GemError(
-                    f"full partitions supported for odd n in {PARTITION_ODD_SUPPORTED}"
-                )
-            part = partition_odd(n)
-        else:
-            if n not in PARTITION_EVEN_SUPPORTED:
-                raise GemError(
-                    f"full partitions supported for even n in {PARTITION_EVEN_SUPPORTED}"
-                )
-            part = partition_even(n)
-        if not validate_partition(part):
+    if args.full or n % 2 == 0:
+        part = partition_odd(n) if n % 2 else partition_even(n)
+        if args.full and not validate_partition(part):
             raise GemError("internal invariant violation: partition failed validation")
-        doc = {
-            "schema": REPORT_SCHEMA,
-            "kind": "partition",
-            "n": n,
-            "multiplicity": part.classes[0].multiplicity,
-            "classes": [
-                [list(cyc) for cyc in cls.cycles] for cls in part.classes
-            ],
-        }
+        classes = part.classes if args.full else part.classes[:1]
     else:
-        if n % 2:
-            cls = walecki_decomposition(n)
-        else:
-            if n not in PARTITION_EVEN_SUPPORTED:
-                raise GemError(
-                    f"single even classes supported for n in {PARTITION_EVEN_SUPPORTED}"
-                )
-            cls = partition_even(n).classes[0]
-        if not validate_class(cls):
-            raise GemError("internal invariant violation: class failed validation")
-        doc = {
-            "schema": REPORT_SCHEMA,
-            "kind": "decomposition",
-            "n": n,
-            "multiplicity": cls.multiplicity,
-            "classes": [[list(cyc) for cyc in cls.cycles]],
-        }
+        classes = (walecki_decomposition(n),)
+    if not args.full and not validate_class(classes[0]):
+        raise GemError("internal invariant violation: class failed validation")
+    doc = {
+        "schema": REPORT_SCHEMA,
+        "kind": "partition" if args.full else "decomposition",
+        "n": n,
+        "multiplicity": classes[0].multiplicity,
+        "classes": [[list(cyc) for cyc in cls.cycles] for cls in classes],
+    }
     _emit(doc, "json", args.out)
     return 0
 

@@ -129,28 +129,6 @@ def _sorted_colors(g: ColoredGraph, colors: Iterable[int]) -> list[int]:
     return [c for c in g.colors if mask >> c & 1]
 
 
-def _component_count(order: int, mats: list[tuple[int, ...]]) -> int:
-    # union-find over 0-based vertices, seeded by the selected matchings
-    parent = list(range(order))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = order
-    for mu in mats:
-        for v in range(order):
-            w = mu[v] - 1
-            if v < w:
-                a, b = find(v), find(w)
-                if a != b:
-                    parent[a] = b
-                    count -= 1
-    return count
-
-
 def _build_vector(order: int, matchings: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Component counts of every color subset, by subset DP over union-find.
 
@@ -237,10 +215,10 @@ def residue_table(g: ColoredGraph) -> ResidueTable:
 
 
 def is_connected(g: ColoredGraph) -> bool:
-    """One union-find pass over all colors, or a lookup once the vector exists."""
+    """One breadth-first walk over all colors, or a lookup once the vector exists."""
     if g._vector is not None:
         return g._vector[-1] == 1
-    return _component_count(g.order, list(g.matchings)) == 1
+    return len(_component_vertices(g, list(g.colors), 1)) == g.order
 
 
 def is_bipartite(g: ColoredGraph) -> bool:

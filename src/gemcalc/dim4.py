@@ -37,9 +37,9 @@ from .embeddings import (
     HalfInt,
     canonical_perm,
     cyclic_permutations,
-    g_degree_formula,
     genus_twices,
     pair_residue_sum,
+    reduced_degree_formula,
 )
 from .perms import CyclicPerm, cycle_masks, perm_index
 
@@ -408,14 +408,13 @@ def _classify(
 
 
 def _residue_degree_holds(g: ColoredGraph, vec: tuple[int, ...], omega_twice: int) -> bool:
-    component_twice = sum(
-        g_degree_formula(comp).twice
+    # at d = 3 a component's degree is its reduced degree
+    total = sum(
+        reduced_degree_formula(comp)
         for hat in combinations(g.colors, 4)
         for comp in residue_components(g, hat)
     )
-    if omega_twice != 6 * (g.p + 4 - _hat_sum(vec)) + component_twice:
-        return False
-    return component_twice % 2 == 0 and (component_twice // 2) % 3 == 0
+    return omega_twice == 6 * (g.p + 4 - _hat_sum(vec)) + 2 * total and total % 3 == 0
 
 
 def residue_degree_identity(g: ColoredGraph) -> bool:

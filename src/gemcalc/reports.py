@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from itertools import combinations
@@ -263,50 +264,34 @@ def _campaign_graphs(d: int, mode: str, max_p: int, count: int, seed: int) -> It
         for p in range(1, max_p + 1):
             yield from enumerate_gems(d, p, connected_only=True)
     elif mode == "random":
-        per_p = [count // max_p] * max_p
-        for i in range(count % max_p):
-            per_p[i] += 1
         for p in range(1, max_p + 1):
-            n = per_p[p - 1]
-            if n == 0:
-                continue
-            yield from random_gem(
-                GenSpec(d=d, p=p, count=n, seed=seed + p, connected_only=True)
-            )
+            n = count // max_p + (p <= count % max_p)
+            if n:
+                yield from random_gem(
+                    GenSpec(d=d, p=p, count=n, seed=seed + p, connected_only=True)
+                )
     else:
         raise GemError(f"unknown campaign mode {mode!r}")
 
 
-def _battery_batch(gems: list[ColoredGraph]) -> tuple[dict, dict, list]:
-    """Worker: evaluate the battery on a batch; counters plus serialized violations."""
-    counters: dict[str, int] = {"graphs": 0}
-    stats: dict[str, list[int]] = {}
+def _battery_batch(batch: tuple[int, list[ColoredGraph]]) -> tuple[Counter, Counter, list]:
+    """Worker: true flags and evaluated checks by name, plus violations.
+
+    Violations are (corpus index, check, serialized gem); the batch carries
+    the corpus index of its first gem.
+    """
+    start, gems = batch
+    flagged: list[str] = []
+    evaluated: list[str] = []
     violations: list[tuple[int, str, str]] = []
-    for idx, g in enumerate(gems):
+    for idx, g in enumerate(gems, start):
         flags, checks = check_graph(g)
-        counters["graphs"] += 1
-        for name, value in flags.items():
-            if value:
-                counters[name] = counters.get(name, 0) + 1
-        for name, ok in checks.items():
-            ev = stats.setdefault(name, [0, 0])
-            ev[0] += 1
-            if not ok:
-                ev[1] += 1
-                violations.append((idx, name, serialize_gem(g)))
-    return counters, stats, violations
-
-
-def _merge(into_counters, into_stats, into_viol, result, offset):
-    counters, stats, violations = result
-    for k, v in counters.items():
-        into_counters[k] = into_counters.get(k, 0) + v
-    for name, (ev, bad) in stats.items():
-        slot = into_stats.setdefault(name, [0, 0])
-        slot[0] += ev
-        slot[1] += bad
-    for idx, name, text in violations:
-        into_viol.append((offset + idx, name, text))
+        flagged += [name for name, value in flags.items() if value]
+        evaluated += checks
+        violations += [
+            (idx, name, serialize_gem(g)) for name, ok in checks.items() if not ok
+        ]
+    return Counter(flagged), Counter(evaluated), violations
 
 
 def campaign_report(
@@ -319,11 +304,11 @@ def campaign_report(
 ) -> dict:
     """Run the identity battery over a corpus and aggregate the outcome.
 
-    The corpus order is deterministic; with several workers the batches are
-    merged in corpus order, so the report does not depend on the worker
-    count.  The pool never exceeds the usable CPUs or the batch count,
-    whatever ``threads`` asks for.  The first few violating gems are
-    embedded verbatim.
+    The corpus order is deterministic and every violation carries its corpus
+    index, so the report does not depend on batching or the worker count.
+    The pool never exceeds the usable CPUs or the batch count, whatever
+    ``threads`` asks for.  The first few violating gems are embedded
+    verbatim.
     """
     if threads is None:
         threads = worker_count()
@@ -335,20 +320,11 @@ def campaign_report(
     if mode == "random" and count < 1:
         raise GemError("random campaigns need a positive sample count")
 
-    counters: dict[str, int] = {"graphs": 0}
-    stats: dict[str, list[int]] = {}
-    violations: list[tuple[int, str, str]] = []
-
-    batches: list[list[ColoredGraph]] = []
-    current: list[ColoredGraph] = []
-    for g in _campaign_graphs(d, mode, max_p, count, seed):
-        current.append(g)
-        if len(current) >= _BATCH_SIZE:
-            batches.append(current)
-            current = []
-    if current:
-        batches.append(current)
-
+    gems = list(_campaign_graphs(d, mode, max_p, count, seed))
+    batches = [
+        (start, gems[start : start + _BATCH_SIZE])
+        for start in range(0, len(gems), _BATCH_SIZE)
+    ]
     workers = min(threads, _usable_cpus(), len(batches))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -356,13 +332,16 @@ def campaign_report(
     else:
         results = [_battery_batch(batch) for batch in batches]
 
-    offset = 0
-    for batch, result in zip(batches, results):
-        _merge(counters, stats, violations, result, offset)
-        offset += len(batch)
-
+    flagged: Counter = Counter()
+    evaluated: Counter = Counter()
+    violations: list[tuple[int, str, str]] = []
+    for batch_flagged, batch_evaluated, batch_violations in results:
+        flagged += batch_flagged
+        evaluated += batch_evaluated
+        violations += batch_violations
     violations.sort()
-    report = {
+    violated = Counter(name for _, name, _ in violations)
+    return {
         "schema": REPORT_SCHEMA,
         "kind": "campaign",
         "params": {
@@ -373,15 +352,15 @@ def campaign_report(
             "seed": seed,
         },
         "counts": {
-            "graphs": counters.get("graphs", 0),
-            "bipartite": counters.get("bipartite", 0),
-            "singular_manifold": counters.get("singular_manifold", 0),
-            "odd_reduced_degree": counters.get("odd_reduced_degree", 0),
-            "crystallization_profiles": counters.get("crystallization_profile", 0),
+            "graphs": len(gems),
+            "bipartite": flagged["bipartite"],
+            "singular_manifold": flagged["singular_manifold"],
+            "odd_reduced_degree": flagged["odd_reduced_degree"],
+            "crystallization_profiles": flagged["crystallization_profile"],
         },
         "checks": {
-            name: {"evaluated": ev, "violations": bad}
-            for name, (ev, bad) in sorted(stats.items())
+            name: {"evaluated": evaluated[name], "violations": violated[name]}
+            for name in sorted(evaluated)
         },
         "violations": [
             {"index": idx, "check": name, "gem": json.loads(text)}
@@ -389,7 +368,6 @@ def campaign_report(
         ],
         "status": "violations" if violations else "ok",
     }
-    return report
 
 
 # --- rendering ---------------------------------------------------------------

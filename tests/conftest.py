@@ -1,4 +1,4 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, a fake process pool and independent oracles.
 
 The oracles deliberately use different computational routes than the
 library: breadth-first walks instead of union-find for components,
@@ -47,6 +47,24 @@ def odd_degree_witness() -> ColoredGraph:
 def non_closed_d3() -> ColoredGraph:
     # its colors-{0,1,2} residue is the projective-plane gem
     return ColoredGraph(d=3, order=4, matchings=(M_A, M_B, M_C, M_A))
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def corpus(d: int, p: int, count: int, seed: int, **kw) -> list[ColoredGraph]:

@@ -11,7 +11,7 @@ from gemcalc import serialize_gem
 from gemcalc.cli import main
 from gemcalc import reports as reports_module
 
-from conftest import M_A, M_C
+from conftest import M_A, M_C, SerialPool
 from gemcalc import ColoredGraph, dipole
 
 
@@ -124,44 +124,26 @@ def test_verify_worker_sharding_invisible(tmp_path, monkeypatch):
     assert solo.read_bytes() == duo.read_bytes()
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    created: list[int] = []
-
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 @pytest.mark.parametrize("cpus, expected", [(8, 4), (3, 3)])
 def test_verify_pool_capped_by_cpus_and_batches(
     tmp_path, monkeypatch, cpus, expected
 ):
     # 60 gems in batches of 16 make 4 batches; GEMCALC_THREADS asks for 10000
     monkeypatch.setattr(reports_module, "_BATCH_SIZE", 16)
-    monkeypatch.setattr(reports_module, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(reports_module, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(
         reports_module.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
     )
-    monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr(SerialPool, "created", [])
     monkeypatch.setenv("GEMCALC_THREADS", "10000")
     args = ["verify", "--d", "4", "--mode", "random", "--p", "2",
             "--count", "60", "--seed", "31"]
     capped, solo = tmp_path / "capped.json", tmp_path / "solo.json"
     assert main(args + ["--out", str(capped)]) == 0
-    assert _SerialPool.created == [expected]
+    assert SerialPool.created == [expected]
     monkeypatch.setenv("GEMCALC_THREADS", "1")
     assert main(args + ["--out", str(solo)]) == 0
-    assert _SerialPool.created == [expected]  # one worker: no pool at all
+    assert SerialPool.created == [expected]  # one worker: no pool at all
     assert capped.read_bytes() == solo.read_bytes()
 
 

@@ -1,7 +1,8 @@
 """Byte-identity gate: fixed-seed reports hash to pinned sha256 digests.
 
 The digests were recorded before the residue layer was rebuilt as a
-bitmask-indexed vector; any change to a count, a check, a flag, a key or
+bitmask-indexed vector, and those of violating campaigns before the
+campaign tally was rewritten; any change to a count, a check, a flag, a key or
 the rendering of a half-integer changes the bytes and fails this test.
 """
 
@@ -11,7 +12,10 @@ import hashlib
 
 import pytest
 
+from gemcalc import reports
 from gemcalc.reports import analysis_report, campaign_report, report_json
+
+from conftest import SerialPool
 
 
 def _digest(report: dict) -> str:
@@ -26,6 +30,13 @@ CAMPAIGNS = {
     (5, "random", 4, 240, 14): "1535f219e98161f6cc5488a37c33c32759c6cfb5a59bc4374a1e9524d67ffb6d",
     (6, "random", 3, 40, 15): "4fbcfa0a6fb5ccc7916297ded504e2e9c439d19525b50985ebb13f01b84675c6",
     (4, "exhaustive", 2, 0, 0): "e89cd67d2a7ee3d9b8de9b9ee63d7e2fc8ace5df3e65b9a178948f13426eac00",
+}
+
+VIOLATING_CAMPAIGNS = {
+    # (d, mode, max_p, count, seed) under _sabotaged checks: sha256 of report_json
+    (4, "random", 4, 40, 9): "6b345e27df250322c305426e586e28416c57309b16f8abc92edcf3138a73cae8",
+    (4, "exhaustive", 2, 0, 0): "02d4c3c6fd2d8a3f9363845c183d9e7f00d3495a26fe3a62a092746284f9aa19",
+    (3, "random", 3, 1, 9): "61ff7115006303c47637cc920df756428c1bdd5e0ac559467b93c3c993d3be1e",
 }
 
 ANALYSES = {
@@ -45,6 +56,40 @@ def test_campaign_report_bytes_pinned(params):
     report = campaign_report(d, mode, max_p, count, seed, threads=1)
     assert report["status"] == "ok"
     assert _digest(report) == CAMPAIGNS[params]
+
+
+def _sabotaged(check_graph):
+    """Fail pair_degree_identity on even p and class_genus_sum_constant on p = 3."""
+
+    def wrapped(g):
+        flags, checks = check_graph(g)
+        if g.p % 2 == 0 and "pair_degree_identity" in checks:
+            checks["pair_degree_identity"] = False
+        if g.p == 3 and "class_genus_sum_constant" in checks:
+            checks["class_genus_sum_constant"] = False
+        return flags, checks
+
+    return wrapped
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch_size", [2000, 16, 1])
+@pytest.mark.parametrize(
+    "params", list(VIOLATING_CAMPAIGNS), ids=lambda p: f"d{p[0]}-{p[1]}-p{p[2]}"
+)
+def test_violating_campaign_bytes_pinned(monkeypatch, params, batch_size, workers):
+    # counts, per-check tallies and embedded gems must not depend on batching
+    monkeypatch.setattr(reports, "check_graph", _sabotaged(reports.check_graph))
+    monkeypatch.setattr(reports, "_BATCH_SIZE", batch_size)
+    monkeypatch.setattr(reports, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "created", [])
+    monkeypatch.setattr(
+        reports.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    report = campaign_report(*params, threads=workers)
+    batches = -(-report["counts"]["graphs"] // batch_size)
+    assert SerialPool.created == ([2] if workers == 2 and batches > 1 else [])
+    assert _digest(report) == VIOLATING_CAMPAIGNS[params]
 
 
 @pytest.mark.parametrize(
