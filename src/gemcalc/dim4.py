@@ -10,11 +10,14 @@ partition for n = 5.
 Every identity reads its residue counts from the graph's residue vector
 and its genera as integer "twice" values (see ``genus_twices``), through
 index tables built once.  Singular-manifold recognition and the component
-side of the residue-degree identity are the exception: they walk residue
-components extracted as graphs of their own, so neither collapses into an
-algebraic consequence of the vector they are checked against.  Manifold
-recognition extracts only 3-colored residues: each 3-colored residue of a
-4-colored residue component is a 3-colored residue of the whole graph.
+side of the residue-degree identity are the exception: one walk over the
+graph's bicolored cycles keeps a vertex of each cycle, a breadth-first pass
+over the matchings labels the components of each residue, and each cycle
+is counted as a face of its component.  Neither side therefore collapses
+into an algebraic consequence of the vector it is checked against.
+Manifold recognition labels only 3-colored residues: each 3-colored
+residue of a 4-colored residue component is a 3-colored residue of the
+whole graph.
 """
 
 from __future__ import annotations
@@ -30,16 +33,15 @@ from .core import (
     euler_characteristic_complex,
     is_bipartite,
     is_connected,
-    residue_components,
     residue_vector,
 )
 from .embeddings import (
     HalfInt,
+    _bicolored_cycles,
     canonical_perm,
     cyclic_permutations,
     genus_twices,
     pair_residue_sum,
-    reduced_degree_formula,
 )
 from .perms import CyclicPerm, cycle_masks, perm_index
 
@@ -164,12 +166,44 @@ def surface_type(g: ColoredGraph) -> SurfaceType:
     return SurfaceType(is_bipartite(g), chi, HalfInt(2 - chi))
 
 
-def _spherical_triples(g: ColoredGraph) -> bool:
-    """True iff every component of every 3-colored residue is a sphere."""
+def _component_faces(
+    g: ColoredGraph, cycles: dict[tuple[int, int], list[int]], colors: tuple[int, ...]
+) -> list[tuple[int, int]]:
+    """(faces, p_c) of every component of the residue keeping ``colors``, ordered
+    by least vertex: faces counts the component's bicolored cycles, and p_c is
+    half its order."""
+    mus = [g.matchings[c] for c in colors]
+    label = [-1] * g.order
+    sizes = []
+    for start in range(g.order):
+        if label[start] < 0:
+            k = len(sizes)
+            label[start] = k
+            stack = [start]
+            size = 1
+            while stack:
+                v = stack.pop()
+                for mu in mus:
+                    w = mu[v] - 1
+                    if label[w] < 0:
+                        label[w] = k
+                        stack.append(w)
+                        size += 1
+            sizes.append(size)
+    faces = [0] * len(sizes)
+    for pair in combinations(colors, 2):
+        for v in cycles[pair]:
+            faces[label[v]] += 1
+    return [(f, size // 2) for f, size in zip(faces, sizes)]
+
+
+def _spherical_triples(g: ColoredGraph, cycles: dict[tuple[int, int], list[int]]) -> bool:
+    """True iff every component of every 3-colored residue is a sphere
+    (Euler characteristic faces - p_c = 2)."""
     return all(
-        _surface_euler(comp) == 2
+        faces - p_c == 2
         for triple in combinations(g.colors, 3)
-        for comp in residue_components(g, triple)
+        for faces, p_c in _component_faces(g, cycles, triple)
     )
 
 
@@ -177,7 +211,7 @@ def _spherical_triples(g: ColoredGraph) -> bool:
 def is_closed_3_manifold(g: ColoredGraph) -> bool:
     """True iff every 3-colored residue component of the 4-colored graph is a sphere."""
     _require_d(g, 3)
-    return _spherical_triples(g)
+    return _spherical_triples(g, _bicolored_cycles(g))
 
 
 @lru_cache(maxsize=4096)
@@ -187,7 +221,7 @@ def is_singular_4_manifold(g: ColoredGraph) -> bool:
     _require_d(g, 4)
     if not is_connected(g):
         raise GemError("singular-manifold recognition requires a connected graph")
-    return _spherical_triples(g)
+    return _spherical_triples(g, _bicolored_cycles(g))
 
 
 def _require_singular(g: ColoredGraph, what: str) -> None:
@@ -407,12 +441,17 @@ def _classify(
     return ClassificationResult(kind=kind, witness=witness, satisfies_12rho=left)
 
 
-def _residue_degree_holds(g: ColoredGraph, vec: tuple[int, ...], omega_twice: int) -> bool:
-    # at d = 3 a component's degree is its reduced degree
+def _residue_degree_holds(
+    g: ColoredGraph,
+    cycles: dict[tuple[int, int], list[int]],
+    vec: tuple[int, ...],
+    omega_twice: int,
+) -> bool:
+    # at d = 3 a component's degree is its reduced degree 3 + 3 p_c - faces
     total = sum(
-        reduced_degree_formula(comp)
+        3 + 3 * p_c - faces
         for hat in combinations(g.colors, 4)
-        for comp in residue_components(g, hat)
+        for faces, p_c in _component_faces(g, cycles, hat)
     )
     return omega_twice == 6 * (g.p + 4 - _hat_sum(vec)) + 2 * total and total % 3 == 0
 
@@ -427,7 +466,9 @@ def residue_degree_identity(g: ColoredGraph) -> bool:
     _require_d(g, 4)
     if not is_connected(g):
         raise GemError("the residue-degree identity requires a connected graph")
-    return _residue_degree_holds(g, residue_vector(g), sum(genus_twices(g)))
+    return _residue_degree_holds(
+        g, _bicolored_cycles(g), residue_vector(g), sum(genus_twices(g))
+    )
 
 
 # --- the five-color part of the identity battery -----------------------------
@@ -440,18 +481,20 @@ def check_identities(
     battery's ``flags`` and ``checks``.
 
     ``twices`` is :func:`genus_twices` of the graph; ``flags`` already holds
-    ``bipartite`` and, where computed, ``odd_reduced_degree``.  The
-    singular test walks the ten 3-colored residues and stops at the first
-    non-sphere; the residue-degree identity walks the five 4-colored ones.
+    ``bipartite`` and, where computed, ``odd_reduced_degree``.  One walk
+    over the bicolored cycles serves every residue: the singular test
+    labels the ten 3-colored residues and stops at the first non-sphere,
+    and the residue-degree identity labels the five 4-colored ones.
     """
     vec = residue_vector(g)
     omega_twice = sum(twices)
-    singular = _spherical_triples(g)
+    cycles = _bicolored_cycles(g)
+    singular = _spherical_triples(g, cycles)
     flags["singular_manifold"] = singular
 
     pair_twices = [twices[a] + twices[b] for a, b in _PAIRS]
     checks["pair_degree_identity"] = all(omega_twice == 6 * t for t in pair_twices)
-    pair_sum_twice = 2 * (2 + 3 * g.p) - pair_residue_sum(g)
+    pair_sum_twice = 2 * (2 + 3 * g.p) - sum(map(len, cycles.values()))
     checks["pair_sum_constant"] = all(t == pair_sum_twice for t in pair_twices)
     checks["pair_difference_bicolored"] = all(
         _difference_a(vec, twices, i) for i in range(len(twices))
@@ -460,7 +503,7 @@ def check_identities(
     checks["minimal_degree_biconditional"] = left == right
     if flags.get("odd_reduced_degree"):
         checks["odd_reduced_forces_nonorientable"] = not flags["bipartite"] and not singular
-    checks["residue_degree_identity"] = _residue_degree_holds(g, vec, omega_twice)
+    checks["residue_degree_identity"] = _residue_degree_holds(g, cycles, vec, omega_twice)
     if not singular:
         return
 

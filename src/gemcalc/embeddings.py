@@ -144,28 +144,34 @@ def _require_connected(g: ColoredGraph) -> None:
         raise GemError("operation requires a connected graph")
 
 
-def pair_residue_sum(g: ColoredGraph) -> int:
-    """Sum of g_{rs} over all unordered color pairs.
-
-    Walks the bicolored cycles directly rather than reading the residue
-    vector: residue components use no vector of their own, and on a whole
-    graph the closed degree formula then cross-checks the vector.
-    """
+def _bicolored_cycles(g: ColoredGraph) -> dict[tuple[int, int], list[int]]:
+    """One vertex (0-based) of every bicolored cycle, for each color pair r < s."""
     partners = [[w - 1 for w in mu] for mu in g.matchings]
-    total = 0
-    for r, s in combinations(range(g.d + 1), 2):
+    cycles = {}
+    for r, s in combinations(g.colors, 2):
         mu_r, mu_s = partners[r], partners[s]
         seen = [False] * g.order
+        reps = []
         for v in range(g.order):
             if not seen[v]:
-                total += 1
+                reps.append(v)
                 x = v
                 while not seen[x]:
                     seen[x] = True
                     y = mu_r[x]
                     seen[y] = True
                     x = mu_s[y]
-    return total
+        cycles[r, s] = reps
+    return cycles
+
+
+def pair_residue_sum(g: ColoredGraph) -> int:
+    """Sum of g_{rs} over all unordered color pairs.
+
+    Walks the bicolored cycles directly rather than reading the residue
+    vector, so the closed degree formula cross-checks the vector.
+    """
+    return sum(map(len, _bicolored_cycles(g).values()))
 
 
 def genus_twices(g: ColoredGraph) -> tuple[int, ...]:

@@ -11,6 +11,8 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
+from .core import GemError
+
 CyclicPerm = tuple[int, ...]
 
 __all__ = [
@@ -28,7 +30,7 @@ def canonical_perm(seq: Sequence[int]) -> CyclicPerm:
     t = tuple(seq)
     d = len(t) - 1
     if sorted(t) != list(range(d + 1)):
-        raise ValueError(f"not a permutation of 0..{d}: {t}")
+        raise GemError(f"not a permutation of 0..{d}: {t}")
     i = t.index(0)
     rot = t[i:] + t[:i]
     if d >= 1 and rot[1] > rot[-1]:
@@ -40,7 +42,7 @@ def canonical_perm(seq: Sequence[int]) -> CyclicPerm:
 def cyclic_permutations(d: int) -> tuple[CyclicPerm, ...]:
     """All d!/2 canonical cyclic permutations of 0..d, in lexicographic order."""
     if d < 2:
-        raise ValueError(f"cyclic permutations need d >= 2, got {d}")
+        raise GemError(f"cyclic permutations need d >= 2, got {d}")
     return tuple(
         (0,) + tail
         for tail in permutations(range(1, d + 1))

@@ -35,8 +35,9 @@ from gemcalc import (
     subgraph,
     surface_type,
 )
+from gemcalc.embeddings import _bicolored_cycles, pair_residue_sum
 from gemcalc.reports import check_graph
-from gemcalc.dim4 import NEITHER, SEMI_SIMPLE, WEAK_SEMI_SIMPLE, skip_triples
+from gemcalc.dim4 import NEITHER, SEMI_SIMPLE, WEAK_SEMI_SIMPLE, _component_faces, skip_triples
 
 from conftest import M_A, M_B, M_C, corpus, oracle_components, oracle_faces
 
@@ -72,6 +73,13 @@ def test_associated_pairs_partition():
 def test_associated_permutation_wrong_size():
     with pytest.raises(GemError, match="five colors"):
         associated_permutation((0, 1, 2))
+
+
+def test_non_permutations_raise_gem_error():
+    with pytest.raises(GemError, match="not a permutation"):
+        check_difference_a(dipole(4), (0, 0, 0, 0, 0))
+    with pytest.raises(GemError, match="not a permutation"):
+        associated_permutation((0, 1, 1, 2, 3))
 
 
 # --- surfaces and manifold recognition ----------------------------------------
@@ -394,3 +402,48 @@ def test_tampered_triple_count_breaks_tricolored_difference(g4):
     assert flags["singular_manifold"]
     assert checks["pair_difference_tricolored"] is False
     assert checks["residue_degree_identity"]
+
+
+# --- component labels over the bicolored cycles ---------------------------------
+
+
+def test_label_walk_matches_extracted_residues():
+    graphs = [g for p in (1, 2) for g in enumerate_gems(4, p, connected_only=True)]
+    graphs += [
+        g for p in range(1, 7) for g in corpus(4, p, 60, seed=400 + p, connected_only=True)
+    ]
+    graphs += [g for p in range(1, 7) for g in corpus(3, p, 60, seed=500 + p)]
+    spherical = set()
+    for g in graphs:
+        cycles = _bicolored_cycles(g)
+        for (r, s), reps in cycles.items():
+            assert len(reps) == oracle_faces(g, r, s)
+        for h in range(3, g.d + 1):  # the triples, and at d = 4 the hats
+            for colors in combinations(g.colors, h):
+                walked = _component_faces(g, cycles, colors)
+                extracted = [(pair_residue_sum(c), c.p) for c in residue_components(g, colors)]
+                assert sorted(walked) == sorted(extracted)
+                if h == 3:
+                    spherical.update(faces - p_c == 2 for faces, p_c in walked)
+    assert spherical == {True, False}
+
+
+def test_d4_battery_builds_no_graphs(monkeypatch, g4, odd_degree_witness):
+    graphs = [g4, odd_degree_witness]
+    graphs += [g for p in range(1, 7) for g in corpus(4, p, 20, seed=600 + p, connected_only=True)]
+    for g in graphs:
+        residue_vector(g)
+    built = []
+    post_init = ColoredGraph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ColoredGraph, "__post_init__", counting)
+    branches = set()
+    for g in graphs:
+        flags, _ = check_graph(g)
+        branches.add((flags["singular_manifold"], "crystallization_profile" in flags))
+    assert built == []
+    assert branches == {(False, False), (True, False), (True, True)}
