@@ -11,7 +11,8 @@ Every identity reads its residue counts from the graph's residue vector
 and its genera as integer "twice" values (see ``genus_twices``), through
 index tables built once.  Singular-manifold recognition and the component
 side of the residue-degree identity are the exception: one walk over the
-graph's bicolored cycles keeps a vertex of each cycle, a breadth-first pass
+graph's bicolored cycles (in the battery, the walk it hands to
+``check_identities``) keeps a vertex of each cycle, a breadth-first pass
 over the matchings labels the components of each residue, and each cycle
 is counted as a face of its component.  Neither side therefore collapses
 into an algebraic consequence of the vector it is checked against.
@@ -38,6 +39,7 @@ from .core import (
 from .embeddings import (
     HalfInt,
     _bicolored_cycles,
+    _reduced_degree,
     canonical_perm,
     cyclic_permutations,
     genus_twices,
@@ -230,11 +232,8 @@ def _require_singular(g: ColoredGraph, what: str) -> None:
         raise GemError(f"{what} requires a singular-manifold graph")
 
 
-def _euler_via_pair(vec: tuple[int, ...], twices: tuple[int, ...], i: int, p: int) -> int:
-    twice = twices[i] + twices[_PARTNER[i]] + 2 * (_hat_sum(vec) - p - 2)
-    if twice % 2:
-        raise GemError("internal invariant violation: non-integral Euler characteristic")
-    return twice // 2
+def _euler_twice_via_pair(vec: tuple[int, ...], twices: tuple[int, ...], i: int, p: int) -> int:
+    return twices[i] + twices[_PARTNER[i]] + 2 * (_hat_sum(vec) - p - 2)
 
 
 def euler_char_via_genus(g: ColoredGraph, eps: CyclicPerm) -> int:
@@ -244,7 +243,10 @@ def euler_char_via_genus(g: ColoredGraph, eps: CyclicPerm) -> int:
     Must equal the simplicial Euler characteristic and not depend on eps.
     """
     _require_singular(g, "Euler characteristic via genera")
-    return _euler_via_pair(residue_vector(g), genus_twices(g), _index(eps), g.p)
+    twice = _euler_twice_via_pair(residue_vector(g), genus_twices(g), _index(eps), g.p)
+    if twice % 2:
+        raise GemError("internal invariant violation: non-integral Euler characteristic")
+    return twice // 2
 
 
 def _adjacent_minus_skip(vec: tuple[int, ...], i: int) -> int:
@@ -447,9 +449,9 @@ def _residue_degree_holds(
     vec: tuple[int, ...],
     omega_twice: int,
 ) -> bool:
-    # at d = 3 a component's degree is its reduced degree 3 + 3 p_c - faces
+    # at d = 3 a component's degree is its reduced degree
     total = sum(
-        3 + 3 * p_c - faces
+        _reduced_degree(3, p_c, faces)
         for hat in combinations(g.colors, 4)
         for faces, p_c in _component_faces(g, cycles, hat)
     )
@@ -475,45 +477,49 @@ def residue_degree_identity(g: ColoredGraph) -> bool:
 
 
 def check_identities(
-    g: ColoredGraph, twices: tuple[int, ...], flags: dict, checks: dict
+    g: ColoredGraph,
+    twices: tuple[int, ...],
+    cycles: dict[tuple[int, int], list[int]],
+    reduced: int,
+    flags: dict,
+    checks: dict,
 ) -> None:
     """Evaluate the five-color identities of one connected graph into the
     battery's ``flags`` and ``checks``.
 
-    ``twices`` is :func:`genus_twices` of the graph; ``flags`` already holds
-    ``bipartite`` and, where computed, ``odd_reduced_degree``.  One walk
-    over the bicolored cycles serves every residue: the singular test
-    labels the ten 3-colored residues and stops at the first non-sphere,
-    and the residue-degree identity labels the five 4-colored ones.
+    ``twices`` is :func:`genus_twices` of the graph, and ``cycles`` and
+    ``reduced`` are the battery's one bicolored-cycle walk and the reduced
+    degree of its pair sum; no walk starts here.  ``flags`` already holds
+    ``bipartite`` and ``odd_reduced_degree``.  The walk serves every
+    residue: the singular test labels the ten 3-colored residues and stops
+    at the first non-sphere, and the residue-degree identity labels the
+    five 4-colored ones.
     """
     vec = residue_vector(g)
     omega_twice = sum(twices)
-    cycles = _bicolored_cycles(g)
     singular = _spherical_triples(g, cycles)
     flags["singular_manifold"] = singular
 
     pair_twices = [twices[a] + twices[b] for a, b in _PAIRS]
     checks["pair_degree_identity"] = all(omega_twice == 6 * t for t in pair_twices)
-    pair_sum_twice = 2 * (2 + 3 * g.p) - sum(map(len, cycles.values()))
-    checks["pair_sum_constant"] = all(t == pair_sum_twice for t in pair_twices)
+    checks["pair_sum_constant"] = all(t == reduced for t in pair_twices)
     checks["pair_difference_bicolored"] = all(
         _difference_a(vec, twices, i) for i in range(len(twices))
     )
     left, right = _corollary_12rho(vec, twices)
     checks["minimal_degree_biconditional"] = left == right
-    if flags.get("odd_reduced_degree"):
+    if flags["odd_reduced_degree"]:
         checks["odd_reduced_forces_nonorientable"] = not flags["bipartite"] and not singular
     checks["residue_degree_identity"] = _residue_degree_holds(g, cycles, vec, omega_twice)
     if not singular:
         return
 
-    checks["singular_degree_divisibility"] = omega_twice >= 0 and omega_twice % 12 == 0
     checks["pair_difference_tricolored"] = all(
         _difference_b(vec, twices, i) for i in range(len(twices))
     ) and _triple_relation(vec, g.p)
     chi = euler_characteristic_complex(g)
     checks["euler_formula_agreement"] = all(
-        _euler_via_pair(vec, twices, a, g.p) == chi for a, _ in _PAIRS
+        _euler_twice_via_pair(vec, twices, a, g.p) == 2 * chi for a, _ in _PAIRS
     )
     if all(vec[hat] == 1 for hat in _HATS):
         _crystallization_checks(g, vec, twices, flags, checks)

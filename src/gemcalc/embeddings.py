@@ -202,12 +202,16 @@ def g_degree_definition(g: ColoredGraph) -> HalfInt:
     return HalfInt(sum(genus_twices(g)))
 
 
+def _reduced_degree(d: int, p: int, pair_sum: int) -> int:
+    return d + p * (d - 1) * d // 2 - pair_sum
+
+
 def reduced_degree_formula(g: ColoredGraph) -> int:
     """The closed form d + p*(d-1)*d/2 - sum_{r<s} g_{rs}.
 
     For d >= 3 it is 2 * degree / (d-1)!; at d = 2 it is twice the genus.
     """
-    return g.d + g.p * (g.d - 1) * g.d // 2 - pair_residue_sum(g)
+    return _reduced_degree(g.d, g.p, pair_residue_sum(g))
 
 
 def g_degree_formula(g: ColoredGraph) -> HalfInt:

@@ -189,7 +189,8 @@ def enumerate_gems(d: int, p: int, connected_only: bool = False) -> Iterator[Col
     The remaining d matchings range over all fixed-point-free involutions,
     in lexicographic order.  Fixing color 0 is harmless for label-invariant
     statistics and cuts the raw space by a (2p-1)!! factor; the stream is
-    refused outright when still larger than the enumeration budget.
+    refused at the call, before any gem is built, when still larger than
+    the enumeration budget.
     """
     if d < 2:
         raise GemError(f"enumeration needs d >= 2, got {d}")
@@ -201,6 +202,10 @@ def enumerate_gems(d: int, p: int, connected_only: bool = False) -> Iterator[Col
             f"enumeration bound exceeded: (2p-1)!!^d = {size} > {ENUMERATION_BUDGET} "
             f"for d={d}, p={p}"
         )
+    return _gem_stream(d, p, connected_only)
+
+
+def _gem_stream(d: int, p: int, connected_only: bool) -> Iterator[ColoredGraph]:
     mats = all_matchings(2 * p)
     base = mats[0]
     for rest in product(mats, repeat=d):

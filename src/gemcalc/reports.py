@@ -15,7 +15,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -44,7 +44,13 @@ from .dim4 import (
     euler_char_via_genus,
     surface_type,
 )
-from .embeddings import HalfInt, cyclic_permutations, genus_twices, reduced_degree_formula
+from .embeddings import (
+    HalfInt,
+    _bicolored_cycles,
+    _reduced_degree,
+    cyclic_permutations,
+    genus_twices,
+)
 from .generator import GenSpec, enumerate_gems, random_gem
 from .perms import perm_index
 
@@ -114,27 +120,23 @@ def _check(g: ColoredGraph, twices: tuple[int, ...]) -> tuple[dict, dict]:
     checks: dict[str, bool] = {}
     flags: dict[str, bool] = {}
 
+    # the vector side (twices) against the one walk over the bicolored cycles
     omega_twice = sum(twices)
-    reduced = reduced_degree_formula(g)
+    cycles = _bicolored_cycles(g)
+    pair_sum = sum(map(len, cycles.values()))
+    reduced = _reduced_degree(d, g.p, pair_sum)
+    quotient, rem = divmod(omega_twice, factorial(d - 1))
+    multiple = omega_twice >= 0 and rem == 0
 
     bipartite = is_bipartite(g)
     flags["bipartite"] = bipartite
 
     if d >= 3:
-        checks["degree_formula_agreement"] = omega_twice == factorial(d - 1) * reduced
-        checks["degree_multiple_of_half_factorial"] = (
-            omega_twice >= 0 and omega_twice % factorial(d - 1) == 0
-        )
-        flags["odd_reduced_degree"] = (
-            omega_twice % factorial(d - 1) == 0
-            and (omega_twice // factorial(d - 1)) % 2 == 1
-        )
+        checks["degree_formula_agreement"] = rem == 0 and quotient == reduced
+        checks["degree_multiple_of_half_factorial"] = multiple
+        flags["odd_reduced_degree"] = rem == 0 and quotient % 2 == 1
     if bipartite:
         checks["bipartite_genera_integral"] = all(t % 2 == 0 for t in twices)
-        if d >= 4 and d % 2 == 0:
-            checks["bipartite_degree_divisibility"] = (
-                omega_twice % (2 * factorial(d - 1)) == 0
-            )
 
     classes = _class_indices(d)
     if classes:
@@ -144,18 +146,26 @@ def _check(g: ColoredGraph, twices: tuple[int, ...]) -> tuple[dict, dict]:
         )
 
     if d == 2:
-        st = surface_type(g)
+        walk_euler = pair_sum - g.p  # faces - edges + vertices of the walked surface
         chi = euler_characteristic_complex(g)
         checks["surface_classification"] = (
-            st.euler == chi
+            walk_euler == chi
             and chi <= 2
-            and st.orientable == bipartite
-            and omega_twice == st.genus.twice == 2 - chi
-            and (not bipartite or st.genus.is_integer)
+            and omega_twice == 2 - chi
+            and (not bipartite or chi % 2 == 0)
         )
 
     if d == 4:
-        check_identities(g, twices, flags, checks)
+        check_identities(g, twices, cycles, reduced, flags, checks)
+
+    # the main theorem: (d-1)! divides the degree of bipartite and of
+    # singular-manifold graphs in even d >= 4
+    if d >= 4 and d % 2 == 0:
+        divisible = multiple and quotient % 2 == 0
+        if bipartite:
+            checks["bipartite_degree_divisibility"] = divisible
+        if flags.get("singular_manifold"):
+            checks["singular_degree_divisibility"] = divisible
     return flags, checks
 
 
@@ -260,18 +270,19 @@ def _metadata_block(g: ColoredGraph, metadata: dict) -> dict:
 
 
 def _campaign_graphs(d: int, mode: str, max_p: int, count: int, seed: int) -> Iterator[ColoredGraph]:
+    # every stream is made before any is read: enumerate_gems refuses an
+    # over-budget p at the call, so no smaller p is enumerated first
     if mode == "exhaustive":
-        for p in range(1, max_p + 1):
-            yield from enumerate_gems(d, p, connected_only=True)
+        streams = [enumerate_gems(d, p, connected_only=True) for p in range(1, max_p + 1)]
     elif mode == "random":
-        for p in range(1, max_p + 1):
-            n = count // max_p + (p <= count % max_p)
-            if n:
-                yield from random_gem(
-                    GenSpec(d=d, p=p, count=n, seed=seed + p, connected_only=True)
-                )
+        streams = [
+            random_gem(GenSpec(d=d, p=p, count=n, seed=seed + p, connected_only=True))
+            for p in range(1, max_p + 1)
+            if (n := count // max_p + (p <= count % max_p))
+        ]
     else:
         raise GemError(f"unknown campaign mode {mode!r}")
+    return chain.from_iterable(streams)
 
 
 def _battery_batch(batch: tuple[int, list[ColoredGraph]]) -> tuple[Counter, Counter, list]:

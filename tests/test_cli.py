@@ -161,6 +161,21 @@ def test_dimension_beyond_permutation_budget_refused(tmp_path, capsys):
     assert cyclic_permutations.cache_info().currsize == cached
 
 
+@pytest.mark.parametrize("d, p", [(3, 5), (4, 4)])
+def test_over_budget_exhaustive_campaign_refused_before_generation(monkeypatch, capsys, d, p):
+    built = []
+    post_init = ColoredGraph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ColoredGraph, "__post_init__", counting)
+    assert main(["verify", "--d", str(d), "--mode", "exhaustive", "--p", str(p)]) == 2
+    assert "enumeration bound exceeded" in capsys.readouterr().err
+    assert built == []
+
+
 def test_verify_violation_exit_code(tmp_path, monkeypatch, capsys):
     # force a lying check to exercise the counterexample path
     real = reports_module.check_graph

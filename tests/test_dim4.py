@@ -3,6 +3,7 @@ Euler identities, crystallization profiles."""
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -383,8 +384,8 @@ def _bump(g: ColoredGraph, colors) -> ColoredGraph:
 
 
 def test_tampered_pair_count_breaks_residue_degree_identity(odd_degree_witness):
-    # the component side walks extracted residues, so it disagrees with a
-    # degree read off a corrupted parent vector
+    # the component side labels residues over the bicolored-cycle walk, so it
+    # disagrees with a degree read off a corrupted parent vector
     flags, checks = check_graph(odd_degree_witness)
     assert not flags["singular_manifold"]
     assert checks["residue_degree_identity"]
@@ -394,14 +395,31 @@ def test_tampered_pair_count_breaks_residue_degree_identity(odd_degree_witness):
 
 
 def test_tampered_triple_count_breaks_tricolored_difference(g4):
-    # singular-manifold recognition walks extracted residues, so a corrupted
-    # triple count cannot switch the tricolored identity off
+    # singular-manifold recognition labels residues over the bicolored-cycle
+    # walk, so a corrupted triple count cannot switch the tricolored identity off
     flags, checks = check_graph(g4)
     assert flags["singular_manifold"] and checks["pair_difference_tricolored"]
     flags, checks = check_graph(_bump(g4, (0, 1, 2)))
     assert flags["singular_manifold"]
     assert checks["pair_difference_tricolored"] is False
     assert checks["residue_degree_identity"]
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_tampered_pair_count_is_reported_not_raised(d, g4):
+    # the walk side (reduced degree, walk Euler characteristic) never reads the
+    # vector, so a corrupted pair count shows up as violated checks
+    graphs = corpus(d, 3, 2, seed=700 + d, connected_only=True) + ([g4] if d == 4 else [])
+    for g in graphs:
+        flags, checks = check_graph(g)
+        assert all(checks.values())
+        flags, checks = check_graph(_bump(g, (0, 1)))
+        expected = {"surface_classification" if d == 2 else "degree_formula_agreement"}
+        if d == 4:
+            expected.add("pair_sum_constant")
+            if g is g4 or flags["singular_manifold"]:
+                expected.add("euler_formula_agreement")
+        assert expected <= {name for name, ok in checks.items() if not ok}
 
 
 # --- component labels over the bicolored cycles ---------------------------------
@@ -447,3 +465,32 @@ def test_d4_battery_builds_no_graphs(monkeypatch, g4, odd_degree_witness):
         branches.add((flags["singular_manifold"], "crystallization_profile" in flags))
     assert built == []
     assert branches == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_battery_walks_bicolored_cycles_once(monkeypatch, d, g4, odd_degree_witness):
+    graphs = [g for p in range(1, 7) for g in corpus(d, p, 20, seed=600 + p, connected_only=True)]
+    if d == 4:
+        graphs += [g4, odd_degree_witness]
+    walks = []
+    walk = _bicolored_cycles
+
+    def counting(g):
+        walks.append(g)
+        return walk(g)
+
+    importers = [
+        module
+        for name, module in sys.modules.items()
+        if name.startswith("gemcalc") and hasattr(module, "_bicolored_cycles")
+    ]
+    for module in importers:
+        monkeypatch.setattr(module, "_bicolored_cycles", counting)
+    branches = set()
+    for g in graphs:
+        walks.clear()
+        flags, _ = check_graph(g)
+        assert walks == [g]
+        branches.add((flags.get("singular_manifold"), "crystallization_profile" in flags))
+    if d == 4:
+        assert branches == {(False, False), (True, False), (True, True)}
