@@ -154,9 +154,9 @@ class SurfaceType(NamedTuple):
     genus: HalfInt  # orientable genus, or half the non-orientable genus
 
 
-def _surface_euler(g: ColoredGraph) -> int:
-    # connected 3-colored graph: faces minus edges plus vertices
-    return pair_residue_sum(g) - g.p
+def _surface(bipartite: bool, pair_sum: int, p: int) -> SurfaceType:
+    chi = pair_sum - p  # connected 3-colored graph: faces minus edges plus vertices
+    return SurfaceType(bipartite, chi, HalfInt(2 - chi))
 
 
 def surface_type(g: ColoredGraph) -> SurfaceType:
@@ -164,8 +164,7 @@ def surface_type(g: ColoredGraph) -> SurfaceType:
     _require_d(g, 2)
     if not is_connected(g):
         raise GemError("surface type requires a connected graph")
-    chi = _surface_euler(g)
-    return SurfaceType(is_bipartite(g), chi, HalfInt(2 - chi))
+    return _surface(is_bipartite(g), pair_residue_sum(g), g.p)
 
 
 def _component_faces(
@@ -243,7 +242,11 @@ def euler_char_via_genus(g: ColoredGraph, eps: CyclicPerm) -> int:
     Must equal the simplicial Euler characteristic and not depend on eps.
     """
     _require_singular(g, "Euler characteristic via genera")
-    twice = _euler_twice_via_pair(residue_vector(g), genus_twices(g), _index(eps), g.p)
+    return _euler_via_pair(residue_vector(g), genus_twices(g), _index(eps), g.p)
+
+
+def _euler_via_pair(vec: tuple[int, ...], twices: tuple[int, ...], i: int, p: int) -> int:
+    twice = _euler_twice_via_pair(vec, twices, i, p)
     if twice % 2:
         raise GemError("internal invariant violation: non-integral Euler characteristic")
     return twice // 2

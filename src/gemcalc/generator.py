@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Iterator
 
 from .core import (
@@ -196,19 +196,28 @@ def enumerate_gems(d: int, p: int, connected_only: bool = False) -> Iterator[Col
         raise GemError(f"enumeration needs d >= 2, got {d}")
     if p < 1:
         raise GemError(f"enumeration needs p >= 1, got {p}")
+    _budgeted_size(d, p)
+    return _gem_stream(d, p, connected_only)
+
+
+def _budgeted_size(d: int, p: int) -> int:
+    """Raw stream length, refused when larger than the enumeration budget."""
     size = enumeration_size(d, p)
     if size > ENUMERATION_BUDGET:
         raise GemError(
             f"enumeration bound exceeded: (2p-1)!!^d = {size} > {ENUMERATION_BUDGET} "
             f"for d={d}, p={p}"
         )
-    return _gem_stream(d, p, connected_only)
+    return size
 
 
-def _gem_stream(d: int, p: int, connected_only: bool) -> Iterator[ColoredGraph]:
+def _gem_stream(
+    d: int, p: int, connected_only: bool, lo: int = 0, hi: int | None = None
+) -> Iterator[ColoredGraph]:
+    """The gauge-fixed stream, restricted to raw candidates [lo, hi)."""
     mats = all_matchings(2 * p)
     base = mats[0]
-    for rest in product(mats, repeat=d):
+    for rest in islice(product(mats, repeat=d), lo, hi):
         g = ColoredGraph(d=d, order=2 * p, matchings=(base,) + rest)
         if connected_only and not is_connected(g):
             continue

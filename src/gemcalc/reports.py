@@ -15,9 +15,9 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import (
     ColoredGraph,
@@ -27,6 +27,7 @@ from .core import (
     is_bipartite,
     is_connected,
     residue_count,
+    residue_vector,
     serialize_gem,
 )
 from .cycle_decomp import (
@@ -41,8 +42,8 @@ from .dim4 import (
     check_identities,
     classify_crystallization,
     crystallization_profile,
-    euler_char_via_genus,
-    surface_type,
+    _euler_via_pair,
+    _surface,
 )
 from .embeddings import (
     HalfInt,
@@ -51,7 +52,7 @@ from .embeddings import (
     cyclic_permutations,
     genus_twices,
 )
-from .generator import GenSpec, enumerate_gems, random_gem
+from .generator import GenSpec, _budgeted_size, _gem_stream, random_gem
 from .perms import perm_index
 
 __all__ = [
@@ -112,17 +113,18 @@ def check_graph(g: ColoredGraph) -> tuple[dict[str, bool], dict[str, bool]]:
     manifold, odd reduced degree, crystallization profile accepted); checks
     map stable names to pass/fail.
     """
-    return _check(g, genus_twices(g))
+    return _check(g, genus_twices(g), _bicolored_cycles(g))
 
 
-def _check(g: ColoredGraph, twices: tuple[int, ...]) -> tuple[dict, dict]:
+def _check(
+    g: ColoredGraph, twices: tuple[int, ...], cycles: dict[tuple[int, int], list[int]]
+) -> tuple[dict, dict]:
     d = g.d
     checks: dict[str, bool] = {}
     flags: dict[str, bool] = {}
 
     # the vector side (twices) against the one walk over the bicolored cycles
     omega_twice = sum(twices)
-    cycles = _bicolored_cycles(g)
     pair_sum = sum(map(len, cycles.values()))
     reduced = _reduced_degree(d, g.p, pair_sum)
     quotient, rem = divmod(omega_twice, factorial(d - 1))
@@ -178,7 +180,8 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
     twices = genus_twices(g)
     rho_min = min(twices)
 
-    flags, checks = _check(g, twices)
+    cycles = _bicolored_cycles(g)
+    flags, checks = _check(g, twices, cycles)
     report: dict = {
         "schema": REPORT_SCHEMA,
         "kind": "analysis",
@@ -212,7 +215,7 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
     if d >= 3:
         report["reduced_degree"] = sum(twices) // factorial(d - 1)
     if d == 2:
-        st = surface_type(g)
+        st = _surface(flags["bipartite"], sum(map(len, cycles.values())), g.p)
         report["surface"] = {
             "orientable": st.orientable,
             "euler": st.euler,
@@ -231,8 +234,8 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
             "singular_manifold": singular,
         }
         if singular:
-            block["euler_by_pair_formula"] = euler_char_via_genus(
-                g, associated_pairs()[0][0]
+            block["euler_by_pair_formula"] = _euler_via_pair(
+                residue_vector(g), twices, index[associated_pairs()[0][0]], g.p
             )
         if metadata is not None:
             block["crystallization"] = _metadata_block(g, metadata)
@@ -269,40 +272,55 @@ def _metadata_block(g: ColoredGraph, metadata: dict) -> dict:
 # --- campaigns ---------------------------------------------------------------
 
 
-def _campaign_graphs(d: int, mode: str, max_p: int, count: int, seed: int) -> Iterator[ColoredGraph]:
-    # every stream is made before any is read: enumerate_gems refuses an
-    # over-budget p at the call, so no smaller p is enumerated first
-    if mode == "exhaustive":
-        streams = [enumerate_gems(d, p, connected_only=True) for p in range(1, max_p + 1)]
-    elif mode == "random":
-        streams = [
-            random_gem(GenSpec(d=d, p=p, count=n, seed=seed + p, connected_only=True))
-            for p in range(1, max_p + 1)
-            if (n := count // max_p + (p <= count % max_p))
-        ]
-    else:
-        raise GemError(f"unknown campaign mode {mode!r}")
-    return chain.from_iterable(streams)
+def _shards(d: int, mode: str, max_p: int, count: int, seed: int) -> tuple[list[tuple], int]:
+    """Shard descriptors in corpus order, and the raw corpus size.
 
-
-def _battery_batch(batch: tuple[int, list[ColoredGraph]]) -> tuple[Counter, Counter, list]:
-    """Worker: true flags and evaluated checks by name, plus violations.
-
-    Violations are (corpus index, check, serialized gem); the batch carries
-    the corpus index of its first gem.
+    A random shard is one p's stream ``(d, p, n_p, seed + p)``; an exhaustive
+    shard is a raw range ``[lo, lo + _BATCH_SIZE)`` of one p's gauge-fixed
+    stream.  Only p <= count can hold a random sample, and every exhaustive
+    p is refused over budget before any shard exists.
     """
-    start, gems = batch
+    if mode == "random":
+        shards = [
+            ("random", d, p, count // max_p + (p <= count % max_p), seed + p)
+            for p in range(1, min(max_p, count) + 1)
+        ]
+        return shards, count
+    if mode == "exhaustive":
+        sizes = [_budgeted_size(d, p) for p in range(1, max_p + 1)]
+        shards = [
+            ("exhaustive", d, p, lo, lo + _BATCH_SIZE)
+            for p, size in enumerate(sizes, 1)
+            for lo in range(0, size, _BATCH_SIZE)
+        ]
+        return shards, sum(sizes)
+    raise GemError(f"unknown campaign mode {mode!r}")
+
+
+def _battery_batch(shard: tuple) -> tuple[int, Counter, Counter, list]:
+    """Worker: build one shard's gems and run the battery over them.
+
+    Returns the shard's graph count, its true flags and evaluated checks by
+    name, and its violations as (shard-local index, check, serialized gem).
+    """
+    mode, d, p, x, y = shard  # x, y: count and seed, or the raw range [x, y)
+    if mode == "random":
+        gems = random_gem(GenSpec(d=d, p=p, count=x, seed=y, connected_only=True))
+    else:
+        gems = _gem_stream(d, p, True, x, y)
+    graphs = 0
     flagged: list[str] = []
     evaluated: list[str] = []
     violations: list[tuple[int, str, str]] = []
-    for idx, g in enumerate(gems, start):
+    for g in gems:
         flags, checks = check_graph(g)
         flagged += [name for name, value in flags.items() if value]
         evaluated += checks
         violations += [
-            (idx, name, serialize_gem(g)) for name, ok in checks.items() if not ok
+            (graphs, name, serialize_gem(g)) for name, ok in checks.items() if not ok
         ]
-    return Counter(flagged), Counter(evaluated), violations
+        graphs += 1
+    return graphs, Counter(flagged), Counter(evaluated), violations
 
 
 def campaign_report(
@@ -315,11 +333,12 @@ def campaign_report(
 ) -> dict:
     """Run the identity battery over a corpus and aggregate the outcome.
 
-    The corpus order is deterministic and every violation carries its corpus
-    index, so the report does not depend on batching or the worker count.
-    The pool never exceeds the usable CPUs or the batch count, whatever
-    ``threads`` asks for.  The first few violating gems are embedded
-    verbatim.
+    Workers are sent shard descriptors and build their own gems; the corpus
+    order is deterministic and every violation carries its corpus index, so
+    the report does not depend on sharding or the worker count.  No pool
+    starts when the corpus fits one batch, and the pool never exceeds the
+    usable CPUs or the shard count, whatever ``threads`` asks for.  The
+    first few violating gems are embedded verbatim.
     """
     if threads is None:
         threads = worker_count()
@@ -331,25 +350,23 @@ def campaign_report(
     if mode == "random" and count < 1:
         raise GemError("random campaigns need a positive sample count")
 
-    gems = list(_campaign_graphs(d, mode, max_p, count, seed))
-    batches = [
-        (start, gems[start : start + _BATCH_SIZE])
-        for start in range(0, len(gems), _BATCH_SIZE)
-    ]
-    workers = min(threads, _usable_cpus(), len(batches))
+    shards, raw = _shards(d, mode, max_p, count, seed)
+    workers = min(threads, _usable_cpus(), len(shards)) if raw > _BATCH_SIZE else 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_battery_batch, batches))
+            results = list(pool.map(_battery_batch, shards))
     else:
-        results = [_battery_batch(batch) for batch in batches]
+        results = map(_battery_batch, shards)
 
+    graphs = 0
     flagged: Counter = Counter()
     evaluated: Counter = Counter()
     violations: list[tuple[int, str, str]] = []
-    for batch_flagged, batch_evaluated, batch_violations in results:
-        flagged += batch_flagged
-        evaluated += batch_evaluated
-        violations += batch_violations
+    for shard_graphs, shard_flagged, shard_evaluated, shard_violations in results:
+        flagged += shard_flagged
+        evaluated += shard_evaluated
+        violations += [(graphs + i, name, text) for i, name, text in shard_violations]
+        graphs += shard_graphs
     violations.sort()
     violated = Counter(name for _, name, _ in violations)
     return {
@@ -363,7 +380,7 @@ def campaign_report(
             "seed": seed,
         },
         "counts": {
-            "graphs": len(gems),
+            "graphs": graphs,
             "bipartite": flagged["bipartite"],
             "singular_manifold": flagged["singular_manifold"],
             "odd_reduced_degree": flagged["odd_reduced_degree"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -128,7 +129,7 @@ def test_verify_worker_sharding_invisible(tmp_path, monkeypatch):
 def test_verify_pool_capped_by_cpus_and_batches(
     tmp_path, monkeypatch, cpus, expected
 ):
-    # 60 gems in batches of 16 make 4 batches; GEMCALC_THREADS asks for 10000
+    # 60 gems over p <= 4 make 4 shards of 15; GEMCALC_THREADS asks for 10000
     monkeypatch.setattr(reports_module, "_BATCH_SIZE", 16)
     monkeypatch.setattr(reports_module, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(
@@ -136,7 +137,7 @@ def test_verify_pool_capped_by_cpus_and_batches(
     )
     monkeypatch.setattr(SerialPool, "created", [])
     monkeypatch.setenv("GEMCALC_THREADS", "10000")
-    args = ["verify", "--d", "4", "--mode", "random", "--p", "2",
+    args = ["verify", "--d", "4", "--mode", "random", "--p", "4",
             "--count", "60", "--seed", "31"]
     capped, solo = tmp_path / "capped.json", tmp_path / "solo.json"
     assert main(args + ["--out", str(capped)]) == 0
@@ -145,6 +146,81 @@ def test_verify_pool_capped_by_cpus_and_batches(
     assert main(args + ["--out", str(solo)]) == 0
     assert SerialPool.created == [expected]  # one worker: no pool at all
     assert capped.read_bytes() == solo.read_bytes()
+
+
+class RecordingPool(SerialPool):
+    """Pickles every item it is sent, as a process pool would, and notes how
+    many gems this process had built by then; then maps in-process."""
+
+    sent: list[bytes] = []
+    built_at_map: list[int] = []
+    built: list[ColoredGraph] = []
+
+    def map(self, fn, items):
+        self.built_at_map.append(len(self.built))
+        data = [pickle.dumps(item) for item in items]
+        self.sent += data
+        return map(fn, map(pickle.loads, data))
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    post_init = ColoredGraph.__post_init__
+
+    def counting(self):
+        RecordingPool.built.append(self)
+        post_init(self)
+
+    for name in ("created", "sent", "built_at_map", "built"):
+        monkeypatch.setattr(RecordingPool, name, [])
+    monkeypatch.setattr(ColoredGraph, "__post_init__", counting)
+    monkeypatch.setattr(reports_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(
+        reports_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    return RecordingPool
+
+
+def _assert_descriptors_only(pool) -> list[tuple]:
+    # the parent built no gem before dispatch and sent none to the workers
+    assert pool.created == [2]
+    assert pool.built_at_map == [0]
+    assert all(b"ColoredGraph" not in data and len(data) < 256 for data in pool.sent)
+    return [pickle.loads(data) for data in pool.sent]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_shards_carry_descriptors_not_graphs(recording_pool, seed):
+    duo = reports_module.campaign_report(3, "random", 8, 4000, seed, threads=2)
+    shards = _assert_descriptors_only(recording_pool)
+    assert [shard[2] for shard in shards] == list(range(1, 9))
+    assert duo["counts"]["graphs"] == 4000
+    solo = reports_module.campaign_report(3, "random", 8, 4000, seed, threads=1)
+    assert reports_module.report_json(duo) == reports_module.report_json(solo)
+
+
+def test_exhaustive_shards_are_raw_ranges_across_p(recording_pool, monkeypatch):
+    solo = reports_module.campaign_report(4, "exhaustive", 2, threads=1)
+    monkeypatch.setattr(reports_module, "_BATCH_SIZE", 16)
+    monkeypatch.setattr(recording_pool, "built", [])
+    duo = reports_module.campaign_report(4, "exhaustive", 2, threads=2)
+    shards = _assert_descriptors_only(recording_pool)
+    # one raw candidate at p = 1, then 81 at p = 2 in ranges of 16
+    assert [shard[2:] for shard in shards] == [(1, 0, 16)] + [
+        (2, lo, lo + 16) for lo in range(0, 81, 16)
+    ]
+    assert duo["counts"]["graphs"] == 81
+    assert reports_module.report_json(duo) == reports_module.report_json(solo)
+
+
+def test_random_campaign_walks_only_nonempty_half_orders():
+    # p > count holds no sample: a huge --p must not be walked up to
+    huge = reports_module.campaign_report(2, "random", 10**18, 3, 0)
+    assert huge["counts"]["graphs"] == 3
+    assert huge["counts"] == reports_module.campaign_report(2, "random", 3, 3, 0)["counts"]
+    shards, raw = reports_module._shards(2, "random", 10**18, 3, 0)
+    assert [shard[2:] for shard in shards] == [(1, 1, 1), (2, 1, 2), (3, 1, 3)]
+    assert raw == 3
 
 
 def test_dimension_beyond_permutation_budget_refused(tmp_path, capsys):

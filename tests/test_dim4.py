@@ -37,7 +37,7 @@ from gemcalc import (
     surface_type,
 )
 from gemcalc.embeddings import _bicolored_cycles, pair_residue_sum
-from gemcalc.reports import check_graph
+from gemcalc.reports import analysis_report, check_graph
 from gemcalc.dim4 import NEITHER, SEMI_SIMPLE, WEAK_SEMI_SIMPLE, _component_faces, skip_triples
 
 from conftest import M_A, M_B, M_C, corpus, oracle_components, oracle_faces
@@ -494,3 +494,24 @@ def test_battery_walks_bicolored_cycles_once(monkeypatch, d, g4, odd_degree_witn
         branches.add((flags.get("singular_manifold"), "crystallization_profile" in flags))
     if d == 4:
         assert branches == {(False, False), (True, False), (True, True)}
+
+
+def test_analysis_walks_bicolored_cycles_once(monkeypatch, g4, rp2_gem):
+    walks = []
+    walk = _bicolored_cycles
+
+    def counting(g):
+        walks.append(g)
+        return walk(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gemcalc") and hasattr(module, "_bicolored_cycles"):
+            monkeypatch.setattr(module, "_bicolored_cycles", counting)
+    singular = set()
+    for g in [dipole(d) for d in range(2, 7)] + [g4, rp2_gem]:
+        walks.clear()
+        report = analysis_report(g)
+        assert walks == [g]
+        if g.d == 4:
+            singular.add("euler_by_pair_formula" in report["dim4"])
+    assert singular == {True}  # both d = 4 graphs are singular: the Euler block ran
