@@ -115,8 +115,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec = GenSpec(
         d=args.d,
         p=args.p,
@@ -127,6 +125,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         non_bipartite_only=args.nonbipartite,
     )
     graphs = random_gem(spec)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     files = []
     for i, g in enumerate(graphs):
         name = f"gem_{i:04d}.json"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Iterator
 
 from .core import (
@@ -96,8 +96,24 @@ class GenSpec:
             raise GemError(f"half-order must be >= 1, got {self.p}")
         if self.count < 1:
             raise GemError(f"count must be >= 1, got {self.count}")
+        _check_sample_bound(self.d, self.p, self.count)
         if self.bipartite_only and self.non_bipartite_only:
             raise GemError("bipartite_only and non_bipartite_only are mutually exclusive")
+
+
+def _check_sample_bound(d: int, p: int, count: int) -> None:
+    """Refuse a random corpus of more than the enumeration budget in gems, or
+    whose largest gem (half-order p) has more matching entries than that."""
+    if count > ENUMERATION_BUDGET:
+        raise GemError(
+            f"random corpus bound exceeded: count = {count} > {ENUMERATION_BUDGET}"
+        )
+    entries = (d + 1) * 2 * p
+    if entries > ENUMERATION_BUDGET:
+        raise GemError(
+            f"random corpus bound exceeded: (d+1)*2p = {entries} matching entries "
+            f"> {ENUMERATION_BUDGET} for d={d}, p={p}"
+        )
 
 
 def dipole(d: int) -> ColoredGraph:
@@ -124,8 +140,12 @@ def random_gem(spec: GenSpec) -> list[ColoredGraph]:
     Filters act by rejection; exceeding the per-sample rejection budget is
     reported as an infeasible filter.
     """
+    return list(_random_stream(spec))
+
+
+def _random_stream(spec: GenSpec) -> Iterator[ColoredGraph]:
+    """The gems of :func:`random_gem`, drawn one at a time as they are taken."""
     rng = SplitMix64(spec.seed)
-    out: list[ColoredGraph] = []
     order = 2 * spec.p
     for _ in range(spec.count):
         for attempt in range(REJECTION_BUDGET):
@@ -137,14 +157,13 @@ def random_gem(spec: GenSpec) -> list[ColoredGraph]:
                 continue
             if spec.non_bipartite_only and is_bipartite(g):
                 continue
-            out.append(g)
+            yield g
             break
         else:
             raise GemError(
                 f"filter rejected {REJECTION_BUDGET} candidates in a row; "
                 f"spec {spec} looks infeasible"
             )
-    return out
 
 
 @lru_cache(maxsize=8)
@@ -217,11 +236,34 @@ def _gem_stream(
     """The gauge-fixed stream, restricted to raw candidates [lo, hi)."""
     mats = all_matchings(2 * p)
     base = mats[0]
-    for rest in islice(product(mats, repeat=d), lo, hi):
+    for rest in islice(_product_from(mats, d, lo), None if hi is None else hi - lo):
         g = ColoredGraph(d=d, order=2 * p, matchings=(base,) + rest)
         if connected_only and not is_connected(g):
             continue
         yield g
+
+
+def _product_from(mats: tuple, d: int, lo: int) -> Iterator[tuple]:
+    """``product(mats, repeat=d)`` from its ``lo``-th tuple on.
+
+    ``lo`` is decoded in mixed radix ``len(mats)``, most significant digit
+    first as ``product`` orders its tuples, so nothing before it is stepped
+    through.  From there the last position runs on from its digit; each
+    earlier one then carries, running from its digit + 1 with every position
+    after it free.
+    """
+    digits: list[int] = []
+    for _ in range(d):
+        lo, digit = divmod(lo, len(mats))
+        digits.append(digit)
+    if lo:  # past the end of the stream
+        return iter(())
+    digits.reverse()
+    fixed = [(mats[i],) for i in digits]
+    return chain.from_iterable(
+        product(*fixed[:k], mats[digits[k] + (k < d - 1):], *[mats] * (d - 1 - k))
+        for k in range(d - 1, -1, -1)
+    )
 
 
 def search_rp2(max_p: int = 4) -> ColoredGraph:
@@ -254,10 +296,8 @@ def search_odd_reduced(d: int, max_p: int) -> ColoredGraph | None:
         if enumeration_size(d, p) <= ENUMERATION_BUDGET:
             candidates: Iterator[ColoredGraph] = enumerate_gems(d, p, connected_only=True)
         else:
-            candidates = iter(
-                random_gem(
-                    GenSpec(d=d, p=p, count=5000, seed=_SEARCH_SEED + p, connected_only=True)
-                )
+            candidates = _random_stream(
+                GenSpec(d=d, p=p, count=5000, seed=_SEARCH_SEED + p, connected_only=True)
             )
         for g in candidates:
             if reduced_g_degree(g) % 2:

@@ -8,6 +8,7 @@ part assignment for bipartiteness.
 
 from __future__ import annotations
 
+import concurrent.futures
 from itertools import combinations
 
 import pytest
@@ -65,6 +66,14 @@ class SerialPool:
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch) -> type[SerialPool]:
+    # campaigns import the pool where they start it, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "created", [])
+    return SerialPool
 
 
 def corpus(d: int, p: int, count: int, seed: int, **kw) -> list[ColoredGraph]:

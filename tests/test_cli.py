@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 import pickle
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -127,15 +132,13 @@ def test_verify_worker_sharding_invisible(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("cpus, expected", [(8, 4), (3, 3)])
 def test_verify_pool_capped_by_cpus_and_batches(
-    tmp_path, monkeypatch, cpus, expected
+    tmp_path, monkeypatch, serial_pool, cpus, expected
 ):
     # 60 gems over p <= 4 make 4 shards of 15; GEMCALC_THREADS asks for 10000
     monkeypatch.setattr(reports_module, "_BATCH_SIZE", 16)
-    monkeypatch.setattr(reports_module, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(
         reports_module.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
     )
-    monkeypatch.setattr(SerialPool, "created", [])
     monkeypatch.setenv("GEMCALC_THREADS", "10000")
     args = ["verify", "--d", "4", "--mode", "random", "--p", "4",
             "--count", "60", "--seed", "31"]
@@ -174,7 +177,7 @@ def recording_pool(monkeypatch):
     for name in ("created", "sent", "built_at_map", "built"):
         monkeypatch.setattr(RecordingPool, name, [])
     monkeypatch.setattr(ColoredGraph, "__post_init__", counting)
-    monkeypatch.setattr(reports_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(
         reports_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
     )
@@ -221,6 +224,115 @@ def test_random_campaign_walks_only_nonempty_half_orders():
     shards, raw = reports_module._shards(2, "random", 10**18, 3, 0)
     assert [shard[2:] for shard in shards] == [(1, 1, 1), (2, 1, 2), (3, 1, 3)]
     assert raw == 3
+
+
+def test_random_shard_memory_does_not_grow_with_its_size():
+    # a first shard fills the interpreter's tuple free lists (2,000 per size),
+    # which tracemalloc counts as allocated; after it, the traced peaks count
+    # only what a shard itself holds
+    reports_module._battery_batch(("random", 2, 1, 2100, 2))
+    peaks = []
+    for n in (125, 1000):
+        tracemalloc.start()
+        try:
+            graphs, *_ = reports_module._battery_batch(("random", 2, 1, n, 2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert graphs == n
+    assert peaks[1] < 2 * peaks[0]
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["verify", "--d", "3", "--mode", "random", "--p", "4", "--count", "1500001"],
+         "count = 1500001 > 1500000"),
+        # the largest gem drawn has half-order min(--p, --count) = 200000
+        (["verify", "--d", "3", "--mode", "random", "--p", "1000000000",
+          "--count", "200000"], "(d+1)*2p = 1600000 matching entries > 1500000"),
+        (["generate", "--d", "3", "--p", "1000000000"],
+         "(d+1)*2p = 8000000000 matching entries > 1500000"),
+        (["generate", "--d", "2", "--p", "1", "--count", "1500001"],
+         "count = 1500001 > 1500000"),
+    ],
+    ids=["verify-count", "verify-order", "generate-order", "generate-count"],
+)
+def test_oversized_random_corpus_refused_before_generation(
+    tmp_path, monkeypatch, capsys, argv, bound
+):
+    built = []
+    post_init = ColoredGraph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ColoredGraph, "__post_init__", counting)
+    out = tmp_path / "corpus"
+    if argv[0] == "generate":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    assert f"random corpus bound exceeded: {bound}" in capsys.readouterr().err
+    assert built == []
+    assert not out.exists()
+
+
+# Runs in a fresh interpreter: a 1-worker verify and an analyze, then the
+# same verify with 2 workers on a machine made to show 2 CPUs.  Prints the
+# pool modules loaded after the first half and the workers the pool got.
+_POOL_PROBE = """
+import json, os, sys
+
+def pool_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("concurrent", "multiprocessing"))
+
+loaded_at_start = pool_modules()
+from gemcalc.cli import main
+
+gem, solo, duo, verify = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
+os.environ["GEMCALC_THREADS"] = "1"
+assert main(["analyze", gem, "--out", os.devnull]) == 0
+assert main(verify + ["--out", solo]) == 0
+loaded_serial = pool_modules()
+
+import concurrent.futures
+
+pools = []
+
+class CountedPool(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers):
+        pools.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+concurrent.futures.ProcessPoolExecutor = CountedPool
+os.sched_getaffinity = lambda pid: {0, 1}
+os.environ["GEMCALC_THREADS"] = "2"
+assert main(verify + ["--out", duo]) == 0
+print(json.dumps([loaded_at_start, loaded_serial, pools]))
+"""
+
+
+def test_pool_stack_loaded_only_when_a_pool_starts(tmp_path, dipole_file):
+    # 2,400 gems over p <= 2 make 2 shards, over the 2,000 of one batch
+    verify = ["verify", "--d", "3", "--mode", "random", "--p", "2",
+              "--count", "2400", "--seed", "5"]
+    assert 2400 > reports_module._BATCH_SIZE
+    solo, duo = tmp_path / "solo.json", tmp_path / "duo.json"
+    src = str(Path(reports_module.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_PROBE, str(dipole_file), str(solo), str(duo), *verify],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded_at_start, loaded_serial, pools = json.loads(proc.stdout)
+    assert loaded_at_start == []
+    assert loaded_serial == []
+    assert pools == [2]
+    assert solo.read_bytes() == duo.read_bytes()
 
 
 def test_dimension_beyond_permutation_budget_refused(tmp_path, capsys):

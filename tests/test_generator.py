@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -27,7 +27,7 @@ from gemcalc import (
     surface_type,
 )
 from gemcalc.embeddings import cyclic_permutations
-from gemcalc.generator import all_matchings, enumeration_size
+from gemcalc.generator import _gem_stream, all_matchings, enumeration_size
 
 from conftest import M_A, M_B, M_C
 
@@ -147,6 +147,31 @@ def test_enumerate_budget():
         next(enumerate_gems(4, 4))
     with pytest.raises(GemError, match="bound exceeded"):
         next(enumerate_gems(3, 5))
+
+
+@pytest.mark.parametrize(
+    "d, p, lo, hi",
+    [
+        (3, 2, 0, None),  # the whole stream of 27
+        (3, 2, 8, 10),  # across the carry of both low digits at 9
+        (3, 2, 5, 27),
+        (3, 2, 20, 40),  # hi past the end
+        (3, 2, 27, 30),  # lo at the end
+        (3, 2, 31, None),  # lo past the end
+        (2, 3, 14, 31),  # radix 15: carries at 15 and 30
+        (3, 3, 200, 500),  # carries at every 15, two at once at 225 and 450
+        (4, 2, 40, 81),
+        (3, 4, 1_100_000, 1_100_100),  # deep in the largest in-budget stream
+    ],
+)
+def test_gem_stream_seeks_to_its_range(d, p, lo, hi):
+    mats = all_matchings(2 * p)
+    reference = [(mats[0],) + rest for rest in islice(product(mats, repeat=d), lo, hi)]
+    assert [g.matchings for g in _gem_stream(d, p, False, lo, hi)] == reference
+    connected = [
+        m for m in reference if is_connected(ColoredGraph(d=d, order=2 * p, matchings=m))
+    ]
+    assert [g.matchings for g in _gem_stream(d, p, True, lo, hi)] == connected
 
 
 def test_search_rp2():

@@ -77,12 +77,12 @@ def _sabotaged(check_graph):
 @pytest.mark.parametrize(
     "params", list(VIOLATING_CAMPAIGNS), ids=lambda p: f"d{p[0]}-{p[1]}-p{p[2]}"
 )
-def test_violating_campaign_bytes_pinned(monkeypatch, params, batch_size, workers):
+def test_violating_campaign_bytes_pinned(
+    monkeypatch, serial_pool, params, batch_size, workers
+):
     # counts, per-check tallies and embedded gems must not depend on batching
     monkeypatch.setattr(reports, "check_graph", _sabotaged(reports.check_graph))
     monkeypatch.setattr(reports, "_BATCH_SIZE", batch_size)
-    monkeypatch.setattr(reports, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "created", [])
     monkeypatch.setattr(
         reports.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
     )
