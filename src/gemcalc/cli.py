@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .cycle_decomp import (
 from .dim4 import is_singular_4_manifold
 from .core import is_bipartite
 from .embeddings import reduced_g_degree
-from .generator import GenSpec, random_gem, search_odd_reduced
+from .generator import GenSpec, _random_stream, search_odd_reduced
 from .reports import (
     REPORT_SCHEMA,
     analysis_report,
@@ -124,13 +125,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
         bipartite_only=args.bipartite,
         non_bipartite_only=args.nonbipartite,
     )
-    graphs = random_gem(spec)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = []
-    for i, g in enumerate(graphs):
+    # each gem is written as it is drawn; the directory appears with the
+    # first one, so a refused or infeasible spec leaves none
+    for i, g in enumerate(_random_stream(spec)):
+        if not i:
+            out_dir.mkdir(parents=True, exist_ok=True)
         name = f"gem_{i:04d}.json"
-        (out_dir / name).write_text(serialize_gem(g) + "\n")
+        # a str path: pathlib interns every name it parses, which grows the
+        # interpreter's intern table with the corpus
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(serialize_gem(g) + "\n")
         files.append(name)
     manifest = {
         "schema": REPORT_SCHEMA,
@@ -144,7 +150,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "non_bipartite_only": args.nonbipartite,
         "files": files,
     }
-    (out_dir / "manifest.json").write_text(report_json(manifest))
+    with open(out_dir / "manifest.json", "w") as fh:
+        # the bytes of report_json, encoded piece by piece, never held whole
+        json.dump(manifest, fh, sort_keys=True, indent=2)
+        fh.write("\n")
     print(f"wrote {len(files)} gems and manifest.json to {out_dir}")
     return 0
 

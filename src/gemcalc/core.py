@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 from typing import Iterable, Mapping
@@ -65,21 +64,65 @@ def check_dimension(d: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
+class _Frozen:
+    """Slotted base whose fields are set once, in ``__init__``, and never again.
+
+    ``_fields`` names the constructor's parameters in order; they make the
+    ``repr`` and the pickle, which rebuilds (and so re-validates) the value.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class ColoredGraph(_Frozen):
     """Immutable (d+1)-edge-colored graph given by one involution per color.
 
     Top-level gems have ``d >= 2``; lower-dimensional values are allowed so
     that residues extracted by :func:`subgraph` are themselves graphs.
     ``source_colors`` records, for a residue, which original color each
     relabeled color came from; it does not participate in equality.
+    ``_vector`` caches :func:`residue_vector`.
     """
 
-    d: int
-    order: int
-    matchings: tuple[tuple[int, ...], ...]
-    source_colors: tuple[int, ...] | None = field(default=None, compare=False)
-    _vector: tuple[int, ...] | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("d", "order", "matchings", "source_colors", "_vector")
+    _fields = ("d", "order", "matchings", "source_colors")
+
+    def __init__(
+        self,
+        d: int,
+        order: int,
+        matchings: tuple[tuple[int, ...], ...],
+        source_colors: tuple[int, ...] | None = None,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "d", d)
+        set_(self, "order", order)
+        set_(self, "matchings", matchings)
+        set_(self, "source_colors", source_colors)
+        set_(self, "_vector", None)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.order, self.matchings) == (other.d, other.order, other.matchings)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.order, self.matchings))
 
     def __post_init__(self) -> None:
         if self.d < 0:
@@ -192,13 +235,16 @@ def residue_count(g: ColoredGraph, colors: Iterable[int]) -> int:
     return residue_vector(g)[_color_mask(g, colors)]
 
 
-@dataclass(frozen=True, eq=False)
-class ResidueTable:
+class ResidueTable(_Frozen):
     """All residue counts of a graph, keyed by color subset."""
 
-    d: int
-    order: int
-    counts: Mapping[frozenset[int], int]
+    __slots__ = _fields = ("d", "order", "counts")
+
+    def __init__(self, d: int, order: int, counts: Mapping[frozenset[int], int]) -> None:
+        set_ = object.__setattr__
+        set_(self, "d", d)
+        set_(self, "order", order)
+        set_(self, "counts", counts)
 
     def __getitem__(self, colors: Iterable[int]) -> int:
         return self.counts[frozenset(colors)]

@@ -16,9 +16,9 @@ Two partition shapes are produced:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .core import GemError
 from .perms import CyclicPerm, canonical_perm, cycle_pairs, cyclic_permutations
@@ -43,8 +43,7 @@ PARTITION_ODD_SUPPORTED = (3, 5, 7)
 PARTITION_EVEN_SUPPORTED = (4, 6)
 
 
-@dataclass(frozen=True)
-class DecompositionClass:
+class DecompositionClass(NamedTuple):
     """A set of Hamiltonian cycles of K_n with a fixed edge multiplicity."""
 
     n: int
@@ -52,8 +51,7 @@ class DecompositionClass:
     cycles: tuple[HamCycle, ...]
 
 
-@dataclass(frozen=True)
-class PermPartition:
+class PermPartition(NamedTuple):
     """Classes covering every canonical Hamiltonian cycle of K_n exactly once."""
 
     n: int

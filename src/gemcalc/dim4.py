@@ -23,7 +23,6 @@ whole graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, NamedTuple
@@ -315,8 +314,7 @@ def check_corollary_12rho(g: ColoredGraph) -> tuple[bool, bool]:
     return _corollary_12rho(residue_vector(g), twices)
 
 
-@dataclass(frozen=True)
-class CrystallizationProfile:
+class CrystallizationProfile(NamedTuple):
     """Ledger (m, g_{jkl}, t_{jkl}, q, p_bar) of a crystallization of a closed
     4-manifold with first-homotopy rank m; p = p_bar + q must hold."""
 
@@ -379,8 +377,7 @@ def _ledger(g: ColoredGraph, vec: tuple[int, ...], m: int) -> CrystallizationPro
     )
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     kind: str  # semi_simple | weak_semi_simple | neither
     witness: CyclicPerm | None
     satisfies_12rho: bool

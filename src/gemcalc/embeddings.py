@@ -18,7 +18,7 @@ half-integer; floats never appear.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from itertools import combinations
 from math import factorial
 from typing import Sequence, TYPE_CHECKING
@@ -44,6 +44,9 @@ __all__ = [
     "regular_genus",
     "regular_genus_min",
 ]
+
+# the inverse of 2 modulo the hash modulus: hash(n/2) for a rational n/2
+_HASH_HALF = pow(2, -1, sys.hash_info.modulus)
 
 
 class HalfInt:
@@ -127,8 +130,11 @@ class HalfInt:
         return NotImplemented if t is None else self.twice >= t
 
     def __hash__(self):
-        # equal values must hash alike across HalfInt/int
-        return hash(Fraction(self.twice, 2))
+        # the hash of the rational twice/2 as int and Fraction define it, so
+        # equal values hash alike across HalfInt/int
+        h = hash(abs(self.twice) * _HASH_HALF)
+        h = h if self.twice >= 0 else -h
+        return -2 if h == -1 else h
 
     def __str__(self):
         if self.twice % 2 == 0:

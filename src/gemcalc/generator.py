@@ -9,10 +9,9 @@ followed by pairing consecutive entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (
     ENUMERATION_BUDGET,
@@ -77,10 +76,7 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Parameters of a random corpus draw."""
-
+class _GenFields(NamedTuple):
     d: int
     p: int
     count: int
@@ -89,7 +85,14 @@ class GenSpec:
     bipartite_only: bool = False
     non_bipartite_only: bool = False
 
-    def __post_init__(self) -> None:
+
+class GenSpec(_GenFields):
+    """Parameters of a random corpus draw, validated however one is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> GenSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.d < 2:
             raise GemError(f"dimension must be >= 2, got {self.d}")
         if self.p < 1:
@@ -99,6 +102,12 @@ class GenSpec:
         _check_sample_bound(self.d, self.p, self.count)
         if self.bipartite_only and self.non_bipartite_only:
             raise GemError("bipartite_only and non_bipartite_only are mutually exclusive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> GenSpec:
+        # _replace builds through _make, so both go through the checks
+        return cls(*iterable)
 
 
 def _check_sample_bound(d: int, p: int, count: int) -> None:

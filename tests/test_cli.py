@@ -196,7 +196,8 @@ def _assert_descriptors_only(pool) -> list[tuple]:
 def test_random_shards_carry_descriptors_not_graphs(recording_pool, seed):
     duo = reports_module.campaign_report(3, "random", 8, 4000, seed, threads=2)
     shards = _assert_descriptors_only(recording_pool)
-    assert [shard[2] for shard in shards] == list(range(1, 9))
+    # the largest half-order first
+    assert [shard[2] for shard in shards] == list(range(8, 0, -1))
     assert duo["counts"]["graphs"] == 4000
     solo = reports_module.campaign_report(3, "random", 8, 4000, seed, threads=1)
     assert reports_module.report_json(duo) == reports_module.report_json(solo)
@@ -208,10 +209,10 @@ def test_exhaustive_shards_are_raw_ranges_across_p(recording_pool, monkeypatch):
     monkeypatch.setattr(recording_pool, "built", [])
     duo = reports_module.campaign_report(4, "exhaustive", 2, threads=2)
     shards = _assert_descriptors_only(recording_pool)
-    # one raw candidate at p = 1, then 81 at p = 2 in ranges of 16
-    assert [shard[2:] for shard in shards] == [(1, 0, 16)] + [
+    # the 81 raw candidates at p = 2 in ranges of 16, then the one at p = 1
+    assert [shard[2:] for shard in shards] == [
         (2, lo, lo + 16) for lo in range(0, 81, 16)
-    ]
+    ] + [(1, 0, 16)]
     assert duo["counts"]["graphs"] == 81
     assert reports_module.report_json(duo) == reports_module.report_json(solo)
 
@@ -241,6 +242,48 @@ def test_random_shard_memory_does_not_grow_with_its_size():
             tracemalloc.stop()
         assert graphs == n
     assert peaks[1] < 2 * peaks[0]
+
+
+def test_violating_campaign_memory_does_not_grow_with_its_size(monkeypatch):
+    # every gem violates one check, but a report embeds only the first few
+    real = reports_module.check_graph
+
+    def sabotaged(g):
+        flags, checks = real(g)
+        checks["surface_classification"] = False
+        return flags, checks
+
+    monkeypatch.setattr(reports_module, "check_graph", sabotaged)
+    reports_module.campaign_report(2, "random", 1, 2100, 2)  # fills the free lists
+    peaks = []
+    for n in (500, 4000):
+        tracemalloc.start()
+        try:
+            report = reports_module.campaign_report(2, "random", 1, n, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report["checks"]["surface_classification"]["violations"] == n
+        assert len(report["violations"]) == reports_module.MAX_EMBEDDED_COUNTEREXAMPLES
+    assert peaks[1] < 2 * peaks[0]
+
+
+def test_generate_memory_does_not_hold_the_corpus(tmp_path, capsys):
+    # gems are written as they are drawn: from 500 to 4,000 the traced peak
+    # grows by the manifest's file names (about 72 B each), not by the gems
+    # (about 830 B each at d = 2, p = 8)
+    base = ["generate", "--d", "2", "--p", "8", "--seed", "3"]
+    assert main(base + ["--count", "300", "--out", str(tmp_path / "warm")]) == 0
+    peaks = []
+    for n in (500, 4000):
+        tracemalloc.start()
+        try:
+            assert main(base + ["--count", str(n), "--out", str(tmp_path / str(n))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(list((tmp_path / str(n)).iterdir())) == n + 1
+    assert peaks[1] - peaks[0] < 128 * 3500
 
 
 @pytest.mark.parametrize(
@@ -276,6 +319,43 @@ def test_oversized_random_corpus_refused_before_generation(
     assert f"random corpus bound exceeded: {bound}" in capsys.readouterr().err
     assert built == []
     assert not out.exists()
+
+
+def _run_probe(probe: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a probe script in a fresh interpreter under ``-X importtime``."""
+    src = str(Path(reports_module.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", probe, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc
+
+
+def _import_chain(importtime: str, module: str) -> str:
+    """The ``-X importtime`` lines of ``module`` and of the imports that led to it.
+
+    Each line follows those of its own imports, indented one level deeper,
+    so the importers of a module are the first later lines at each
+    shallower level.
+    """
+    rows = []  # (depth, module, line)
+    for line in importtime.splitlines():
+        fields = line.split("|")
+        if line.startswith("import time:") and fields[0][12:].strip().isdigit():
+            name = fields[2]
+            rows.append((len(name) - len(name.lstrip()), name.strip(), line))
+    for k, (level, name, line) in enumerate(rows):
+        if name == module:
+            chain = [line]
+            for depth, _, later in rows[k + 1:]:
+                if depth < level:
+                    chain.append(later)
+                    level = depth
+            return "\n".join(reversed(chain))
+    return f"{module}: not in the -X importtime output"
 
 
 # Runs in a fresh interpreter: a 1-worker verify and an analyze, then the
@@ -320,19 +400,38 @@ def test_pool_stack_loaded_only_when_a_pool_starts(tmp_path, dipole_file):
               "--count", "2400", "--seed", "5"]
     assert 2400 > reports_module._BATCH_SIZE
     solo, duo = tmp_path / "solo.json", tmp_path / "duo.json"
-    src = str(Path(reports_module.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", _POOL_PROBE, str(dipole_file), str(solo), str(duo), *verify],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = _run_probe(_POOL_PROBE, str(dipole_file), str(solo), str(duo), *verify)
     loaded_at_start, loaded_serial, pools = json.loads(proc.stdout)
     assert loaded_at_start == []
-    assert loaded_serial == []
+    assert loaded_serial == [], "\n\n".join(_import_chain(proc.stderr, m) for m in loaded_serial)
     assert pools == [2]
     assert solo.read_bytes() == duo.read_bytes()
+
+
+# Runs in a fresh interpreter under -X importtime: an analyze, then a
+# 1-worker verify.  Prints the heavy stdlib modules loaded after each.
+_LEAN_PROBE = """
+import json, os, sys
+
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
+from gemcalc.cli import main
+
+gem, verify = sys.argv[1], sys.argv[2:]
+os.environ["GEMCALC_THREADS"] = "1"
+assert main(["analyze", gem, "--out", os.devnull]) == 0
+after_analyze = [m for m in HEAVY if m in sys.modules]
+assert main(verify + ["--out", os.devnull]) == 0
+print(json.dumps([after_analyze, [m for m in HEAVY if m in sys.modules]]))
+"""
+
+
+def test_commands_skip_dataclasses_and_fractions(dipole_file):
+    verify = ["verify", "--d", "4", "--mode", "random", "--p", "3",
+              "--count", "40", "--seed", "5"]
+    proc = _run_probe(_LEAN_PROBE, str(dipole_file), *verify)
+    after_analyze, after_verify = json.loads(proc.stdout)
+    loaded = sorted(set(after_analyze) | set(after_verify))
+    assert loaded == [], "\n\n".join(_import_chain(proc.stderr, m) for m in loaded)
 
 
 def test_dimension_beyond_permutation_budget_refused(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 from itertools import combinations
 
 import pytest
@@ -268,3 +269,36 @@ def test_graphs_hash_by_content(g4):
     twin = ColoredGraph(d=4, order=4, matchings=(M_A, M_A, M_A, M_C, M_C))
     assert twin == g4 and hash(twin) == hash(g4)
     assert len({twin, g4}) == 1
+
+
+def test_graph_is_immutable(g4):
+    with pytest.raises(AttributeError):
+        g4.d = 3
+    with pytest.raises(AttributeError):
+        g4.matchings = g4.matchings[:3]
+    with pytest.raises(AttributeError):
+        del g4.order
+    assert g4.d == 4 and len(g4.matchings) == 5
+
+
+def test_graph_pickle_round_trip(g4):
+    residue_vector(g4)  # the cache is rebuilt on demand, not shipped
+    twin = pickle.loads(pickle.dumps(g4))
+    assert twin == g4 and hash(twin) == hash(g4)
+    assert residue_vector(twin) == residue_vector(g4)
+    sub = subgraph(g4, [0, 3], 1)
+    assert pickle.loads(pickle.dumps(sub)).source_colors == sub.source_colors == (0, 3)
+
+
+def test_graph_repr_unchanged():
+    assert repr(dipole(2)) == (
+        "ColoredGraph(d=2, order=2, matchings=((2, 1), (2, 1), (2, 1)), source_colors=None)"
+    )
+
+
+def test_graph_equality_ignores_source_colors(g4):
+    sub = subgraph(g4, [3, 4], 1)
+    plain = ColoredGraph(sub.d, sub.order, sub.matchings)
+    assert sub.source_colors == (3, 4) and plain.source_colors is None
+    assert sub == plain and hash(sub) == hash(plain)
+    assert ColoredGraph(sub.d, sub.order, sub.matchings, (0, 1)) == sub

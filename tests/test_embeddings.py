@@ -50,6 +50,9 @@ def test_halfint_mixed_comparisons():
     assert HalfInt(3) < 2
     assert 0 <= HalfInt(0)
     assert hash(HalfInt(2)) == hash(1)
+    assert hash(HalfInt(-2)) == hash(-1)  # -2: CPython reserves hash -1
+    assert hash(HalfInt(3)) == hash(HalfInt(3))
+    assert len({HalfInt(4), 2, HalfInt(3), HalfInt(-3)}) == 3
     assert sum([HalfInt(1), HalfInt(2), 1]) == HalfInt(5)
 
 
@@ -71,6 +74,7 @@ def test_halfint_matches_fraction_model(a, b, k):
     assert (HalfInt(a) < HalfInt(b)) == (fa < fb)
     assert (HalfInt(a) == HalfInt(b)) == (fa == fb)
     assert HalfInt(a).is_integer == (fa.denominator == 1)
+    assert hash(HalfInt(a)) == hash(fa)
 
 
 # --- cyclic permutations -----------------------------------------------------

@@ -237,3 +237,26 @@ def test_emitted_graphs_are_valid():
             for v in range(1, g.order + 1):
                 assert mu[mu[v - 1] - 1] == v
                 assert mu[v - 1] != v
+
+
+def test_genspec_repr_unchanged():
+    # the "looks infeasible" error message prints it
+    assert repr(GenSpec(d=2, p=3, count=4, seed=5, bipartite_only=True)) == (
+        "GenSpec(d=2, p=3, count=4, seed=5, connected_only=False, "
+        "bipartite_only=True, non_bipartite_only=False)"
+    )
+
+
+def test_genspec_refuses_bad_values_however_built():
+    spec = GenSpec(d=2, p=1, count=1, seed=0)
+    with pytest.raises(GemError, match="half-order"):
+        spec._replace(p=0)
+    with pytest.raises(GemError, match="dimension"):
+        GenSpec._make((1, 1, 1, 0))
+    with pytest.raises(GemError, match="mutually exclusive"):
+        spec._replace(bipartite_only=True, non_bipartite_only=True)
+    with pytest.raises(GemError, match="random corpus bound exceeded"):
+        GenSpec(2, 1, 1_500_001, 0)
+    assert spec._replace(p=2) == GenSpec(d=2, p=2, count=1, seed=0)
+    with pytest.raises(AttributeError):
+        spec.p = 0
