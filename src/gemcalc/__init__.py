@@ -15,13 +15,11 @@ from .core import (
     is_bipartite,
     is_connected,
     parse_gem,
-    residue_components,
     residue_count,
     residue_table,
     residue_vector,
     serialize_gem,
     simplex_counts,
-    subgraph,
 )
 from .cycle_decomp import (
     DecompositionClass,

@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import GemError, parse_gem, serialize_gem
+from .core import GemError, is_bipartite, parse_gem, serialize_gem
 from .cycle_decomp import (
     partition_even,
     partition_odd,
@@ -25,7 +25,6 @@ from .cycle_decomp import (
     walecki_decomposition,
 )
 from .dim4 import is_singular_4_manifold
-from .core import is_bipartite
 from .embeddings import reduced_g_degree
 from .generator import GenSpec, _random_stream, search_odd_reduced
 from .reports import (

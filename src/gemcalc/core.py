@@ -32,13 +32,11 @@ __all__ = [
     "is_bipartite",
     "is_connected",
     "parse_gem",
-    "residue_components",
     "residue_count",
     "residue_table",
     "residue_vector",
     "serialize_gem",
     "simplex_counts",
-    "subgraph",
 ]
 
 
@@ -91,28 +89,19 @@ class _Frozen:
 class ColoredGraph(_Frozen):
     """Immutable (d+1)-edge-colored graph given by one involution per color.
 
-    Top-level gems have ``d >= 2``; lower-dimensional values are allowed so
-    that residues extracted by :func:`subgraph` are themselves graphs.
-    ``source_colors`` records, for a residue, which original color each
-    relabeled color came from; it does not participate in equality.
-    ``_vector`` caches :func:`residue_vector`.
+    Top-level gems have ``d >= 2``; any ``d >= 0`` is accepted, so that a
+    residue can be built as a graph of its own.  ``_vector`` caches
+    :func:`residue_vector` and does not participate in equality.
     """
 
-    __slots__ = ("d", "order", "matchings", "source_colors", "_vector")
-    _fields = ("d", "order", "matchings", "source_colors")
+    __slots__ = ("d", "order", "matchings", "_vector")
+    _fields = ("d", "order", "matchings")
 
-    def __init__(
-        self,
-        d: int,
-        order: int,
-        matchings: tuple[tuple[int, ...], ...],
-        source_colors: tuple[int, ...] | None = None,
-    ) -> None:
+    def __init__(self, d: int, order: int, matchings: tuple[tuple[int, ...], ...]) -> None:
         set_ = object.__setattr__
         set_(self, "d", d)
         set_(self, "order", order)
         set_(self, "matchings", matchings)
-        set_(self, "source_colors", source_colors)
         set_(self, "_vector", None)
         self.__post_init__()
 
@@ -167,11 +156,6 @@ def _color_mask(g: ColoredGraph, colors: Iterable[int]) -> int:
     return mask
 
 
-def _sorted_colors(g: ColoredGraph, colors: Iterable[int]) -> list[int]:
-    mask = _color_mask(g, colors)
-    return [c for c in g.colors if mask >> c & 1]
-
-
 def _build_vector(order: int, matchings: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Component counts of every color subset, by subset DP over union-find.
 
@@ -216,8 +200,8 @@ def _build_vector(order: int, matchings: tuple[tuple[int, ...], ...]) -> tuple[i
 def residue_vector(g: ColoredGraph) -> tuple[int, ...]:
     """Residue counts of every color subset, indexed by bitmask.
 
-    Entry ``mask`` is the number of components of the subgraph keeping the
-    colors whose bits are set; entry 0 is the vertex count.  Built once per
+    Entry ``mask`` is the number of components of the graph restricted to
+    the colors whose bits are set; entry 0 is the vertex count.  Built once per
     graph, on first use, and kept on it.
     """
     vec = g._vector
@@ -228,7 +212,7 @@ def residue_vector(g: ColoredGraph) -> tuple[int, ...]:
 
 
 def residue_count(g: ColoredGraph, colors: Iterable[int]) -> int:
-    """Number of connected components of the subgraph keeping only these colors.
+    """Number of connected components of the graph restricted to these colors.
 
     The empty color set yields one component per vertex.
     """
@@ -260,11 +244,38 @@ def residue_table(g: ColoredGraph) -> ResidueTable:
     return ResidueTable(d=g.d, order=g.order, counts=counts)
 
 
+def _component_labels(g: ColoredGraph, colors: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Component labels of the residue keeping ``colors``, by one stack walk.
+
+    ``label[v]`` is the component of vertex ``v + 1``; components are
+    numbered by least vertex, and ``sizes[k]`` is the order of component k.
+    """
+    mus = [g.matchings[c] for c in colors]
+    label = [-1] * g.order
+    sizes = []
+    for start in range(g.order):
+        if label[start] < 0:
+            k = len(sizes)
+            label[start] = k
+            stack = [start]
+            size = 1
+            while stack:
+                v = stack.pop()
+                for mu in mus:
+                    w = mu[v] - 1
+                    if label[w] < 0:
+                        label[w] = k
+                        stack.append(w)
+                        size += 1
+            sizes.append(size)
+    return label, sizes
+
+
 def is_connected(g: ColoredGraph) -> bool:
-    """One breadth-first walk over all colors, or a lookup once the vector exists."""
+    """One label walk over all colors, or a lookup once the vector exists."""
     if g._vector is not None:
         return g._vector[-1] == 1
-    return len(_component_vertices(g, list(g.colors), 1)) == g.order
+    return len(_component_labels(g, g.colors)[1]) == 1
 
 
 def is_bipartite(g: ColoredGraph) -> bool:
@@ -304,59 +315,6 @@ def simplex_counts(g: ColoredGraph) -> tuple[int, ...]:
 def euler_characteristic_complex(g: ColoredGraph) -> int:
     """Alternating sum of the simplex counts of the associated pseudocomplex."""
     return sum((-1) ** k * n for k, n in enumerate(simplex_counts(g)))
-
-
-def _component_vertices(g: ColoredGraph, b: list[int], start: int) -> list[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for c in b:
-            w = g.matchings[c][v - 1]
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return sorted(seen)
-
-
-def _extract(g: ColoredGraph, b: list[int], verts: list[int]) -> ColoredGraph:
-    index = {v: i + 1 for i, v in enumerate(verts)}
-    mats = tuple(tuple(index[g.matchings[c][v - 1]] for v in verts) for c in b)
-    return ColoredGraph(
-        d=len(b) - 1,
-        order=len(verts),
-        matchings=mats,
-        source_colors=tuple(b),
-    )
-
-
-def subgraph(g: ColoredGraph, colors: Iterable[int], component_of: int) -> ColoredGraph:
-    """The component of a vertex in the chosen-colors subgraph, as a standalone graph.
-
-    Vertices are re-indexed to 1..2p' preserving their original order and
-    colors are relabeled to 0..#B-1 in ascending order of the original
-    colors, which are retained in ``source_colors``.
-    """
-    b = _sorted_colors(g, colors)
-    if not b:
-        raise GemError("subgraph needs a non-empty color set")
-    if not 1 <= component_of <= g.order:
-        raise GemError(f"vertex {component_of} out of range 1..{g.order}")
-    return _extract(g, b, _component_vertices(g, b, component_of))
-
-
-def residue_components(g: ColoredGraph, colors: Iterable[int]) -> list[ColoredGraph]:
-    """All components of the chosen-colors subgraph, ordered by least vertex."""
-    b = _sorted_colors(g, colors)
-    if not b:
-        raise GemError("residue components need a non-empty color set")
-    out = []
-    remaining = set(range(1, g.order + 1))
-    while remaining:
-        verts = _component_vertices(g, b, min(remaining))
-        remaining.difference_update(verts)
-        out.append(_extract(g, b, verts))
-    return out
 
 
 def serialize_gem(g: ColoredGraph) -> str:

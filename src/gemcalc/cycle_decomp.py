@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .core import GemError
+from .core import ENUMERATION_BUDGET, GemError
 from .perms import CyclicPerm, canonical_perm, cycle_pairs, cyclic_permutations
 
 HamCycle = CyclicPerm
@@ -111,10 +111,17 @@ def walecki_decomposition(n: int) -> DecompositionClass:
 
     The vertex n-1 is the hub; the base cycle threads 0, 1, n-2, 2, n-3, ...
     through the remaining vertices and its (n-1)/2 rotations partition the
-    edge set.  Available for every odd n >= 3.
+    edge set.  Available for every odd n >= 3 whose n(n-1)/2 edges fit the
+    enumeration budget (n <= 1731).
     """
     if n < 3 or n % 2 == 0:
         raise GemError(f"Walecki decomposition needs an odd n >= 3, got {n}")
+    edges = n * (n - 1) // 2
+    if edges > ENUMERATION_BUDGET:
+        raise GemError(
+            f"Walecki decomposition of K_{n} has n(n-1)/2 = {edges} edges, "
+            f"more than the enumeration budget {ENUMERATION_BUDGET}"
+        )
     m = (n - 1) // 2
     zigzag = [0]
     lo, hi = 1, n - 2

@@ -12,8 +12,8 @@ and its genera as integer "twice" values (see ``genus_twices``), through
 index tables built once.  Singular-manifold recognition and the component
 side of the residue-degree identity are the exception: one walk over the
 graph's bicolored cycles (in the battery, the walk it hands to
-``check_identities``) keeps a vertex of each cycle, a breadth-first pass
-over the matchings labels the components of each residue, and each cycle
+``check_identities``) keeps a vertex of each cycle, a label walk over
+the matchings numbers the components of each residue, and each cycle
 is counted as a face of its component.  Neither side therefore collapses
 into an algebraic consequence of the vector it is checked against.
 Manifold recognition labels only 3-colored residues: each 3-colored
@@ -30,6 +30,7 @@ from typing import Mapping, NamedTuple
 from .core import (
     ColoredGraph,
     GemError,
+    _component_labels,
     euler_characteristic_complex,
     is_bipartite,
     is_connected,
@@ -172,24 +173,7 @@ def _component_faces(
     """(faces, p_c) of every component of the residue keeping ``colors``, ordered
     by least vertex: faces counts the component's bicolored cycles, and p_c is
     half its order."""
-    mus = [g.matchings[c] for c in colors]
-    label = [-1] * g.order
-    sizes = []
-    for start in range(g.order):
-        if label[start] < 0:
-            k = len(sizes)
-            label[start] = k
-            stack = [start]
-            size = 1
-            while stack:
-                v = stack.pop()
-                for mu in mus:
-                    w = mu[v] - 1
-                    if label[w] < 0:
-                        label[w] = k
-                        stack.append(w)
-                        size += 1
-            sizes.append(size)
+    label, sizes = _component_labels(g, colors)
     faces = [0] * len(sizes)
     for pair in combinations(colors, 2):
         for v in cycles[pair]:

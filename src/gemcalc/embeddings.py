@@ -39,7 +39,6 @@ __all__ = [
     "g_degree_formula",
     "genus_twices",
     "pair_residue_sum",
-    "reduced_degree_formula",
     "reduced_g_degree",
     "regular_genus",
     "regular_genus_min",
@@ -209,15 +208,9 @@ def g_degree_definition(g: ColoredGraph) -> HalfInt:
 
 
 def _reduced_degree(d: int, p: int, pair_sum: int) -> int:
+    """The closed form d + p(d-1)d/2 - sum_{r<s} g_rs: 2 * degree / (d-1)! for
+    d >= 3, twice the genus at d = 2."""
     return d + p * (d - 1) * d // 2 - pair_sum
-
-
-def reduced_degree_formula(g: ColoredGraph) -> int:
-    """The closed form d + p*(d-1)*d/2 - sum_{r<s} g_{rs}.
-
-    For d >= 3 it is 2 * degree / (d-1)!; at d = 2 it is twice the genus.
-    """
-    return _reduced_degree(g.d, g.p, pair_residue_sum(g))
 
 
 def g_degree_formula(g: ColoredGraph) -> HalfInt:
@@ -229,7 +222,7 @@ def g_degree_formula(g: ColoredGraph) -> HalfInt:
     if g.d < 3:
         raise GemError("the closed degree formula needs d >= 3; use the definition for d = 2")
     _require_connected(g)
-    return HalfInt(factorial(g.d - 1) * reduced_degree_formula(g))
+    return HalfInt(factorial(g.d - 1) * _reduced_degree(g.d, g.p, pair_residue_sum(g)))
 
 
 def reduced_g_degree(g: ColoredGraph) -> int:

@@ -83,25 +83,42 @@ def corpus(d: int, p: int, count: int, seed: int, **kw) -> list[ColoredGraph]:
 # --- oracles -----------------------------------------------------------------
 
 
-def oracle_components(g: ColoredGraph, colors) -> int:
-    """Component count by explicit breadth-first walking."""
+def _oracle_vertex_sets(g: ColoredGraph, colors) -> list[list[int]]:
+    """Sorted vertex sets of the components keeping these colors, by least vertex."""
     colors = list(colors)
     seen = set()
-    count = 0
+    out = []
     for start in range(1, g.order + 1):
         if start in seen:
             continue
-        count += 1
-        stack = [start]
         seen.add(start)
-        while stack:
-            v = stack.pop()
+        comp = [start]
+        for v in comp:  # breadth-first: the list grows behind the cursor
             for c in colors:
                 w = g.matchings[c][v - 1]
                 if w not in seen:
                     seen.add(w)
-                    stack.append(w)
-    return count
+                    comp.append(w)
+        out.append(sorted(comp))
+    return out
+
+
+def oracle_components(g: ColoredGraph, colors) -> int:
+    """Component count by explicit breadth-first walking."""
+    return len(_oracle_vertex_sets(g, colors))
+
+
+def oracle_residues(g: ColoredGraph, colors) -> list[ColoredGraph]:
+    """The components of the residue keeping these colors, ordered by least
+    vertex, each rebuilt as a graph: vertices renumbered 1.. and colors 0..,
+    both in ascending order."""
+    colors = sorted(colors)
+    out = []
+    for verts in _oracle_vertex_sets(g, colors):
+        index = {v: i for i, v in enumerate(verts, 1)}
+        mats = tuple(tuple(index[g.matchings[c][v - 1]] for v in verts) for c in colors)
+        out.append(ColoredGraph(d=len(colors) - 1, order=len(verts), matchings=mats))
+    return out
 
 
 def oracle_faces(g: ColoredGraph, r: int, s: int) -> int:

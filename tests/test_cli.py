@@ -516,6 +516,13 @@ def test_decompose_unsupported(capsys):
     assert "supported" in capsys.readouterr().err
 
 
+def test_decompose_refuses_n_beyond_budget(capsys):
+    assert main(["decompose", "--n", "1733"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "enumeration budget 1500000" in captured.err
+
+
 def test_generate_deterministic(tmp_path):
     base = ["generate", "--d", "4", "--p", "4", "--count", "10", "--seed", "7",
             "--connected"]

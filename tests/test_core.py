@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 import pickle
+import pkgutil
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import gemcalc
 from gemcalc import (
     ColoredGraph,
     GemError,
@@ -17,13 +22,11 @@ from gemcalc import (
     is_bipartite,
     is_connected,
     parse_gem,
-    residue_components,
     residue_count,
     residue_table,
     residue_vector,
     serialize_gem,
     simplex_counts,
-    subgraph,
 )
 from gemcalc.core import MAX_DIMENSION
 
@@ -168,7 +171,7 @@ def test_connectivity(dipole4, g4):
     assert is_connected(g4)
     two_dipoles = ColoredGraph(d=4, order=4, matchings=(M_A,) * 5)
     assert not is_connected(two_dipoles)
-    assert len(residue_components(two_dipoles, range(5))) == 2
+    assert oracle_components(two_dipoles, range(5)) == 2
 
 
 def test_simplex_counts_dipole(dipole4):
@@ -187,32 +190,6 @@ def test_euler_characteristic_spheres(d, chi):
 
 def test_euler_characteristic_g4(g4):
     assert euler_characteristic_complex(g4) == 2
-
-
-def test_subgraph_dipole(dipole4):
-    sub = subgraph(dipole4, (1, 2, 3, 4), 1)
-    assert sub.d == 3 and sub.order == 2
-    assert sub.source_colors == (1, 2, 3, 4)
-
-
-def test_subgraph_g4_two_colors(g4):
-    sub = subgraph(g4, (0, 3), 1)
-    assert sub.order == 4 and sub.d == 1
-    assert residue_count(sub, (0, 1)) == 1  # a single 4-cycle
-
-
-def test_subgraph_g4_hat0(g4):
-    sub = subgraph(g4, (1, 2, 3, 4), 1)
-    assert sub.order == 4 and sub.d == 3
-    assert sub.matchings == (M_A, M_A, M_C, M_C)
-    assert sub.source_colors == (1, 2, 3, 4)
-
-
-def test_subgraph_errors(g4):
-    with pytest.raises(GemError, match="non-empty"):
-        subgraph(g4, (), 1)
-    with pytest.raises(GemError, match="out of range"):
-        subgraph(g4, (0, 1), 9)
 
 
 def test_serialization_round_trip(g4, dipole4, rp2_gem):
@@ -286,19 +263,30 @@ def test_graph_pickle_round_trip(g4):
     twin = pickle.loads(pickle.dumps(g4))
     assert twin == g4 and hash(twin) == hash(g4)
     assert residue_vector(twin) == residue_vector(g4)
-    sub = subgraph(g4, [0, 3], 1)
-    assert pickle.loads(pickle.dumps(sub)).source_colors == sub.source_colors == (0, 3)
 
 
 def test_graph_repr_unchanged():
     assert repr(dipole(2)) == (
-        "ColoredGraph(d=2, order=2, matchings=((2, 1), (2, 1), (2, 1)), source_colors=None)"
+        "ColoredGraph(d=2, order=2, matchings=((2, 1), (2, 1), (2, 1)))"
     )
 
 
-def test_graph_equality_ignores_source_colors(g4):
-    sub = subgraph(g4, [3, 4], 1)
-    plain = ColoredGraph(sub.d, sub.order, sub.matchings)
-    assert sub.source_colors == (3, 4) and plain.source_colors is None
-    assert sub == plain and hash(sub) == hash(plain)
-    assert ColoredGraph(sub.d, sub.order, sub.matchings, (0, 1)) == sub
+def test_public_exports_resolve():
+    # every module's __all__ resolves, and the package re-exports only names
+    # that their source modules declare public
+    modules = {
+        info.name: importlib.import_module(f"gemcalc.{info.name}")
+        for info in pkgutil.iter_modules(gemcalc.__path__)
+        if not info.name.startswith("_")
+    }
+    for name, module in modules.items():
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert not missing, f"gemcalc.{name}.__all__ names undefined {missing}"
+    tree = ast.parse(Path(gemcalc.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        assert node.level == 1 and node.module in modules, ast.unparse(node)
+        public = modules[node.module].__all__
+        stray = [alias.name for alias in node.names if alias.name not in public]
+        assert not stray, f"gemcalc imports {stray} outside gemcalc.{node.module}.__all__"

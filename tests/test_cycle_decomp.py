@@ -20,6 +20,7 @@ from gemcalc import (
     validate_partition,
     walecki_decomposition,
 )
+from gemcalc import cycle_decomp
 from gemcalc.cycle_decomp import DecompositionClass
 from gemcalc.dim4 import associated_pairs
 
@@ -54,6 +55,21 @@ def test_walecki_small_cases():
 def test_walecki_rejects_even():
     with pytest.raises(GemError, match="odd"):
         walecki_decomposition(4)
+
+
+def test_walecki_refuses_n_beyond_budget(monkeypatch):
+    # K_1733 has 1,500,778 edges; K_1731, the largest accepted, has 1,497,315
+    class Started(Exception):
+        pass
+
+    def no_cycles(seq):
+        raise Started
+
+    monkeypatch.setattr(cycle_decomp, "canonical_perm", no_cycles)
+    with pytest.raises(GemError, match="1500778 edges, more than the enumeration budget 1500000"):
+        walecki_decomposition(1733)
+    with pytest.raises(Started):
+        walecki_decomposition(1731)
 
 
 def test_partition_odd_n3():

@@ -29,18 +29,16 @@ from gemcalc import (
     is_closed_3_manifold,
     is_singular_4_manifold,
     regular_genus,
-    residue_components,
     residue_count,
     residue_degree_identity,
     residue_vector,
-    subgraph,
     surface_type,
 )
-from gemcalc.embeddings import _bicolored_cycles, pair_residue_sum
+from gemcalc.embeddings import _bicolored_cycles
 from gemcalc.reports import analysis_report, check_graph
 from gemcalc.dim4 import NEITHER, SEMI_SIMPLE, WEAK_SEMI_SIMPLE, _component_faces, skip_triples
 
-from conftest import M_A, M_B, M_C, corpus, oracle_components, oracle_faces
+from conftest import M_A, M_B, M_C, corpus, oracle_components, oracle_faces, oracle_residues
 
 
 # --- associated permutations --------------------------------------------------
@@ -119,7 +117,9 @@ def test_surface_type_errors(g4):
 
 def test_closed_3_manifold_positive(g4):
     assert is_closed_3_manifold(dipole(3))
-    assert is_closed_3_manifold(subgraph(g4, (1, 2, 3, 4), 1))
+    (hat0,) = oracle_residues(g4, (1, 2, 3, 4))
+    assert hat0.matchings == (M_A, M_A, M_C, M_C)
+    assert is_closed_3_manifold(hat0)
 
 
 def test_closed_3_manifold_negative(non_closed_d3):
@@ -352,7 +352,7 @@ def test_residue_degree_identity_g4(g4):
     for i in range(5):
         rest = [x for x in range(5) if x != i]
         totals.append(
-            sum(g_degree_formula(c).twice for c in residue_components(g4, rest))
+            sum(g_degree_formula(c).twice for c in oracle_residues(g4, rest))
         )
     # degree 6 = 3*(2 + 4 - 5) + 3, residues contributing (1, 1, 1, 0, 0)
     assert sorted(t // 2 for t in totals) == [0, 0, 1, 1, 1]
@@ -439,8 +439,11 @@ def test_label_walk_matches_extracted_residues():
         for h in range(3, g.d + 1):  # the triples, and at d = 4 the hats
             for colors in combinations(g.colors, h):
                 walked = _component_faces(g, cycles, colors)
-                extracted = [(pair_residue_sum(c), c.p) for c in residue_components(g, colors)]
-                assert sorted(walked) == sorted(extracted)
+                extracted = [
+                    (sum(oracle_faces(c, r, s) for r, s in combinations(c.colors, 2)), c.p)
+                    for c in oracle_residues(g, colors)
+                ]
+                assert walked == extracted
                 if h == 3:
                     spherical.update(faces - p_c == 2 for faces, p_c in walked)
     assert spherical == {True, False}
