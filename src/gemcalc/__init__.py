@@ -10,6 +10,7 @@ and seeded random corpora.
 from .core import (
     ColoredGraph,
     GemError,
+    InvariantViolation,
     ResidueTable,
     euler_characteristic_complex,
     is_bipartite,
@@ -23,11 +24,8 @@ from .core import (
 )
 from .cycle_decomp import (
     DecompositionClass,
-    HamCycle,
     PermPartition,
     class_of,
-    cycle_edges,
-    hamiltonian_cycles,
     partition_even,
     partition_odd,
     validate_class,
@@ -40,23 +38,16 @@ from .dim4 import (
     SurfaceType,
     associated_pairs,
     associated_permutation,
-    check_corollary_12rho,
-    check_difference_a,
-    check_difference_b,
     classify_crystallization,
     crystallization_profile,
-    euler_char_via_genus,
     is_closed_3_manifold,
     is_singular_4_manifold,
     residue_degree_identity,
     surface_type,
 )
 from .embeddings import (
-    CyclicPerm,
     HalfInt,
-    canonical_perm,
     class_genus_sum,
-    cyclic_permutations,
     g_degree_definition,
     g_degree_formula,
     genus_twices,
@@ -74,5 +65,6 @@ from .generator import (
     search_odd_reduced,
     search_rp2,
 )
+from .perms import CyclicPerm, canonical_perm, cyclic_permutations
 
 __version__ = "0.1.0"

@@ -3,9 +3,10 @@
 Subcommands: analyze, verify, decompose, generate, search-odd.
 
 Exit codes: 0 when every applicable identity holds, 1 on a mathematical
-violation (the counterexample gem is serialized before exiting), 2 on
-input errors.  All randomized commands are reproducible from their seed
-and flags alone; GEMCALC_THREADS caps campaign workers.
+violation (the counterexample gem is serialized before exiting) or an
+internal invariant violation, 2 on input errors.  All randomized commands
+are reproducible from their seed and flags alone; GEMCALC_THREADS caps
+campaign workers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import GemError, is_bipartite, parse_gem, serialize_gem
+from .core import GemError, InvariantViolation, is_bipartite, parse_gem, serialize_gem
 from .cycle_decomp import (
     partition_even,
     partition_odd,
@@ -97,12 +98,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.full or n % 2 == 0:
         part = partition_odd(n) if n % 2 else partition_even(n)
         if args.full and not validate_partition(part):
-            raise GemError("internal invariant violation: partition failed validation")
+            raise InvariantViolation("partition failed validation")
         classes = part.classes if args.full else part.classes[:1]
     else:
         classes = (walecki_decomposition(n),)
     if not args.full and not validate_class(classes[0]):
-        raise GemError("internal invariant violation: class failed validation")
+        raise InvariantViolation("class failed validation")
     doc = {
         "schema": REPORT_SCHEMA,
         "kind": "partition" if args.full else "decomposition",
@@ -240,10 +241,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GemError as exc:
+    except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return 1
+    except (GemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

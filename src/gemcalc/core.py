@@ -26,6 +26,7 @@ __all__ = [
     "MAX_DIMENSION",
     "ColoredGraph",
     "GemError",
+    "InvariantViolation",
     "ResidueTable",
     "check_dimension",
     "euler_characteristic_complex",
@@ -42,6 +43,13 @@ __all__ = [
 
 class GemError(ValueError):
     """A document, matching family, or operation argument violates the gem contract."""
+
+
+class InvariantViolation(GemError):
+    """A computed result breaks a property that correct code guarantees."""
+
+    def __str__(self) -> str:
+        return f"internal invariant violation: {super().__str__()}"
 
 
 # ceiling on enumerated spaces: the (2p-1)!!^d raw gem stream of exhaustive

@@ -20,18 +20,13 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .core import ENUMERATION_BUDGET, GemError
+from .core import ENUMERATION_BUDGET, GemError, InvariantViolation
 from .perms import CyclicPerm, canonical_perm, cycle_pairs, cyclic_permutations
-
-HamCycle = CyclicPerm
 
 __all__ = [
     "DecompositionClass",
-    "HamCycle",
     "PermPartition",
     "class_of",
-    "cycle_edges",
-    "hamiltonian_cycles",
     "partition_even",
     "partition_odd",
     "validate_class",
@@ -48,7 +43,7 @@ class DecompositionClass(NamedTuple):
 
     n: int
     multiplicity: int
-    cycles: tuple[HamCycle, ...]
+    cycles: tuple[CyclicPerm, ...]
 
 
 class PermPartition(NamedTuple):
@@ -56,16 +51,6 @@ class PermPartition(NamedTuple):
 
     n: int
     classes: tuple[DecompositionClass, ...]
-
-
-def hamiltonian_cycles(n: int) -> tuple[HamCycle, ...]:
-    """All canonical Hamiltonian cycles of K_n, in lexicographic order."""
-    return cyclic_permutations(n - 1)
-
-
-def cycle_edges(cycle: HamCycle) -> list[tuple[int, int]]:
-    """The n unordered edges of a Hamiltonian cycle."""
-    return cycle_pairs(cycle)
 
 
 def validate_class(cls: DecompositionClass) -> bool:
@@ -89,7 +74,7 @@ def validate_class(cls: DecompositionClass) -> bool:
     for cyc in cls.cycles:
         if len(cyc) != n or canonical_perm(cyc) != cyc:
             return False
-        for e in cycle_edges(cyc):
+        for e in cycle_pairs(cyc):
             counts[e] = counts.get(e, 0) + 1
     return all(
         counts.get(e, 0) == expect_mult for e in combinations(range(n), 2)
@@ -98,12 +83,12 @@ def validate_class(cls: DecompositionClass) -> bool:
 
 def validate_partition(part: PermPartition) -> bool:
     """Every class valid and every canonical cycle used exactly once."""
-    seen: list[HamCycle] = []
+    seen: list[CyclicPerm] = []
     for cls in part.classes:
         if cls.n != part.n or not validate_class(cls):
             return False
         seen.extend(cls.cycles)
-    return sorted(seen) == sorted(hamiltonian_cycles(part.n))
+    return sorted(seen) == sorted(cyclic_permutations(part.n - 1))
 
 
 def walecki_decomposition(n: int) -> DecompositionClass:
@@ -170,7 +155,7 @@ def partition_odd(n: int) -> PermPartition:
         ),
     )
     if not validate_partition(part):
-        raise GemError(f"internal invariant violation: orbit partition invalid for n={n}")
+        raise InvariantViolation(f"orbit partition invalid for n={n}")
     return part
 
 
@@ -188,11 +173,11 @@ def partition_even(n: int) -> PermPartition:
         raise GemError(
             f"full even partition supported for n in {PARTITION_EVEN_SUPPORTED}, got {n}"
         )
-    cycles = hamiltonian_cycles(n)
+    cycles = cyclic_permutations(n - 1)
     edges = list(combinations(range(n), 2))
     edge_index = {e: i for i, e in enumerate(edges)}
     edge_lists = [
-        [edge_index[e] for e in cycle_edges(c)] for c in cycles
+        [edge_index[e] for e in cycle_pairs(c)] for c in cycles
     ]
     by_edge: list[list[int]] = [[] for _ in edges]
     for i, bits in enumerate(edge_lists):
@@ -254,7 +239,7 @@ def partition_even(n: int) -> PermPartition:
         return False
 
     if not solve():
-        raise GemError(f"internal invariant violation: no even partition found for n={n}")
+        raise InvariantViolation(f"no even partition found for n={n}")
     part = PermPartition(
         n=n,
         classes=tuple(
@@ -265,7 +250,7 @@ def partition_even(n: int) -> PermPartition:
         ),
     )
     if not validate_partition(part):
-        raise GemError(f"internal invariant violation: even partition invalid for n={n}")
+        raise InvariantViolation(f"even partition invalid for n={n}")
     return part
 
 

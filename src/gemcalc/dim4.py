@@ -30,6 +30,7 @@ from typing import Mapping, NamedTuple
 from .core import (
     ColoredGraph,
     GemError,
+    InvariantViolation,
     _component_labels,
     euler_characteristic_complex,
     is_bipartite,
@@ -40,12 +41,10 @@ from .embeddings import (
     HalfInt,
     _bicolored_cycles,
     _reduced_degree,
-    canonical_perm,
-    cyclic_permutations,
     genus_twices,
     pair_residue_sum,
 )
-from .perms import CyclicPerm, cycle_masks, perm_index
+from .perms import CyclicPerm, canonical_perm, cycle_masks, cyclic_permutations, perm_index
 
 __all__ = [
     "ClassificationResult",
@@ -53,14 +52,10 @@ __all__ = [
     "SurfaceType",
     "associated_pairs",
     "associated_permutation",
-    "check_corollary_12rho",
-    "check_difference_a",
-    "check_difference_b",
     "check_identities",
     "classify_crystallization",
     "consecutive_triples",
     "crystallization_profile",
-    "euler_char_via_genus",
     "is_closed_3_manifold",
     "is_singular_4_manifold",
     "residue_degree_identity",
@@ -137,13 +132,6 @@ _TRIPLE_PAIRS = tuple(  # (rst, rs, rt, st) masks of the ten triples
 _HATS = tuple(0b11111 ^ (1 << i) for i in range(5))  # the colors other than i
 
 
-def _index(eps: CyclicPerm) -> int:
-    """Position of a five-color cyclic permutation in ``cyclic_permutations(4)``."""
-    if len(eps) != 5:
-        raise GemError(f"associated permutations need five colors, got {len(eps)}")
-    return perm_index(4)[canonical_perm(eps)]
-
-
 def _hat_sum(vec: tuple[int, ...]) -> int:
     return sum(vec[m] for m in _HATS)
 
@@ -208,30 +196,16 @@ def is_singular_4_manifold(g: ColoredGraph) -> bool:
     return _spherical_triples(g, _bicolored_cycles(g))
 
 
-def _require_singular(g: ColoredGraph, what: str) -> None:
-    _require_d(g, 4)
-    if not is_singular_4_manifold(g):
-        raise GemError(f"{what} requires a singular-manifold graph")
-
-
+# twice the Euler characteristic of a singular 4-manifold from one associated
+# pair: (rho_e + rho_e') - p + sum g_hat - 2, whichever pair is taken
 def _euler_twice_via_pair(vec: tuple[int, ...], twices: tuple[int, ...], i: int, p: int) -> int:
     return twices[i] + twices[_PARTNER[i]] + 2 * (_hat_sum(vec) - p - 2)
-
-
-def euler_char_via_genus(g: ColoredGraph, eps: CyclicPerm) -> int:
-    """Euler characteristic of the represented singular 4-manifold from one
-    associated pair: (rho_e + rho_e') - p + sum g_hat - 2.
-
-    Must equal the simplicial Euler characteristic and not depend on eps.
-    """
-    _require_singular(g, "Euler characteristic via genera")
-    return _euler_via_pair(residue_vector(g), genus_twices(g), _index(eps), g.p)
 
 
 def _euler_via_pair(vec: tuple[int, ...], twices: tuple[int, ...], i: int, p: int) -> int:
     twice = _euler_twice_via_pair(vec, twices, i, p)
     if twice % 2:
-        raise GemError("internal invariant violation: non-integral Euler characteristic")
+        raise InvariantViolation("non-integral Euler characteristic")
     return twice // 2
 
 
@@ -239,21 +213,12 @@ def _adjacent_minus_skip(vec: tuple[int, ...], i: int) -> int:
     return sum([vec[m] for m in _ADJACENT[i]]) - sum([vec[m] for m in _SKIP[i]])
 
 
+# 2(rho_e' - rho_e) = sum g_{e_j e_{j+1}} - sum g_{e_j e_{j+2}} on every 5-colored graph
 def _difference_a(vec: tuple[int, ...], twices: tuple[int, ...], i: int) -> bool:
     return twices[_PARTNER[i]] - twices[i] == _adjacent_minus_skip(vec, i)
 
 
-def check_difference_a(g: ColoredGraph, eps: CyclicPerm) -> bool:
-    """Exact identity 2(rho_e' - rho_e) = sum g_{e_j e_{j+1}} - sum g_{e_j e_{j+2}}.
-
-    Holds for every 5-colored graph; a False return signals an
-    implementation bug, not a property of the input.
-    """
-    _require_d(g, 4)
-    i = _index(eps)
-    return _difference_a(residue_vector(g), genus_twices(g), i)
-
-
+# rho_e' - rho_e = consecutive minus skip triple residues, on singular-manifold graphs
 def _difference_b(vec: tuple[int, ...], twices: tuple[int, ...], i: int) -> bool:
     consec = sum(vec[_TRIPLE_MASK[t]] for t in _CONSECUTIVE3[i])
     skip = sum(vec[_TRIPLE_MASK[t]] for t in _SKIP3[i])
@@ -268,34 +233,12 @@ def _triple_relation(vec: tuple[int, ...], p: int) -> bool:
     )
 
 
-def check_difference_b(g: ColoredGraph, eps: CyclicPerm) -> bool:
-    """Triple-residue form of the genus difference, on singular-manifold graphs.
-
-    Computes rho_e' - rho_e against the difference of actual triple-residue
-    sums, and separately cross-checks the relation
-    2 g_{rst} = g_{rs} + g_{rt} + g_{st} - p on all ten triples.
-    """
-    _require_singular(g, "triple-residue difference")
-    vec = residue_vector(g)
-    return _difference_b(vec, genus_twices(g), _index(eps)) and _triple_relation(vec, g.p)
-
-
+# the minimal-degree criterion, both sides: the degree is twelve times the regular
+# genus, and the adjacent and skip pair sums agree for every permutation
 def _corollary_12rho(vec: tuple[int, ...], twices: tuple[int, ...]) -> tuple[bool, bool]:
     left = sum(twices) == 12 * min(twices)
     right = all(_adjacent_minus_skip(vec, i) == 0 for i in range(len(twices)))
     return left, right
-
-
-def check_corollary_12rho(g: ColoredGraph) -> tuple[bool, bool]:
-    """Evaluate both sides of the minimal-degree criterion independently.
-
-    Left: the degree equals twelve times the regular genus.  Right: the
-    adjacent-pair and skip-pair residue sums agree for every permutation.
-    The two must co-occur.
-    """
-    _require_d(g, 4)
-    twices = genus_twices(g)
-    return _corollary_12rho(residue_vector(g), twices)
 
 
 class CrystallizationProfile(NamedTuple):
@@ -400,15 +343,13 @@ def _classify(
     )
     stmt_genus = min(twices) == 2 * (2 * profile.euler + 5 * profile.m - 4)
     if not (stmt_gap == stmt_witness == stmt_genus):
-        raise GemError(
-            "internal invariant violation: classification statements disagree "
+        raise InvariantViolation(
+            "classification statements disagree "
             f"(gap={stmt_gap}, witness={stmt_witness}, genus={stmt_genus})"
         )
     left, right = _corollary_12rho(vec, twices)
     if left != right:
-        raise GemError(
-            "internal invariant violation: minimal-degree criterion sides disagree"
-        )
+        raise InvariantViolation("minimal-degree criterion sides disagree")
     if profile.q == 0:
         kind = SEMI_SIMPLE
     elif stmt_witness:
@@ -416,13 +357,10 @@ def _classify(
     else:
         kind = NEITHER
     if profile.q <= 2 and kind == NEITHER:
-        raise GemError(
-            "internal invariant violation: q <= 2 must force a consecutive-triple witness"
-        )
+        raise InvariantViolation("q <= 2 must force a consecutive-triple witness")
     if (profile.q == 0) != (stmt_witness and left):
-        raise GemError(
-            "internal invariant violation: vanishing excess must coincide with "
-            "witness existence plus the minimal-degree property"
+        raise InvariantViolation(
+            "vanishing excess must coincide with witness existence plus the minimal-degree property"
         )
     return ClassificationResult(kind=kind, witness=witness, satisfies_12rho=left)
 

@@ -23,18 +23,17 @@ from itertools import combinations
 from math import factorial
 from typing import Sequence, TYPE_CHECKING
 
-from .core import ColoredGraph, GemError, is_connected, residue_count, residue_vector
-from .perms import CyclicPerm, canonical_perm, cycle_masks, cycle_pairs, cyclic_permutations
+from .core import (
+    ColoredGraph, GemError, InvariantViolation, is_connected, residue_count, residue_vector,
+)
+from .perms import CyclicPerm, cycle_masks, cycle_pairs, cyclic_permutations
 
 if TYPE_CHECKING:
     from .cycle_decomp import DecompositionClass
 
 __all__ = [
-    "CyclicPerm",
     "HalfInt",
-    "canonical_perm",
     "class_genus_sum",
-    "cyclic_permutations",
     "g_degree_definition",
     "g_degree_formula",
     "genus_twices",
@@ -236,9 +235,7 @@ def reduced_g_degree(g: ColoredGraph) -> int:
     omega = g_degree_definition(g)
     quotient, rem = divmod(omega.twice, factorial(g.d - 1))
     if rem:
-        raise GemError(
-            f"internal invariant violation: degree {omega} is not a multiple of (d-1)!/2"
-        )
+        raise InvariantViolation(f"degree {omega} is not a multiple of (d-1)!/2")
     return quotient
 
 

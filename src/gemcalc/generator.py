@@ -17,6 +17,7 @@ from .core import (
     ENUMERATION_BUDGET,
     ColoredGraph,
     GemError,
+    InvariantViolation,
     euler_characteristic_complex,
     is_bipartite,
     is_connected,
@@ -311,13 +312,8 @@ def search_odd_reduced(d: int, max_p: int) -> ColoredGraph | None:
         for g in candidates:
             if reduced_g_degree(g) % 2:
                 if is_bipartite(g):
-                    raise GemError(
-                        "internal invariant violation: odd reduced degree on a bipartite graph"
-                    )
+                    raise InvariantViolation("odd reduced degree on a bipartite graph")
                 if d == 4 and is_singular_4_manifold(g):
-                    raise GemError(
-                        "internal invariant violation: odd reduced degree on a "
-                        "singular-manifold graph"
-                    )
+                    raise InvariantViolation("odd reduced degree on a singular-manifold graph")
                 return g
     return None

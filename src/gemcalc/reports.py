@@ -48,8 +48,8 @@ from .embeddings import (
     HalfInt,
     _bicolored_cycles,
     _reduced_degree,
-    cyclic_permutations,
     genus_twices,
+    regular_genus_min,
 )
 from .generator import (
     GenSpec,
@@ -58,12 +58,13 @@ from .generator import (
     _gem_stream,
     _random_stream,
 )
-from .perms import perm_index
+from .perms import cyclic_permutations, perm_index
 
 __all__ = [
     "REPORT_SCHEMA",
     "analysis_report",
     "campaign_report",
+    "check_graph",
     "render_text",
     "report_json",
     "worker_count",
@@ -178,13 +179,16 @@ def _check(
 
 
 def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
-    """Full single-graph report; requires a connected graph."""
+    """Full single-graph report; requires a connected graph, and crystallization
+    metadata only with five colors."""
+    if metadata is not None and g.d != 4:
+        raise GemError(f"crystallization metadata needs a 5-colored graph (d = 4), got d={g.d}")
     if not is_connected(g):
         raise GemError("analysis requires a connected graph")
     d = g.d
     perms = cyclic_permutations(d)
     twices = genus_twices(g)
-    rho_min = min(twices)
+    rho_min, minimizers = regular_genus_min(g)
 
     cycles = _bicolored_cycles(g)
     flags, checks = _check(g, twices, cycles)
@@ -211,8 +215,8 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
         "euler_characteristic": euler_characteristic_complex(g),
         "genera": {_perm_key(eps): str(HalfInt(t)) for eps, t in zip(perms, twices)},
         "regular_genus": {
-            "value": str(HalfInt(rho_min)),
-            "minimizers": [_perm_key(eps) for eps, t in zip(perms, twices) if t == rho_min],
+            "value": str(rho_min),
+            "minimizers": [_perm_key(eps) for eps in minimizers],
         },
         "gurau_degree": str(HalfInt(sum(twices))),
         "checks": checks,
@@ -255,7 +259,7 @@ def _metadata_block(g: ColoredGraph, metadata: dict) -> dict:
     m = metadata["m"]
     if not isinstance(m, int) or isinstance(m, bool):
         raise GemError("metadata field 'm' must be an integer")
-    if not metadata.get("closed_manifold_asserted", False):
+    if metadata.get("closed_manifold_asserted") is not True:
         raise GemError(
             "crystallization metadata requires closed_manifold_asserted: true"
         )

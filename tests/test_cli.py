@@ -15,6 +15,7 @@ import pytest
 
 from gemcalc import serialize_gem
 from gemcalc.cli import main
+from gemcalc import generator as generator_module
 from gemcalc import reports as reports_module
 
 from conftest import M_A, M_C, SerialPool
@@ -71,6 +72,32 @@ def test_analyze_inconsistent_metadata(dipole_file, tmp_path, capsys):
     meta.write_text(json.dumps({"m": 1, "closed_manifold_asserted": True}))
     assert main(["analyze", str(dipole_file), "--metadata", str(meta)]) == 2
     assert "inconsistent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("asserted", ["false", "true", 1])
+def test_analyze_metadata_requires_boolean_assertion(dipole_file, tmp_path, capsys, asserted):
+    # only the JSON boolean true asserts a closed manifold
+    meta = tmp_path / "meta.json"
+    meta.write_text(json.dumps({"m": 0, "closed_manifold_asserted": asserted}))
+    assert main(["analyze", str(dipole_file), "--metadata", str(meta)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "closed_manifold_asserted: true" in err
+
+
+def test_analyze_metadata_refused_below_five_colors(tmp_path, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(reports_module, "_check", unreachable)
+    gem = tmp_path / "dipole3.json"
+    gem.write_text(serialize_gem(dipole(3)))
+    meta = tmp_path / "meta.json"
+    meta.write_text(json.dumps({"nonsense": 1}))
+    assert main(["analyze", str(gem), "--metadata", str(meta)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "5-colored" in err and "d=3" in err
 
 
 def test_analyze_malformed(tmp_path, capsys):
@@ -574,3 +601,12 @@ def test_search_odd_cli(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["reduced_degree"] == doc["reduced_degree"]
     assert report["dim4"]["singular_manifold"] is False
+
+
+def test_search_odd_invariant_violation_exits_1(monkeypatch, capsys):
+    # a broken internal invariant is not an input error
+    monkeypatch.setattr(generator_module, "is_bipartite", lambda g: True)
+    assert main(["search-odd", "--max-p", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal invariant violation: odd reduced degree on a bipartite graph" in err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import pickle
 import pkgutil
@@ -273,7 +274,8 @@ def test_graph_repr_unchanged():
 
 def test_public_exports_resolve():
     # every module's __all__ resolves, and the package re-exports only names
-    # that their source modules declare public
+    # that their source modules declare public, each function and class from
+    # the module that defines it (so no alias re-export comes back)
     modules = {
         info.name: importlib.import_module(f"gemcalc.{info.name}")
         for info in pkgutil.iter_modules(gemcalc.__path__)
@@ -290,3 +292,11 @@ def test_public_exports_resolve():
         public = modules[node.module].__all__
         stray = [alias.name for alias in node.names if alias.name not in public]
         assert not stray, f"gemcalc imports {stray} outside gemcalc.{node.module}.__all__"
+        objects = [getattr(gemcalc, alias.name) for alias in node.names]
+        relayed = [
+            f"{obj.__module__}.{obj.__name__}"
+            for obj in objects
+            if (inspect.isclass(obj) or inspect.isroutine(obj))
+            and obj.__module__ != f"gemcalc.{node.module}"
+        ]
+        assert not relayed, f"gemcalc imports {relayed} through gemcalc.{node.module}"

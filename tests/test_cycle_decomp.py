@@ -11,8 +11,7 @@ from gemcalc import (
     GemError,
     PermPartition,
     class_of,
-    cycle_edges,
-    hamiltonian_cycles,
+    cyclic_permutations,
     partition_even,
     partition_odd,
     residue_count,
@@ -23,18 +22,19 @@ from gemcalc import (
 from gemcalc import cycle_decomp
 from gemcalc.cycle_decomp import DecompositionClass
 from gemcalc.dim4 import associated_pairs
+from gemcalc.perms import cycle_pairs
 
 from conftest import corpus
 
 
 def test_hamiltonian_cycle_counts():
     for n in (3, 4, 5, 6, 7):
-        assert len(hamiltonian_cycles(n)) == factorial(n - 1) // 2
+        assert len(cyclic_permutations(n - 1)) == factorial(n - 1) // 2
 
 
 def test_cycle_edges():
-    assert sorted(cycle_edges((0, 1, 2))) == [(0, 1), (0, 2), (1, 2)]
-    assert len(cycle_edges((0, 1, 2, 3, 4))) == 5
+    assert sorted(cycle_pairs((0, 1, 2))) == [(0, 1), (0, 2), (1, 2)]
+    assert len(cycle_pairs((0, 1, 2, 3, 4))) == 5
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
@@ -47,7 +47,7 @@ def test_walecki_decomposition(n):
 def test_walecki_small_cases():
     assert walecki_decomposition(3).cycles == ((0, 1, 2),)
     edges5 = sorted(
-        e for cyc in walecki_decomposition(5).cycles for e in cycle_edges(cyc)
+        e for cyc in walecki_decomposition(5).cycles for e in cycle_pairs(cyc)
     )
     assert edges5 == sorted(combinations(range(5), 2))
 
@@ -99,10 +99,10 @@ def test_partition_even_n4():
     part = partition_even(4)
     assert len(part.classes) == 1
     cls = part.classes[0]
-    assert set(cls.cycles) == set(hamiltonian_cycles(4))
+    assert set(cls.cycles) == set(cyclic_permutations(3))
     counts = {}
     for cyc in cls.cycles:
-        for e in cycle_edges(cyc):
+        for e in cycle_pairs(cyc):
             counts[e] = counts.get(e, 0) + 1
     assert all(counts[e] == 2 for e in combinations(range(4), 2))
 

@@ -14,16 +14,11 @@ from gemcalc import (
     HalfInt,
     associated_pairs,
     associated_permutation,
-    check_corollary_12rho,
-    check_difference_a,
-    check_difference_b,
     classify_crystallization,
     crystallization_profile,
     cyclic_permutations,
     dipole,
     enumerate_gems,
-    euler_char_via_genus,
-    euler_characteristic_complex,
     g_degree_definition,
     g_degree_formula,
     is_closed_3_manifold,
@@ -75,8 +70,6 @@ def test_associated_permutation_wrong_size():
 
 
 def test_non_permutations_raise_gem_error():
-    with pytest.raises(GemError, match="not a permutation"):
-        check_difference_a(dipole(4), (0, 0, 0, 0, 0))
     with pytest.raises(GemError, match="not a permutation"):
         associated_permutation((0, 1, 1, 2, 3))
 
@@ -170,56 +163,10 @@ def test_closed_3_manifold_matches_face_oracle():
     assert outcomes == {True, False}
 
 
-# --- Euler characteristic through genera ---------------------------------------
-
-
-def test_euler_via_genus_dipole(dipole4):
-    for eps, _ in associated_pairs():
-        assert euler_char_via_genus(dipole4, eps) == 2
-
-
-def test_euler_via_genus_g4(g4):
-    # (0 + 1) - 2 + 5 - 2
-    assert euler_char_via_genus(g4, (0, 1, 2, 3, 4)) == 2
-    assert euler_char_via_genus(g4, (0, 1, 2, 3, 4)) == euler_characteristic_complex(g4)
-
-
-def test_euler_via_genus_pair_independent():
-    hits = 0
-    for g in corpus(4, 3, 120, seed=89, connected_only=True):
-        if not is_singular_4_manifold(g):
-            continue
-        hits += 1
-        chi = euler_characteristic_complex(g)
-        assert all(euler_char_via_genus(g, a) == chi for a, _ in associated_pairs())
-    assert hits > 0
-
-
-def test_euler_via_genus_requires_singular(odd_degree_witness):
-    with pytest.raises(GemError, match="singular"):
-        euler_char_via_genus(odd_degree_witness, (0, 1, 2, 3, 4))
-
-
 # --- genus difference identities ------------------------------------------------
 
 
-def test_difference_a_dipole(dipole4):
-    assert all(check_difference_a(dipole4, eps) for eps in cyclic_permutations(4))
-
-
-def test_difference_a_g4(g4):
-    # 2(1 - 0) = 8 - 6 on the identity permutation
-    assert check_difference_a(g4, (0, 1, 2, 3, 4))
-    assert all(check_difference_a(g4, eps) for eps in cyclic_permutations(4))
-
-
-def test_difference_a_random():
-    for g in corpus(4, 4, 60, seed=97, connected_only=True):
-        assert all(check_difference_a(g, eps) for eps in cyclic_permutations(4))
-
-
 def test_difference_b_g4(g4):
-    assert all(check_difference_b(g4, eps) for eps in cyclic_permutations(4))
     # the pair/triple relation pins the mixed triple count
     assert 2 * residue_count(g4, (0, 1, 3)) == (
         residue_count(g4, (0, 1))
@@ -228,22 +175,6 @@ def test_difference_b_g4(g4):
         - g4.p
     )
     assert residue_count(g4, (0, 1, 3)) == 1
-
-
-def test_difference_b_requires_singular(odd_degree_witness):
-    with pytest.raises(GemError, match="singular"):
-        check_difference_b(odd_degree_witness, (0, 1, 2, 3, 4))
-
-
-def test_corollary_12rho(dipole4, g4):
-    assert check_corollary_12rho(dipole4) == (True, True)
-    assert check_corollary_12rho(g4) == (False, False)
-
-
-def test_corollary_12rho_cooccurs():
-    for g in corpus(4, 3, 80, seed=101, connected_only=True):
-        left, right = check_corollary_12rho(g)
-        assert left == right
 
 
 # --- crystallization profiles ----------------------------------------------------

@@ -26,8 +26,8 @@ from gemcalc import (
     search_rp2,
     surface_type,
 )
-from gemcalc.embeddings import cyclic_permutations
 from gemcalc.generator import _gem_stream, all_matchings, enumeration_size
+from gemcalc.perms import cyclic_permutations
 
 from conftest import M_A, M_B, M_C
 
