@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Iterable, Mapping
@@ -99,10 +100,11 @@ class ColoredGraph(_Frozen):
 
     Top-level gems have ``d >= 2``; any ``d >= 0`` is accepted, so that a
     residue can be built as a graph of its own.  ``_vector`` caches
-    :func:`residue_vector` and does not participate in equality.
+    :func:`residue_vector` and ``_connected`` caches :func:`is_connected`;
+    neither takes part in equality, hashing, ``repr`` or pickling.
     """
 
-    __slots__ = ("d", "order", "matchings", "_vector")
+    __slots__ = ("d", "order", "matchings", "_vector", "_connected")
     _fields = ("d", "order", "matchings")
 
     def __init__(self, d: int, order: int, matchings: tuple[tuple[int, ...], ...]) -> None:
@@ -111,6 +113,7 @@ class ColoredGraph(_Frozen):
         set_(self, "order", order)
         set_(self, "matchings", matchings)
         set_(self, "_vector", None)
+        set_(self, "_connected", None)
         self.__post_init__()
 
     def __eq__(self, other: object) -> bool:
@@ -164,21 +167,39 @@ def _color_mask(g: ColoredGraph, colors: Iterable[int]) -> int:
     return mask
 
 
-def _build_vector(order: int, matchings: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Component counts of every color subset, by subset DP over union-find.
+@lru_cache(maxsize=None)
+def _subset_masks(n: int, size: int) -> tuple[int, ...]:
+    """The subsets of 2 to ``size`` of n colors, as ascending bitmasks."""
+    return tuple(mask for mask in range(3, 1 << n) if 2 <= mask.bit_count() <= size)
 
-    The components of ``mask`` are those of ``mask`` minus its top color,
-    merged along the edges of that color: one union-find pass over the
-    component labels of the smaller set.  Labels are kept only for sets
-    without the last color, the only ones that are ever extended.
+
+def _build_vector(
+    order: int, matchings: tuple[tuple[int, ...], ...], size: int | None = None
+) -> tuple[int | None, ...]:
+    """Component counts of the color subsets of at most ``size`` colors (of
+    every subset by default), by subset DP over union-find.
+
+    A single color's components are its edges, each labelled by its lesser
+    end.  The components of a larger ``mask`` are those of ``mask`` minus
+    its top color, merged along the edges of that color: one union-find
+    pass over the component labels of the smaller set.  Labels are kept
+    only for the sets that are ever extended: those without the last color
+    and below the size bound.  The entries of larger subsets are None,
+    never counted.
     """
     n = len(matchings)
+    if size is None:
+        size = n
     edges = [[(v, w - 1) for v, w in enumerate(mu) if v < w - 1] for mu in matchings]
-    counts = [0] * (1 << n)
+    counts: list[int | None] = [None] * (1 << n)
     counts[0] = order
     extended = 1 << (n - 1)
-    labels: list[list[int]] = [list(range(order))] + [[]] * (extended - 1)
-    for mask in range(1, 1 << n):
+    labels: list[list[int]] = [[]] * extended
+    for c, mu in enumerate(matchings):
+        counts[1 << c] = order // 2
+        if 1 << c < extended and size > 1:
+            labels[1 << c] = [v if v < w - 1 else w - 1 for v, w in enumerate(mu)]
+    for mask in _subset_masks(n, size):
         top = mask.bit_length() - 1
         rest = mask ^ (1 << top)
         label = labels[rest]
@@ -195,7 +216,7 @@ def _build_vector(order: int, matchings: tuple[tuple[int, ...], ...]) -> tuple[i
                 parent[b] = a
                 count -= 1
         counts[mask] = count
-        if mask < extended:
+        if mask < extended and mask.bit_count() < size:
             for x in range(order):
                 r = x
                 while parent[r] != r:
@@ -217,6 +238,17 @@ def residue_vector(g: ColoredGraph) -> tuple[int, ...]:
         vec = _build_vector(g.order, g.matchings)
         object.__setattr__(g, "_vector", vec)
     return vec
+
+
+def _pair_vector(g: ColoredGraph) -> tuple[int | None, ...]:
+    """Residue counts of the empty set, the single colors and the color pairs.
+
+    The graph's own vector when it holds one; otherwise a vector counted for
+    those sets alone, whose larger entries are None.  That one is not kept
+    on the graph, so :func:`residue_vector` only ever hands out a full one.
+    """
+    vec = g._vector
+    return _build_vector(g.order, g.matchings, 2) if vec is None else vec
 
 
 def residue_count(g: ColoredGraph, colors: Iterable[int]) -> int:
@@ -280,10 +312,17 @@ def _component_labels(g: ColoredGraph, colors: Iterable[int]) -> tuple[list[int]
 
 
 def is_connected(g: ColoredGraph) -> bool:
-    """One label walk over all colors, or a lookup once the vector exists."""
-    if g._vector is not None:
-        return g._vector[-1] == 1
-    return len(_component_labels(g, g.colors)[1]) == 1
+    """One label walk over all colors, or a lookup once the vector exists;
+    the answer is kept on the graph."""
+    connected = g._connected
+    if connected is None:
+        vec = g._vector
+        if vec is None:
+            connected = len(_component_labels(g, g.colors)[1]) == 1
+        else:
+            connected = vec[-1] == 1
+        object.__setattr__(g, "_connected", connected)
+    return connected
 
 
 def is_bipartite(g: ColoredGraph) -> bool:

@@ -24,7 +24,7 @@ from math import factorial
 from typing import Sequence, TYPE_CHECKING
 
 from .core import (
-    ColoredGraph, GemError, InvariantViolation, is_connected, residue_count, residue_vector,
+    ColoredGraph, GemError, InvariantViolation, _pair_vector, is_connected, residue_count,
 )
 from .perms import CyclicPerm, cycle_masks, cycle_pairs, cyclic_permutations
 
@@ -180,9 +180,13 @@ def pair_residue_sum(g: ColoredGraph) -> int:
 
 def genus_twices(g: ColoredGraph) -> tuple[int, ...]:
     """Twice the regular genus of every canonical permutation, in the order
-    of :func:`cyclic_permutations`, read off the residue vector."""
-    vec = residue_vector(g)
+    of :func:`cyclic_permutations`, from the pair residue counts.
+
+    They are read off the residue vector when the graph holds one, and
+    otherwise counted for the color pairs alone, never for larger sets.
+    """
     _require_connected(g)
+    vec = _pair_vector(g)
     base = 2 + (g.d - 1) * g.p
     return tuple(base - sum([vec[m] for m in masks]) for masks in cycle_masks(g.d))
 
@@ -259,7 +263,13 @@ def class_genus_sum(g: ColoredGraph, cls: "DecompositionClass") -> HalfInt:
 
 def regular_genus_min(g: ColoredGraph) -> tuple[HalfInt, tuple[CyclicPerm, ...]]:
     """Minimum genus over all canonical permutations, with every minimizer."""
-    twices = genus_twices(g)
+    return _genus_minimum(g.d, genus_twices(g))
+
+
+def _genus_minimum(
+    d: int, twices: tuple[int, ...]
+) -> tuple[HalfInt, tuple[CyclicPerm, ...]]:
+    """The least of :func:`genus_twices`' values, halved, and its permutations."""
     best = min(twices)
-    perms = cyclic_permutations(g.d)
+    perms = cyclic_permutations(d)
     return HalfInt(best), tuple(perms[i] for i, t in enumerate(twices) if t == best)

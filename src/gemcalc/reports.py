@@ -39,17 +39,17 @@ from .cycle_decomp import (
 from .dim4 import (
     associated_pairs,
     check_identities,
-    classify_crystallization,
     crystallization_profile,
+    _classify,
     _euler_via_pair,
     _surface,
 )
 from .embeddings import (
     HalfInt,
     _bicolored_cycles,
+    _genus_minimum,
     _reduced_degree,
     genus_twices,
-    regular_genus_min,
 )
 from .generator import (
     GenSpec,
@@ -120,6 +120,10 @@ def check_graph(g: ColoredGraph) -> tuple[dict[str, bool], dict[str, bool]]:
     manifold, odd reduced degree, crystallization profile accepted); checks
     map stable names to pass/fail.
     """
+    if g.d in (2, 4):
+        # these branches read the full residue vector: build it before the
+        # genus side reads its pair counts, so they are counted once
+        residue_vector(g)
     return _check(g, genus_twices(g), _bicolored_cycles(g))
 
 
@@ -181,14 +185,16 @@ def _check(
 def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
     """Full single-graph report; requires a connected graph, and crystallization
     metadata only with five colors."""
-    if metadata is not None and g.d != 4:
-        raise GemError(f"crystallization metadata needs a 5-colored graph (d = 4), got d={g.d}")
+    if metadata is not None:
+        _check_metadata(g, metadata)
+    # the report reads the complements and chi: the full vector, built first
+    residue_vector(g)
     if not is_connected(g):
         raise GemError("analysis requires a connected graph")
     d = g.d
     perms = cyclic_permutations(d)
     twices = genus_twices(g)
-    rho_min, minimizers = regular_genus_min(g)
+    rho_min, minimizers = _genus_minimum(d, twices)
 
     cycles = _bicolored_cycles(g)
     flags, checks = _check(g, twices, cycles)
@@ -248,12 +254,15 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
                 residue_vector(g), twices, index[associated_pairs()[0][0]], g.p
             )
         if metadata is not None:
-            block["crystallization"] = _metadata_block(g, metadata)
+            block["crystallization"] = _metadata_block(g, metadata, twices)
         report["dim4"] = block
     return report
 
 
-def _metadata_block(g: ColoredGraph, metadata: dict) -> dict:
+def _check_metadata(g: ColoredGraph, metadata: dict) -> None:
+    """Refuse crystallization metadata before any report work starts."""
+    if g.d != 4:
+        raise GemError(f"crystallization metadata needs a 5-colored graph (d = 4), got d={g.d}")
     if not isinstance(metadata, dict) or "m" not in metadata:
         raise GemError("crystallization metadata must be an object with field 'm'")
     m = metadata["m"]
@@ -263,8 +272,11 @@ def _metadata_block(g: ColoredGraph, metadata: dict) -> dict:
         raise GemError(
             "crystallization metadata requires closed_manifold_asserted: true"
         )
-    profile = crystallization_profile(g, m)
-    result = classify_crystallization(profile, g)
+
+
+def _metadata_block(g: ColoredGraph, metadata: dict, twices: tuple[int, ...]) -> dict:
+    profile = crystallization_profile(g, metadata["m"])
+    result = _classify(profile, residue_vector(g), twices)
     return {
         "m": profile.m,
         "euler": profile.euler,

@@ -19,7 +19,7 @@ from gemcalc import generator as generator_module
 from gemcalc import reports as reports_module
 
 from conftest import M_A, M_C, SerialPool
-from gemcalc import ColoredGraph, dipole
+from gemcalc import ColoredGraph, GemError, dipole
 
 
 @pytest.fixture
@@ -83,6 +83,23 @@ def test_analyze_metadata_requires_boolean_assertion(dipole_file, tmp_path, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert "closed_manifold_asserted: true" in err
+
+
+@pytest.mark.parametrize(
+    "metadata", [{"m": "x", "closed_manifold_asserted": True}, {"m": 0}, []]
+)
+def test_analysis_checks_metadata_before_the_battery(monkeypatch, metadata):
+    runs = []
+    check = reports_module._check
+
+    def counting(*args):
+        runs.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(reports_module, "_check", counting)
+    with pytest.raises(GemError):
+        reports_module.analysis_report(dipole(4), metadata)
+    assert runs == []
 
 
 def test_analyze_metadata_refused_below_five_colors(tmp_path, monkeypatch, capsys):

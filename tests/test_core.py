@@ -29,7 +29,7 @@ from gemcalc import (
     serialize_gem,
     simplex_counts,
 )
-from gemcalc.core import MAX_DIMENSION
+from gemcalc.core import MAX_DIMENSION, _build_vector
 
 from conftest import (
     M_A,
@@ -137,6 +137,20 @@ def test_residue_vector_built_once(g4):
     assert residue_count(fresh, (0, 1)) == vec[0b00011]
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_pair_counts_match_full_vector(d):
+    # the size-bounded DP fills the empty set, the single colors and the
+    # pairs exactly as the full vector does, and counts no larger set
+    for p in range(1, 4):
+        for g in corpus(d, p, 4, seed=900 + 10 * d + p):
+            full = _build_vector(g.order, g.matchings)
+            pairs = _build_vector(g.order, g.matchings, 2)
+            assert len(pairs) == len(full) == 2 ** (d + 1)
+            for mask, value in enumerate(pairs):
+                assert value == (full[mask] if mask.bit_count() <= 2 else None), (g, mask)
+            assert g._vector is None
+
+
 def test_residue_color_out_of_range(g4):
     with pytest.raises(GemError, match="color 5 out of range"):
         residue_count(g4, (0, 5))
@@ -173,6 +187,26 @@ def test_connectivity(dipole4, g4):
     two_dipoles = ColoredGraph(d=4, order=4, matchings=(M_A,) * 5)
     assert not is_connected(two_dipoles)
     assert oracle_components(two_dipoles, range(5)) == 2
+
+
+def test_connectivity_memo_kept_and_ignored_by_value(g4):
+    twin = ColoredGraph(d=4, order=4, matchings=g4.matchings)
+    assert is_connected(twin) and twin._connected is True
+    other = ColoredGraph(d=4, order=4, matchings=g4.matchings)
+    assert other._connected is None
+    assert twin == other and hash(twin) == hash(other)
+    assert repr(twin) == repr(other) == f"ColoredGraph(d=4, order=4, matchings={g4.matchings!r})"
+    shipped = pickle.loads(pickle.dumps(twin))
+    assert shipped == twin and shipped._connected is None
+
+
+def test_disconnected_memo_stays_disconnected():
+    two_dipoles = ColoredGraph(d=4, order=4, matchings=(M_A,) * 5)
+    assert not is_connected(two_dipoles)
+    assert two_dipoles._connected is False and two_dipoles._vector is None
+    assert not is_connected(two_dipoles)
+    residue_vector(two_dipoles)
+    assert not is_connected(two_dipoles)
 
 
 def test_simplex_counts_dipole(dipole4):

@@ -21,6 +21,7 @@ from gemcalc import (
     enumerate_gems,
     g_degree_definition,
     g_degree_formula,
+    genus_twices,
     is_closed_3_manifold,
     is_singular_4_manifold,
     regular_genus,
@@ -29,6 +30,7 @@ from gemcalc import (
     residue_vector,
     surface_type,
 )
+from gemcalc import core as core_module
 from gemcalc.embeddings import _bicolored_cycles
 from gemcalc.reports import analysis_report, check_graph
 from gemcalc.dim4 import NEITHER, SEMI_SIMPLE, WEAK_SEMI_SIMPLE, _component_faces, skip_triples
@@ -351,6 +353,87 @@ def test_tampered_pair_count_is_reported_not_raised(d, g4):
             if g is g4 or flags["singular_manifold"]:
                 expected.add("euler_formula_agreement")
         assert expected <= {name for name, ok in checks.items() if not ok}
+
+
+def test_tampered_pair_only_count_breaks_degree_formula(monkeypatch):
+    # at d = 3 the genus side counts the pairs alone, never the full vector:
+    # a corrupted pair count there disagrees with the bicolored-cycle walk
+    build = core_module._build_vector
+
+    def bumped(order, matchings, size=None):
+        assert size == 2
+        vec = list(build(order, matchings, size))
+        vec[0b0011] += 1
+        return tuple(vec)
+
+    graphs = corpus(3, 4, 10, seed=730, connected_only=True)
+    assert all(all(check_graph(g)[1].values()) for g in graphs)
+    monkeypatch.setattr(core_module, "_build_vector", bumped)
+    for g in graphs:
+        fresh = ColoredGraph(d=3, order=g.order, matchings=g.matchings)
+        checks = check_graph(fresh)[1]
+        assert checks["degree_formula_agreement"] is False
+        assert fresh._vector is None
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_battery_counts_full_vector_only_where_read(monkeypatch, d):
+    # d = 2 (the simplicial Euler characteristic) and d = 4 (the five-color
+    # identities) build the full vector once; elsewhere the pairs alone
+    full = d in (2, 4)
+    sizes = []
+    build = core_module._build_vector
+
+    def counting(order, matchings, size=None):
+        sizes.append(size)
+        return build(order, matchings, size)
+
+    monkeypatch.setattr(core_module, "_build_vector", counting)
+    for p in range(1, 4):
+        for g in corpus(d, p, 5, seed=740 + p, connected_only=True):
+            fresh = ColoredGraph(d=d, order=g.order, matchings=g.matchings)
+            sizes.clear()
+            check_graph(fresh)
+            assert sizes == [None if full else 2]
+            assert (fresh._vector is not None) == full
+
+
+def test_battery_refuses_disconnected():
+    for d in (3, 4):
+        two_dipoles = ColoredGraph(d=d, order=4, matchings=(M_A,) * (d + 1))
+        for _ in range(2):  # the second call reads the kept answer
+            with pytest.raises(GemError, match="connected"):
+                check_graph(two_dipoles)
+        assert two_dipoles._connected is False
+
+
+def test_analysis_reads_genera_once(monkeypatch, g4, rp2_gem):
+    # one genus_twices and one full vector per report, whatever d, and with
+    # crystallization metadata
+    calls = []
+    build = core_module._build_vector
+
+    def counting_twices(g):
+        calls.append("genus_twices")
+        return genus_twices(g)
+
+    def counting_build(order, matchings, size=None):
+        calls.append(size)
+        return build(order, matchings, size)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gemcalc") and hasattr(module, "genus_twices"):
+            monkeypatch.setattr(module, "genus_twices", counting_twices)
+    monkeypatch.setattr(core_module, "_build_vector", counting_build)
+    metadata = {"m": 0, "closed_manifold_asserted": True}
+    cases = [(dipole(d), None) for d in range(2, 7)] + [(g4, None), (rp2_gem, None)]
+    cases += [(dipole(4), metadata), (g4, metadata)]  # the crystallization block too
+    for g, meta in cases:
+        fresh = ColoredGraph(d=g.d, order=g.order, matchings=g.matchings)
+        calls.clear()
+        report = analysis_report(fresh, meta)
+        assert calls == [None, "genus_twices"]
+        assert ("crystallization" in report.get("dim4", {})) == (meta is not None)
 
 
 # --- component labels over the bicolored cycles ---------------------------------

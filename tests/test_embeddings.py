@@ -18,11 +18,13 @@ from gemcalc import (
     dipole,
     g_degree_definition,
     g_degree_formula,
+    genus_twices,
     partition_even,
     partition_odd,
     reduced_g_degree,
     regular_genus,
     regular_genus_min,
+    residue_vector,
     walecki_decomposition,
 )
 from gemcalc.cycle_decomp import DecompositionClass
@@ -141,6 +143,27 @@ def test_regular_genus_errors(g4):
     two_dipoles = ColoredGraph(d=4, order=4, matchings=(M_A,) * 5)
     with pytest.raises(GemError, match="connected"):
         regular_genus(two_dipoles, (0, 1, 2, 3, 4))
+
+
+def test_genus_twices_same_from_pairs_and_full_vector():
+    for d in range(2, 8):
+        for g in corpus(d, 3, 3, seed=800 + d, connected_only=True):
+            fresh = ColoredGraph(d=d, order=g.order, matchings=g.matchings)
+            from_pairs = genus_twices(fresh)
+            assert fresh._vector is None
+            residue_vector(fresh)
+            assert genus_twices(fresh) == from_pairs
+            assert from_pairs == tuple(
+                oracle_genus_twice(g, eps) for eps in cyclic_permutations(d)
+            )
+
+
+def test_genus_twices_refuses_disconnected():
+    two_dipoles = ColoredGraph(d=4, order=4, matchings=(M_A,) * 5)
+    for _ in range(2):  # the second call reads the kept answer
+        with pytest.raises(GemError, match="connected"):
+            genus_twices(two_dipoles)
+    assert two_dipoles._vector is None
 
 
 # --- degrees -----------------------------------------------------------------
