@@ -3,8 +3,11 @@ and targeted searches.
 
 Randomness comes from SplitMix64, a named 64-bit generator implemented here
 so that identical seeds give bit-identical corpora on every platform and
-Python version; matchings are sampled by an unbiased Fisher-Yates shuffle
-followed by pairing consecutive entries.
+Python version.  Each gem of a random corpus is drawn from its own stream,
+seeded from (seed, p, gem index) (Steele, Lea & Flood, "Fast Splittable
+Pseudorandom Number Generators", OOPSLA 2014), so any range of a corpus can
+be drawn without the gems before it.  A matching is drawn by direct
+pairing: p - 1 unbiased bounded draws per matching of 2p vertices.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .core import (
     ColoredGraph,
     GemError,
     InvariantViolation,
+    check_dimension,
     euler_characteristic_complex,
     is_bipartite,
     is_connected,
@@ -38,6 +42,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
 
 # per-sample rejection ceiling before a filter is declared infeasible
 REJECTION_BUDGET = 100_000
@@ -55,8 +60,7 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
+        z = self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
@@ -65,16 +69,11 @@ class SplitMix64:
         """Uniform integer in [0, bound), unbiased by rejection."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        limit = (_MASK64 + 1) - (_MASK64 + 1) % bound
+        limit = _TWO64 - _TWO64 % bound
         while True:
             r = self.next64()
             if r < limit:
                 return r % bound
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
 
 
 class _GenFields(NamedTuple):
@@ -96,6 +95,7 @@ class GenSpec(_GenFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.d < 2:
             raise GemError(f"dimension must be >= 2, got {self.d}")
+        check_dimension(self.d)
         if self.p < 1:
             raise GemError(f"half-order must be >= 1, got {self.p}")
         if self.count < 1:
@@ -134,32 +134,59 @@ def dipole(d: int) -> ColoredGraph:
 
 
 def _random_matching(rng: SplitMix64, order: int) -> tuple[int, ...]:
-    verts = list(range(1, order + 1))
-    rng.shuffle(verts)
+    """A uniform perfect matching of 1..order, as its involution array.
+
+    The last free vertex is paired with a uniformly drawn other free vertex
+    until two are left, which pair with each other: p - 1 draws for
+    order 2p, with 2p - 1, 2p - 3, ..., 3 outcomes, so each of the (2p-1)!!
+    matchings is drawn with the same probability.
+    """
+    free = list(range(1, order + 1))
     mu = [0] * order
-    for i in range(0, order, 2):
-        a, b = verts[i], verts[i + 1]
+    below = rng.below
+    for others in range(order - 1, 1, -2):
+        a = free.pop()
+        b = free.pop(below(others))
         mu[a - 1] = b
         mu[b - 1] = a
+    a, b = free
+    mu[a - 1] = b
+    mu[b - 1] = a
     return tuple(mu)
+
+
+def _gem_streams(seed: int, p: int, lo: int, hi: int) -> Iterator[SplitMix64]:
+    """The streams that draw gems ``lo`` to ``hi - 1`` of the corpus (seed, p).
+
+    With f(z) the SplitMix64 output function, the finalizer applied to
+    z + 0x9E3779B97F4A7C15 mod 2**64 (the first ``next64`` of
+    ``SplitMix64(z)``), gem i's stream starts from f(f(f(seed) ^ p) ^ i).
+    """
+    key = SplitMix64(SplitMix64(seed).next64() ^ p).next64()
+    for i in range(lo, hi):
+        yield SplitMix64(SplitMix64(key ^ i).next64())
 
 
 def random_gem(spec: GenSpec) -> list[ColoredGraph]:
     """Draw ``spec.count`` gems with independent uniform matchings per color.
 
-    Filters act by rejection; exceeding the per-sample rejection budget is
-    reported as an infeasible filter.
+    Gem i is drawn from its own SplitMix64 stream, seeded from
+    (spec.seed, spec.p, i) (see ``_gem_streams``), so it does not depend on
+    the gems before it.  Filters act by rejection, each rejected candidate
+    replaced by the next one from the same gem's stream; exceeding the
+    per-sample rejection budget is reported as an infeasible filter.
     """
     return list(_random_stream(spec))
 
 
-def _random_stream(spec: GenSpec) -> Iterator[ColoredGraph]:
-    """The gems of :func:`random_gem`, drawn one at a time as they are taken."""
-    rng = SplitMix64(spec.seed)
+def _random_stream(spec: GenSpec, lo: int = 0) -> Iterator[ColoredGraph]:
+    """Gems ``lo`` to ``spec.count - 1`` of :func:`random_gem`, drawn one at a
+    time as they are taken."""
     order = 2 * spec.p
-    for _ in range(spec.count):
+    colors = range(spec.d + 1)
+    for rng in _gem_streams(spec.seed, spec.p, lo, spec.count):
         for attempt in range(REJECTION_BUDGET):
-            mats = tuple(_random_matching(rng, order) for _ in range(spec.d + 1))
+            mats = tuple(_random_matching(rng, order) for _ in colors)
             g = ColoredGraph(d=spec.d, order=order, matchings=mats)
             if spec.connected_only and not is_connected(g):
                 continue

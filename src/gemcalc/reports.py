@@ -70,7 +70,7 @@ __all__ = [
     "worker_count",
 ]
 
-REPORT_SCHEMA = "gemcalc.report/1"
+REPORT_SCHEMA = "gemcalc.report/2"
 MAX_EMBEDDED_COUNTEREXAMPLES = 5
 _BATCH_SIZE = 2000
 _RUN_SIZE = 64
@@ -295,26 +295,30 @@ def _metadata_block(g: ColoredGraph, metadata: dict, twices: tuple[int, ...]) ->
 
 
 def _shards(d: int, mode: str, max_p: int, count: int, seed: int) -> tuple[list[tuple], int]:
-    """Shard descriptors in corpus order, and the raw corpus size.
+    """Shard descriptors ``(mode, d, p, lo, hi, seed)`` in corpus order, and
+    the raw corpus size.
 
-    A random shard is one p's stream ``(d, p, n_p, seed + p)``; an exhaustive
-    shard is a raw range ``[lo, lo + _BATCH_SIZE)`` of one p's gauge-fixed
-    stream.  Only p <= count can hold a random sample.  A random corpus over
-    the sample bound, and every exhaustive p over budget, is refused before
-    any shard exists.
+    A shard is a range ``[lo, hi)`` of at most ``_BATCH_SIZE`` positions in
+    one p's stream: gems of the random corpus ``(seed + p, p)`` of n_p gems,
+    or raw candidates of the gauge-fixed stream (``seed`` None).  Only
+    p <= count can hold a random sample.  A random corpus over the sample
+    bound, and every exhaustive p over budget, is refused before any shard
+    exists.
     """
     if mode == "random":
         top = min(max_p, count)
         _check_sample_bound(d, top, count)
+        sizes = [count // max_p + (p <= count % max_p) for p in range(1, top + 1)]
         shards = [
-            ("random", d, p, count // max_p + (p <= count % max_p), seed + p)
-            for p in range(1, top + 1)
+            ("random", d, p, lo, min(lo + _BATCH_SIZE, n), seed + p)
+            for p, n in enumerate(sizes, 1)
+            for lo in range(0, n, _BATCH_SIZE)
         ]
         return shards, count
     if mode == "exhaustive":
         sizes = [_budgeted_size(d, p) for p in range(1, max_p + 1)]
         shards = [
-            ("exhaustive", d, p, lo, lo + _BATCH_SIZE)
+            ("exhaustive", d, p, lo, lo + _BATCH_SIZE, None)
             for p, size in enumerate(sizes, 1)
             for lo in range(0, size, _BATCH_SIZE)
         ]
@@ -330,11 +334,11 @@ def _battery_batch(shard: tuple) -> tuple[int, Counter, Counter, Counter, list]:
     index, check, serialized gem): enough of them to fill the report's
     embedded counterexamples, so a violating shard holds no more.
     """
-    mode, d, p, x, y = shard  # x, y: count and seed, or the raw range [x, y)
+    mode, d, p, lo, hi, seed = shard
     if mode == "random":
-        gems = _random_stream(GenSpec(d=d, p=p, count=x, seed=y, connected_only=True))
+        gems = _random_stream(GenSpec(d=d, p=p, count=hi, seed=seed, connected_only=True), lo)
     else:
-        gems = _gem_stream(d, p, True, x, y)
+        gems = _gem_stream(d, p, True, lo, hi)
     graphs = 0
     flagged: Counter = Counter()
     evaluated: Counter = Counter()
@@ -392,9 +396,10 @@ def campaign_report(
         # would otherwise pay at start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        # the largest half-orders cost the most per gem: dispatch them first,
-        # so that no worker starts the longest shard last, then put the
-        # results back in corpus order (every descriptor is distinct)
+        # the largest half-orders cost the most per gem: dispatch them first
+        # (the sort is stable, so each p's ranges stay in order), so that no
+        # worker starts the longest shard last, then put the results back in
+        # corpus order (every descriptor is distinct)
         longest_first = sorted(shards, key=lambda shard: -shard[2])
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = dict(zip(longest_first, pool.map(_battery_batch, longest_first)))

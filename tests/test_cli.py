@@ -255,10 +255,29 @@ def test_exhaustive_shards_are_raw_ranges_across_p(recording_pool, monkeypatch):
     shards = _assert_descriptors_only(recording_pool)
     # the 81 raw candidates at p = 2 in ranges of 16, then the one at p = 1
     assert [shard[2:] for shard in shards] == [
-        (2, lo, lo + 16) for lo in range(0, 81, 16)
-    ] + [(1, 0, 16)]
+        (2, lo, lo + 16, None) for lo in range(0, 81, 16)
+    ] + [(1, 0, 16, None)]
     assert duo["counts"]["graphs"] == 81
     assert reports_module.report_json(duo) == reports_module.report_json(solo)
+
+
+def test_single_half_order_random_campaign_runs_in_parallel(
+    recording_pool, monkeypatch, tmp_path
+):
+    # 4,001 gems of one half-order: two full gem ranges and a last one of one
+    args = ["verify", "--d", "3", "--mode", "random", "--p", "1",
+            "--count", "4001", "--seed", "7"]
+    solo, duo = tmp_path / "solo.json", tmp_path / "duo.json"
+    monkeypatch.setenv("GEMCALC_THREADS", "2")
+    assert main(args + ["--out", str(duo)]) == 0
+    shards = _assert_descriptors_only(recording_pool)
+    assert [shard[2:] for shard in shards] == [
+        (1, 0, 2000, 8), (1, 2000, 4000, 8), (1, 4000, 4001, 8)
+    ]
+    monkeypatch.setenv("GEMCALC_THREADS", "1")
+    assert main(args + ["--out", str(solo)]) == 0
+    assert recording_pool.created == [2]  # one worker: no pool at all
+    assert solo.read_bytes() == duo.read_bytes()
 
 
 def test_random_campaign_walks_only_nonempty_half_orders():
@@ -267,7 +286,8 @@ def test_random_campaign_walks_only_nonempty_half_orders():
     assert huge["counts"]["graphs"] == 3
     assert huge["counts"] == reports_module.campaign_report(2, "random", 3, 3, 0)["counts"]
     shards, raw = reports_module._shards(2, "random", 10**18, 3, 0)
-    assert [shard[2:] for shard in shards] == [(1, 1, 1), (2, 1, 2), (3, 1, 3)]
+    # one gem of each p: the range [0, 1) of the corpus (seed + p, p)
+    assert [shard[2:] for shard in shards] == [(1, 0, 1, 1), (2, 0, 1, 2), (3, 0, 1, 3)]
     assert raw == 3
 
 
@@ -275,12 +295,12 @@ def test_random_shard_memory_does_not_grow_with_its_size():
     # a first shard fills the interpreter's tuple free lists (2,000 per size),
     # which tracemalloc counts as allocated; after it, the traced peaks count
     # only what a shard itself holds
-    reports_module._battery_batch(("random", 2, 1, 2100, 2))
+    reports_module._battery_batch(("random", 2, 1, 0, 2100, 2))
     peaks = []
     for n in (125, 1000):
         tracemalloc.start()
         try:
-            graphs, *_ = reports_module._battery_batch(("random", 2, 1, n, 2))
+            graphs, *_ = reports_module._battery_batch(("random", 2, 1, 0, n, 2))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -490,6 +510,14 @@ def test_dimension_beyond_permutation_budget_refused(tmp_path, capsys):
     assert rc == 2
     assert "d=12 has d!/2 = 239500800" in capsys.readouterr().err
     assert cyclic_permutations.cache_info().currsize == cached
+
+
+def test_generate_refuses_dimension_beyond_permutation_budget(tmp_path, capsys):
+    # analyze would refuse the gem, so generate draws none and makes no directory
+    out = tmp_path / "corpus"
+    assert main(["generate", "--d", "12", "--p", "1", "--count", "1", "--out", str(out)]) == 2
+    assert "d=12 has d!/2 = 239500800" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("d, p", [(3, 5), (4, 4)])

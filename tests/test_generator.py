@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from itertools import combinations, islice, product
 
 import pytest
@@ -26,7 +28,14 @@ from gemcalc import (
     search_rp2,
     surface_type,
 )
-from gemcalc.generator import _gem_stream, all_matchings, enumeration_size
+from gemcalc.generator import (
+    _gem_stream,
+    _gem_streams,
+    _random_matching,
+    _random_stream,
+    all_matchings,
+    enumeration_size,
+)
 from gemcalc.perms import cyclic_permutations
 
 from conftest import M_A, M_B, M_C
@@ -67,6 +76,79 @@ def test_splitmix_below_bounds():
     values = [rng.below(10) for _ in range(200)]
     assert all(0 <= v < 10 for v in values)
     assert len(set(values)) == 10
+
+
+def _output(z: int) -> int:
+    # the SplitMix64 output function, written out: the finalizer of z + gamma
+    z = (z + 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def test_gem_streams_start_where_documented():
+    for seed, p in ((0, 1), (12345, 8), (-1, 3)):
+        states = [rng.state for rng in _gem_streams(seed, p, 3, 7)]
+        key = _output(_output(seed % 2**64) ^ p)
+        assert states == [_output(key ^ i) for i in range(3, 7)]
+
+
+def test_first_gem_pinned():
+    # any change to the per-gem seeding or to the matching draw moves it
+    (g,) = random_gem(GenSpec(d=3, p=3, count=1, seed=2026))
+    assert g.matchings == (
+        (5, 4, 6, 2, 1, 3),
+        (3, 6, 1, 5, 4, 2),
+        (5, 4, 6, 2, 1, 3),
+        (4, 3, 2, 1, 6, 5),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GenSpec(d=3, p=4, count=12, seed=77),
+        GenSpec(d=3, p=4, count=12, seed=77, connected_only=True),
+        GenSpec(d=2, p=2, count=12, seed=5, non_bipartite_only=True),
+        GenSpec(d=4, p=2, count=12, seed=6, bipartite_only=True),
+    ],
+    ids=["unfiltered", "connected", "non-bipartite", "bipartite"],
+)
+def test_each_gem_has_its_own_stream(spec):
+    # gem i is the one gem of the range [i, i + 1): it does not depend on
+    # the gems before it, nor on the candidates a filter rejected for them
+    gems = random_gem(spec)
+    for i, g in enumerate(gems):
+        assert list(_random_stream(spec._replace(count=i + 1), i)) == [g]
+    assert list(_random_stream(spec, 5)) == gems[5:]
+
+
+def test_matching_draw_takes_p_minus_one_bounded_draws(monkeypatch):
+    calls = []
+    below = SplitMix64.below
+
+    def counting(self, bound):
+        calls.append(bound)
+        return below(self, bound)
+
+    monkeypatch.setattr(SplitMix64, "below", counting)
+    rng = SplitMix64(11)
+    for p in range(1, 9):
+        for _ in range(20):
+            calls.clear()
+            mu = _random_matching(rng, 2 * p)
+            assert calls == list(range(2 * p - 1, 1, -2))  # p - 1 draws
+            assert sorted(mu) == list(range(1, 2 * p + 1))
+            assert all(mu[w - 1] == v != w for v, w in enumerate(mu, 1))
+
+
+def test_matching_draw_is_uniform_at_order_six():
+    # 15 matchings: a count is binomial with mean 2,000 and sd 43, so the
+    # +-10% band is 4.6 sd wide on either side
+    rng = SplitMix64(2024)
+    counts = Counter(_random_matching(rng, 6) for _ in range(30_000))
+    assert set(counts) == set(all_matchings(6))
+    assert all(1800 <= n <= 2200 for n in counts.values())
 
 
 def test_random_gem_deterministic():
@@ -212,7 +294,7 @@ def test_search_odd_reduced_rejects_odd_dimension():
 
 def test_relabeling_leaves_invariants_alone():
     # gauge soundness: a vertex relabeling never moves any invariant
-    rng = SplitMix64(99)
+    rng = random.Random(99)
     for g in random_gem(GenSpec(d=4, p=3, count=10, seed=5, connected_only=True)):
         relabel = list(range(1, g.order + 1))
         rng.shuffle(relabel)
@@ -260,3 +342,10 @@ def test_genspec_refuses_bad_values_however_built():
     assert spec._replace(p=2) == GenSpec(d=2, p=2, count=1, seed=0)
     with pytest.raises(AttributeError):
         spec.p = 0
+
+
+def test_genspec_refuses_dimension_beyond_permutation_budget():
+    # a gem that analyze and verify would refuse is not drawn either
+    with pytest.raises(GemError, match="d=10 has d!/2 = 1814400"):
+        GenSpec(d=10, p=1, count=1, seed=0)
+    assert len(random_gem(GenSpec(d=9, p=1, count=1, seed=0))) == 1
