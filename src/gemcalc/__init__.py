@@ -25,7 +25,6 @@ from .core import (
 from .cycle_decomp import (
     DecompositionClass,
     PermPartition,
-    class_of,
     partition_even,
     partition_odd,
     validate_class,
@@ -47,14 +46,10 @@ from .dim4 import (
 )
 from .embeddings import (
     HalfInt,
-    class_genus_sum,
     g_degree_definition,
-    g_degree_formula,
     genus_twices,
-    pair_residue_sum,
     reduced_g_degree,
     regular_genus,
-    regular_genus_min,
 )
 from .generator import (
     GenSpec,

@@ -312,15 +312,10 @@ def _component_labels(g: ColoredGraph, colors: Iterable[int]) -> tuple[list[int]
 
 
 def is_connected(g: ColoredGraph) -> bool:
-    """One label walk over all colors, or a lookup once the vector exists;
-    the answer is kept on the graph."""
+    """One label walk over all colors; the answer is kept on the graph."""
     connected = g._connected
     if connected is None:
-        vec = g._vector
-        if vec is None:
-            connected = len(_component_labels(g, g.colors)[1]) == 1
-        else:
-            connected = vec[-1] == 1
+        connected = len(_component_labels(g, g.colors)[1]) == 1
         object.__setattr__(g, "_connected", connected)
     return connected
 

@@ -26,7 +26,6 @@ from .perms import CyclicPerm, canonical_perm, cycle_pairs, cyclic_permutations
 __all__ = [
     "DecompositionClass",
     "PermPartition",
-    "class_of",
     "partition_even",
     "partition_odd",
     "validate_class",
@@ -97,7 +96,8 @@ def walecki_decomposition(n: int) -> DecompositionClass:
     The vertex n-1 is the hub; the base cycle threads 0, 1, n-2, 2, n-3, ...
     through the remaining vertices and its (n-1)/2 rotations partition the
     edge set.  Available for every odd n >= 3 whose n(n-1)/2 edges fit the
-    enumeration budget (n <= 1731).
+    enumeration budget (n <= 1731).  Like the full partitions, the class is
+    validated before it is returned.
     """
     if n < 3 or n % 2 == 0:
         raise GemError(f"Walecki decomposition needs an odd n >= 3, got {n}")
@@ -122,7 +122,10 @@ def walecki_decomposition(n: int) -> DecompositionClass:
     cycles = []
     for k in range(m):
         cycles.append(canonical_perm([n - 1] + [(v + k) % (n - 1) for v in zigzag]))
-    return DecompositionClass(n=n, multiplicity=1, cycles=tuple(sorted(cycles)))
+    cls = DecompositionClass(n=n, multiplicity=1, cycles=tuple(sorted(cycles)))
+    if not validate_class(cls):
+        raise InvariantViolation(f"Walecki decomposition invalid for n={n}")
+    return cls
 
 
 @lru_cache(maxsize=None)
@@ -253,11 +256,3 @@ def partition_even(n: int) -> PermPartition:
         raise InvariantViolation(f"even partition invalid for n={n}")
     return part
 
-
-def class_of(partition: PermPartition, eps: CyclicPerm) -> DecompositionClass:
-    """The unique class containing a canonical cycle."""
-    target = canonical_perm(eps)
-    for cls in partition.classes:
-        if target in cls.cycles:
-            return cls
-    raise GemError(f"cycle {target} not found in the partition: invariant violated")

@@ -42,7 +42,6 @@ from .embeddings import (
     _bicolored_cycles,
     _reduced_degree,
     genus_twices,
-    pair_residue_sum,
 )
 from .perms import CyclicPerm, canonical_perm, cycle_masks, cyclic_permutations, perm_index
 
@@ -152,7 +151,7 @@ def surface_type(g: ColoredGraph) -> SurfaceType:
     _require_d(g, 2)
     if not is_connected(g):
         raise GemError("surface type requires a connected graph")
-    return _surface(is_bipartite(g), pair_residue_sum(g), g.p)
+    return _surface(is_bipartite(g), sum(map(len, _bicolored_cycles(g).values())), g.p)
 
 
 def _component_faces(

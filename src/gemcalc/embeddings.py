@@ -11,8 +11,10 @@ d!/2 cyclic permutations up to inverse; the closed form
 
     omega = (d-1)!/2 * (d + p*(d-1)*d/2 - sum_{r<s} g_{rs})
 
-must agree with it exactly, which this module treats as a checked
-invariant rather than an assumption.  All genus arithmetic is exact
+must agree with it exactly.  The identity battery
+(``reports.check_graph``, check ``degree_formula_agreement``) checks that
+at every gem, from one walk over the bicolored cycles against the genera
+read from the residue vector.  All genus arithmetic is exact
 half-integer; floats never appear.
 """
 
@@ -21,26 +23,19 @@ from __future__ import annotations
 import sys
 from itertools import combinations
 from math import factorial
-from typing import Sequence, TYPE_CHECKING
+from typing import Sequence
 
 from .core import (
     ColoredGraph, GemError, InvariantViolation, _pair_vector, is_connected, residue_count,
 )
-from .perms import CyclicPerm, cycle_masks, cycle_pairs, cyclic_permutations
-
-if TYPE_CHECKING:
-    from .cycle_decomp import DecompositionClass
+from .perms import cycle_masks, cycle_pairs
 
 __all__ = [
     "HalfInt",
-    "class_genus_sum",
     "g_degree_definition",
-    "g_degree_formula",
     "genus_twices",
-    "pair_residue_sum",
     "reduced_g_degree",
     "regular_genus",
-    "regular_genus_min",
 ]
 
 # the inverse of 2 modulo the hash modulus: hash(n/2) for a rational n/2
@@ -169,15 +164,6 @@ def _bicolored_cycles(g: ColoredGraph) -> dict[tuple[int, int], list[int]]:
     return cycles
 
 
-def pair_residue_sum(g: ColoredGraph) -> int:
-    """Sum of g_{rs} over all unordered color pairs.
-
-    Walks the bicolored cycles directly rather than reading the residue
-    vector, so the closed degree formula cross-checks the vector.
-    """
-    return sum(map(len, _bicolored_cycles(g).values()))
-
-
 def genus_twices(g: ColoredGraph) -> tuple[int, ...]:
     """Twice the regular genus of every canonical permutation, in the order
     of :func:`cyclic_permutations`, from the pair residue counts.
@@ -216,18 +202,6 @@ def _reduced_degree(d: int, p: int, pair_sum: int) -> int:
     return d + p * (d - 1) * d // 2 - pair_sum
 
 
-def g_degree_formula(g: ColoredGraph) -> HalfInt:
-    """Gurau degree by the closed formula; valid for d >= 3 only.
-
-    Must agree with :func:`g_degree_definition` exactly; the definition is
-    the ground truth and this is a checked accelerator.
-    """
-    if g.d < 3:
-        raise GemError("the closed degree formula needs d >= 3; use the definition for d = 2")
-    _require_connected(g)
-    return HalfInt(factorial(g.d - 1) * _reduced_degree(g.d, g.p, pair_residue_sum(g)))
-
-
 def reduced_g_degree(g: ColoredGraph) -> int:
     """The integer 2 * degree / (d-1)!, for d >= 3.
 
@@ -242,34 +216,3 @@ def reduced_g_degree(g: ColoredGraph) -> int:
         raise InvariantViolation(f"degree {omega} is not a multiple of (d-1)!/2")
     return quotient
 
-
-def class_genus_sum(g: ColoredGraph, cls: "DecompositionClass") -> HalfInt:
-    """Sum of regular genera over the permutations of one partition class.
-
-    For even d the value is half the reduced degree; for odd d it is the
-    reduced degree itself, and it never depends on which class was chosen.
-    """
-    from .cycle_decomp import validate_class
-
-    if cls.n != g.d + 1:
-        raise GemError(f"class is over K_{cls.n}, graph has {g.d + 1} colors")
-    if not validate_class(cls):
-        raise GemError("invalid decomposition class: edge multiplicity contract violated")
-    total = 0
-    for cyc in cls.cycles:
-        total += regular_genus(g, cyc).twice
-    return HalfInt(total)
-
-
-def regular_genus_min(g: ColoredGraph) -> tuple[HalfInt, tuple[CyclicPerm, ...]]:
-    """Minimum genus over all canonical permutations, with every minimizer."""
-    return _genus_minimum(g.d, genus_twices(g))
-
-
-def _genus_minimum(
-    d: int, twices: tuple[int, ...]
-) -> tuple[HalfInt, tuple[CyclicPerm, ...]]:
-    """The least of :func:`genus_twices`' values, halved, and its permutations."""
-    best = min(twices)
-    perms = cyclic_permutations(d)
-    return HalfInt(best), tuple(perms[i] for i, t in enumerate(twices) if t == best)

@@ -47,7 +47,6 @@ from .dim4 import (
 from .embeddings import (
     HalfInt,
     _bicolored_cycles,
-    _genus_minimum,
     _reduced_degree,
     genus_twices,
 )
@@ -159,7 +158,7 @@ def _check(
         )
 
     if d == 2:
-        walk_euler = pair_sum - g.p  # faces - edges + vertices of the walked surface
+        walk_euler = _surface(bipartite, pair_sum, g.p).euler
         chi = euler_characteristic_complex(g)
         checks["surface_classification"] = (
             walk_euler == chi
@@ -194,7 +193,7 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
     d = g.d
     perms = cyclic_permutations(d)
     twices = genus_twices(g)
-    rho_min, minimizers = _genus_minimum(d, twices)
+    least = min(twices)
 
     cycles = _bicolored_cycles(g)
     flags, checks = _check(g, twices, cycles)
@@ -221,8 +220,8 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
         "euler_characteristic": euler_characteristic_complex(g),
         "genera": {_perm_key(eps): str(HalfInt(t)) for eps, t in zip(perms, twices)},
         "regular_genus": {
-            "value": str(rho_min),
-            "minimizers": [_perm_key(eps) for eps in minimizers],
+            "value": str(HalfInt(least)),
+            "minimizers": [_perm_key(eps) for eps, t in zip(perms, twices) if t == least],
         },
         "gurau_degree": str(HalfInt(sum(twices))),
         "checks": checks,

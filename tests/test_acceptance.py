@@ -22,7 +22,6 @@ from gemcalc import (
     enumerate_gems,
     euler_characteristic_complex,
     g_degree_definition,
-    g_degree_formula,
     is_bipartite,
     is_singular_4_manifold,
     partition_even,

@@ -17,6 +17,7 @@ from gemcalc import serialize_gem
 from gemcalc.cli import main
 from gemcalc import generator as generator_module
 from gemcalc import reports as reports_module
+from gemcalc import cycle_decomp
 
 from conftest import M_A, M_C, SerialPool
 from gemcalc import ColoredGraph, GemError, dipole
@@ -581,6 +582,17 @@ def test_decompose_walecki_default(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["classes"]) == 1
     assert len(doc["classes"][0]) == 4
+
+
+def test_decompose_invalid_class_exits_1(monkeypatch, capsys):
+    # the class is validated where it is built, not again by the command
+    monkeypatch.setattr(cycle_decomp, "validate_class", lambda cls: False)
+    assert main(["decompose", "--n", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal invariant violation: Walecki decomposition invalid for n=9\n"
+    )
 
 
 def test_decompose_unsupported(capsys):

@@ -8,6 +8,7 @@ import inspect
 import json
 import pickle
 import pkgutil
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -334,3 +335,24 @@ def test_public_exports_resolve():
             and obj.__module__ != f"gemcalc.{node.module}"
         ]
         assert not relayed, f"gemcalc imports {relayed} through gemcalc.{node.module}"
+
+
+def test_benchmark_library_surface_resolves():
+    # perfbench/layers.py reaches the library as lib.<module>.<name>; every
+    # name it uses must resolve, and every name it calls cache_clear() on must
+    # have one.  The file is read as text, never imported or changed.
+    text = (Path(__file__).resolve().parents[1] / "perfbench" / "layers.py").read_text()
+    used = set(re.findall(r"\blib\.(\w+)\.(\w+)", text))
+    cleared = set(re.findall(r"\blib\.(\w+)\.(\w+)\.cache_clear\(\)", text))
+    # it also picks a partition through `cd = lib.cycle_decomp` and clears it
+    assert "cd.partition_odd" in text and "cd.partition_even" in text
+    assert "partition.cache_clear()" in text
+    partitions = {("cycle_decomp", "partition_odd"), ("cycle_decomp", "partition_even")}
+    used |= partitions
+    cleared |= partitions
+    assert ("reports", "check_graph") in used and ("perms", "cyclic_permutations") in cleared
+    for module, name in sorted(used):
+        assert hasattr(importlib.import_module(f"gemcalc.{module}"), name), f"{module}.{name}"
+    for module, name in sorted(cleared):
+        obj = getattr(importlib.import_module(f"gemcalc.{module}"), name)
+        assert callable(getattr(obj, "cache_clear", None)), f"{module}.{name}"

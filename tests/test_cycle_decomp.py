@@ -9,8 +9,7 @@ import pytest
 
 from gemcalc import (
     GemError,
-    PermPartition,
-    class_of,
+    InvariantViolation,
     cyclic_permutations,
     partition_even,
     partition_odd,
@@ -50,6 +49,12 @@ def test_walecki_small_cases():
         e for cyc in walecki_decomposition(5).cycles for e in cycle_pairs(cyc)
     )
     assert edges5 == sorted(combinations(range(5), 2))
+
+
+def test_walecki_validates_what_it_builds(monkeypatch):
+    monkeypatch.setattr(cycle_decomp, "validate_class", lambda cls: False)
+    with pytest.raises(InvariantViolation, match="Walecki decomposition invalid for n=9"):
+        walecki_decomposition(9)
 
 
 def test_walecki_rejects_even():
@@ -135,24 +140,6 @@ def test_validate_class_negative():
     assert not validate_class(bad)  # edge (0,1) twice
     wrong_count = DecompositionClass(n=5, multiplicity=1, cycles=((0, 1, 2, 3, 4),))
     assert not validate_class(wrong_count)
-
-
-def test_class_of_lookup():
-    part5 = partition_odd(5)
-    cls = class_of(part5, (0, 1, 2, 3, 4))
-    assert set(cls.cycles) == {(0, 1, 2, 3, 4), (0, 2, 4, 1, 3)}
-    # rotated and reversed inputs resolve to the same class
-    assert class_of(part5, (4, 3, 2, 1, 0)) is cls
-    part7 = partition_odd(7)
-    cls7 = class_of(part7, (0, 1, 2, 3, 4, 5, 6))
-    assert len(cls7.cycles) == 3
-    assert validate_class(cls7)
-
-
-def test_class_of_missing_cycle():
-    truncated = PermPartition(n=5, classes=partition_odd(5).classes[:1])
-    with pytest.raises(GemError, match="not found"):
-        class_of(truncated, (0, 1, 3, 2, 4))
 
 
 def test_edge_sum_identity_even_dimension(g4):

@@ -20,7 +20,6 @@ from gemcalc import (
     dipole,
     enumerate_gems,
     g_degree_definition,
-    g_degree_formula,
     genus_twices,
     is_closed_3_manifold,
     is_singular_4_manifold,
@@ -285,7 +284,7 @@ def test_residue_degree_identity_g4(g4):
     for i in range(5):
         rest = [x for x in range(5) if x != i]
         totals.append(
-            sum(g_degree_formula(c).twice for c in oracle_residues(g4, rest))
+            sum(g_degree_definition(c).twice for c in oracle_residues(g4, rest))
         )
     # degree 6 = 3*(2 + 4 - 5) + 3, residues contributing (1, 1, 1, 0, 0)
     assert sorted(t // 2 for t in totals) == [0, 0, 1, 1, 1]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -13,23 +14,21 @@ from gemcalc import (
     GemError,
     HalfInt,
     canonical_perm,
-    class_genus_sum,
     cyclic_permutations,
     dipole,
     g_degree_definition,
-    g_degree_formula,
     genus_twices,
     partition_even,
     partition_odd,
     reduced_g_degree,
     regular_genus,
-    regular_genus_min,
     residue_vector,
     walecki_decomposition,
 )
-from gemcalc.cycle_decomp import DecompositionClass
+from gemcalc.perms import perm_index
+from gemcalc.reports import analysis_report, check_graph
 
-from conftest import M_A, corpus, oracle_genus_twice
+from conftest import M_A, corpus, oracle_components, oracle_genus_twice
 
 
 # --- HalfInt -----------------------------------------------------------------
@@ -169,23 +168,32 @@ def test_genus_twices_refuses_disconnected():
 # --- degrees -----------------------------------------------------------------
 
 
+def _closed_form_twice(g: ColoredGraph) -> int:
+    """Twice the degree by the closed form, from oracle pair counts."""
+    d = g.d
+    pair_sum = sum(oracle_components(g, pair) for pair in combinations(range(d + 1), 2))
+    return factorial(d - 1) * (d + g.p * d * (d - 1) // 2 - pair_sum)
+
+
 def test_degree_dipole(dipole4):
     assert g_degree_definition(dipole4) == 0
-    assert g_degree_formula(dipole4) == 0
+    assert _closed_form_twice(dipole4) == 0
+    assert check_graph(dipole4)[1]["degree_formula_agreement"]
     assert reduced_g_degree(dipole4) == 0
 
 
 def test_degree_g4(g4):
     assert g_degree_definition(g4) == 6
-    assert g_degree_formula(g4) == 6
+    assert _closed_form_twice(g4) == 12
+    assert check_graph(g4)[1]["degree_formula_agreement"]
     assert reduced_g_degree(g4) == 2
 
 
 def test_degree_d2_equals_genus(rp2_gem):
     assert g_degree_definition(rp2_gem) == regular_genus(rp2_gem, (0, 1, 2))
     assert g_degree_definition(rp2_gem) == HalfInt(1)
-    with pytest.raises(GemError, match="d >= 3"):
-        g_degree_formula(rp2_gem)
+    # the closed form needs d >= 3: the battery does not evaluate it at d = 2
+    assert "degree_formula_agreement" not in check_graph(rp2_gem)[1]
     with pytest.raises(GemError, match="d >= 3"):
         reduced_g_degree(rp2_gem)
 
@@ -193,7 +201,8 @@ def test_degree_d2_equals_genus(rp2_gem):
 @pytest.mark.parametrize("d, p, seed", [(3, 4, 31), (4, 3, 37), (5, 2, 41)])
 def test_degree_definition_equals_formula(d, p, seed):
     for g in corpus(d, p, 25, seed=seed, connected_only=True):
-        assert g_degree_definition(g) == g_degree_formula(g)
+        assert check_graph(g)[1]["degree_formula_agreement"]
+        assert g_degree_definition(g).twice == _closed_form_twice(g)
 
 
 @pytest.mark.parametrize("d, p, seed", [(3, 5, 43), (4, 4, 47), (5, 2, 53)])
@@ -214,76 +223,93 @@ def test_bipartite_genera_integral():
 # --- class sums --------------------------------------------------------------
 
 
+def _class_sums_twice(g: ColoredGraph, classes) -> list[int]:
+    """Twice the genus sum of each class, read from genus_twices."""
+    twices, index = genus_twices(g), perm_index(g.d)
+    return [sum(twices[index[eps]] for eps in cls.cycles) for cls in classes]
+
+
 def test_class_genus_sum_g4(g4):
-    for cls in partition_odd(5).classes:
-        assert class_genus_sum(g4, cls) == 1  # reduced degree 2, halved
+    # reduced degree 2, halved: every class sums to genus 1
+    assert _class_sums_twice(g4, partition_odd(5).classes) == [2] * 6
 
 
 def test_class_genus_sum_dipole(dipole4):
-    for cls in partition_odd(5).classes:
-        assert class_genus_sum(dipole4, cls) == 0
+    assert _class_sums_twice(dipole4, partition_odd(5).classes) == [0] * 6
 
 
 def test_class_genus_sum_constancy_random():
     classes5 = partition_odd(5).classes
     for g in corpus(4, 4, 15, seed=61, connected_only=True):
-        values = {class_genus_sum(g, cls).twice for cls in classes5}
+        values = set(_class_sums_twice(g, classes5))
         assert len(values) == 1
         assert values == {reduced_g_degree(g)}  # even d: sum is half of it
+        assert check_graph(g)[1]["class_genus_sum_constant"]
 
 
 def test_class_genus_sum_odd_dimension():
     classes4 = partition_even(4).classes
     assert len(classes4) == 1
     for g in corpus(3, 4, 15, seed=67, connected_only=True):
-        assert class_genus_sum(g, classes4[0]) == reduced_g_degree(g)
+        assert _class_sums_twice(g, classes4) == [2 * reduced_g_degree(g)]
+        assert check_graph(g)[1]["class_genus_sum_constant"]
 
 
 def test_class_genus_sum_walecki_large_d():
     # single-class fallback at d = 8: sum equals half the reduced degree
     cls = walecki_decomposition(9)
     for g in corpus(8, 1, 3, seed=71, connected_only=True):
-        value = class_genus_sum(g, cls)
-        assert 2 * value == reduced_g_degree(g)
+        assert _class_sums_twice(g, [cls]) == [reduced_g_degree(g)]
 
 
-def test_class_genus_sum_rejects_invalid(g4):
-    bad = DecompositionClass(
-        n=5, multiplicity=1, cycles=((0, 1, 2, 3, 4), (0, 1, 3, 2, 4))
-    )
-    with pytest.raises(GemError, match="invalid"):
-        class_genus_sum(g4, bad)
-    cls7 = partition_odd(7).classes[0]
-    with pytest.raises(GemError, match="colors"):
-        class_genus_sum(g4, cls7)
+def test_battery_holds_beyond_d6():
+    # no class of K_8 or K_10 is built, so the class sum is checked at d = 8
+    # alone, on its Walecki class
+    cases = {
+        7: corpus(7, 3, 3, seed=79, connected_only=True) + [dipole(7)],
+        8: corpus(8, 2, 3, seed=83, connected_only=True) + [dipole(8)],
+        9: [dipole(9)],
+    }
+    for d, graphs in cases.items():
+        for g in graphs:
+            flags, checks = check_graph(g)
+            assert checks and all(checks.values()), (d, checks)
+            assert ("class_genus_sum_constant" in checks) == (d == 8)
+            assert "degree_formula_agreement" in checks
 
 
 # --- minimum genus -----------------------------------------------------------
 
 
+def _regular_genus_entry(g: ColoredGraph) -> tuple[str, list[tuple[int, ...]]]:
+    entry = analysis_report(g)["regular_genus"]
+    return entry["value"], [tuple(map(int, key.split(","))) for key in entry["minimizers"]]
+
+
 def test_regular_genus_min_dipole(dipole4):
-    value, minimizers = regular_genus_min(dipole4)
-    assert value == 0
-    assert minimizers == cyclic_permutations(4)
+    value, minimizers = _regular_genus_entry(dipole4)
+    assert value == "0"
+    assert tuple(minimizers) == cyclic_permutations(4)
 
 
 def test_regular_genus_min_g4(g4):
-    value, minimizers = regular_genus_min(g4)
-    assert value == 0
+    value, minimizers = _regular_genus_entry(g4)
+    assert value == "0"
     assert (0, 1, 2, 3, 4) in minimizers
-    assert list(minimizers) == sorted(minimizers)
+    assert minimizers == sorted(minimizers)
 
 
 def test_minimizer_maximizes_class_gap():
     # within its class, the minimizing permutation leaves the largest
     # remainder to the other class members
     classes5 = partition_odd(5).classes
+    index = perm_index(4)
     for g in corpus(4, 3, 10, seed=73, connected_only=True):
-        value, minimizers = regular_genus_min(g)
-        for cls in classes5:
-            total = class_genus_sum(g, cls)
-            gaps = {eps: (total - 2 * regular_genus(g, eps)).twice for eps in cls.cycles}
+        twices = genus_twices(g)
+        least = min(twices)
+        for cls, total in zip(classes5, _class_sums_twice(g, classes5)):
+            gaps = {eps: total - 2 * twices[index[eps]] for eps in cls.cycles}
             best_gap = max(gaps.values())
             for eps in cls.cycles:
-                if eps in minimizers:
+                if twices[index[eps]] == least:
                     assert gaps[eps] == best_gap
