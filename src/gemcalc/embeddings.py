@@ -1,4 +1,4 @@
-"""Regular genera, Gurau degree, and exact half-integer arithmetic.
+"""Regular genera and the Gurau degree, on integer twice values.
 
 For a connected graph of order 2p and a cyclic permutation e of the colors,
 the regular embedding surface has Euler characteristic
@@ -14,8 +14,9 @@ d!/2 cyclic permutations up to inverse; the closed form
 must agree with it exactly.  The identity battery
 (``reports.check_graph``, check ``degree_formula_agreement``) checks that
 at every gem, from one walk over the bicolored cycles against the genera
-read from the residue vector.  All genus arithmetic is exact
-half-integer; floats never appear.
+read from the residue vector.  Genera and degrees are computed as integer
+twice values (``genus_twices``) and rendered as exact half-integers
+(``HalfInt``); floats never appear.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ _HASH_HALF = pow(2, -1, sys.hash_info.modulus)
 
 
 class HalfInt:
-    """Exact half-integer scalar; ``twice`` stores double the represented value.
+    """Exact half-integer value; ``twice`` stores double the represented value.
 
-    Supports addition and subtraction with other half-integers and with
-    ints, multiplication by ints, and total ordering.  Equality and
-    hashing agree with the integers a value happens to equal.
+    A value type for reporting: genera and degrees are computed on the
+    integer ``twice`` values and wrapped only to be rendered or compared.
+    Equality and hashing agree with the integers a value happens to equal.
     """
 
     __slots__ = ("twice",)
@@ -57,19 +58,6 @@ class HalfInt:
             raise TypeError(f"twice must be an integer, got {twice!r}")
         self.twice = twice
 
-    @classmethod
-    def whole(cls, value: int) -> "HalfInt":
-        return cls(2 * value)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def to_int(self) -> int:
-        if self.twice % 2:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice // 2
-
     @staticmethod
     def _twice_of(other) -> int | None:
         if isinstance(other, HalfInt):
@@ -78,49 +66,9 @@ class HalfInt:
             return 2 * other
         return None
 
-    def __add__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is None else HalfInt(self.twice + t)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is None else HalfInt(self.twice - t)
-
-    def __rsub__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is None else HalfInt(t - self.twice)
-
-    def __mul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return HalfInt(self.twice * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
     def __eq__(self, other):
         t = self._twice_of(other)
         return NotImplemented if t is None else self.twice == t
-
-    def __lt__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is None else self.twice < t
-
-    def __le__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is None else self.twice <= t
-
-    def __gt__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is None else self.twice > t
-
-    def __ge__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is None else self.twice >= t
 
     def __hash__(self):
         # the hash of the rational twice/2 as int and Fraction define it, so

@@ -8,6 +8,10 @@ seeded from (seed, p, gem index) (Steele, Lea & Flood, "Fast Splittable
 Pseudorandom Number Generators", OOPSLA 2014), so any range of a corpus can
 be drawn without the gems before it.  A matching is drawn by direct
 pairing: p - 1 unbiased bounded draws per matching of 2p vertices.
+
+Campaign corpora are sized here, an oversized one refused before any gem
+exists (``campaign_corpus``), and drawn here, any range of one half-order's
+stream at a time (``campaign_gems``).
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ __all__ = [
     "GenSpec",
     "SplitMix64",
     "all_matchings",
+    "campaign_corpus",
+    "campaign_gems",
     "dipole",
     "enumerate_gems",
     "enumeration_size",
@@ -301,6 +307,39 @@ def _product_from(mats: tuple, d: int, lo: int) -> Iterator[tuple]:
         product(*fixed[:k], mats[digits[k] + (k < d - 1):], *[mats] * (d - 1 - k))
         for k in range(d - 1, -1, -1)
     )
+
+
+def campaign_corpus(
+    d: int, mode: str, max_p: int, count: int, seed: int
+) -> list[tuple[int, int, int | None]]:
+    """Each half-order's ``(p, size, stream seed)`` in a campaign corpus.
+
+    A random corpus splits ``count`` gems over p = 1..max_p, p's share drawn
+    from the corpus (seed + p, p); only p <= count can hold a gem.  An
+    exhaustive corpus holds each p's gauge-fixed raw candidates (stream seed
+    None).  An oversized corpus, or an unknown mode, is refused before any
+    gem exists.
+    """
+    if mode == "random":
+        if count < 1:
+            raise GemError("random campaigns need a positive sample count")
+        top = min(max_p, count)
+        _check_sample_bound(d, top, count)
+        return [(p, count // max_p + (p <= count % max_p), seed + p) for p in range(1, top + 1)]
+    if mode == "exhaustive":
+        return [(p, _budgeted_size(d, p), None) for p in range(1, max_p + 1)]
+    raise GemError(f"unknown campaign mode {mode!r}")
+
+
+def campaign_gems(
+    mode: str, d: int, p: int, lo: int, hi: int, seed: int | None
+) -> Iterator[ColoredGraph]:
+    """The connected gems at positions [lo, hi) of one p's stream in a
+    :func:`campaign_corpus`: gems of the random corpus (seed, p), or raw
+    candidates of the gauge-fixed stream."""
+    if mode == "random":
+        return _random_stream(GenSpec(d=d, p=p, count=hi, seed=seed, connected_only=True), lo)
+    return _gem_stream(d, p, True, lo, hi)
 
 
 def search_rp2(max_p: int = 4) -> ColoredGraph:

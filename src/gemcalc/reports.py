@@ -50,13 +50,7 @@ from .embeddings import (
     _reduced_degree,
     genus_twices,
 )
-from .generator import (
-    GenSpec,
-    _budgeted_size,
-    _check_sample_bound,
-    _gem_stream,
-    _random_stream,
-)
+from .generator import campaign_corpus, campaign_gems
 from .perms import cyclic_permutations, perm_index
 
 __all__ = [
@@ -298,31 +292,16 @@ def _shards(d: int, mode: str, max_p: int, count: int, seed: int) -> tuple[list[
     the raw corpus size.
 
     A shard is a range ``[lo, hi)`` of at most ``_BATCH_SIZE`` positions in
-    one p's stream: gems of the random corpus ``(seed + p, p)`` of n_p gems,
-    or raw candidates of the gauge-fixed stream (``seed`` None).  Only
-    p <= count can hold a random sample.  A random corpus over the sample
-    bound, and every exhaustive p over budget, is refused before any shard
-    exists.
+    one p's stream of the :func:`campaign_corpus`, which refuses an
+    oversized corpus before any shard exists.
     """
-    if mode == "random":
-        top = min(max_p, count)
-        _check_sample_bound(d, top, count)
-        sizes = [count // max_p + (p <= count % max_p) for p in range(1, top + 1)]
-        shards = [
-            ("random", d, p, lo, min(lo + _BATCH_SIZE, n), seed + p)
-            for p, n in enumerate(sizes, 1)
-            for lo in range(0, n, _BATCH_SIZE)
-        ]
-        return shards, count
-    if mode == "exhaustive":
-        sizes = [_budgeted_size(d, p) for p in range(1, max_p + 1)]
-        shards = [
-            ("exhaustive", d, p, lo, lo + _BATCH_SIZE, None)
-            for p, size in enumerate(sizes, 1)
-            for lo in range(0, size, _BATCH_SIZE)
-        ]
-        return shards, sum(sizes)
-    raise GemError(f"unknown campaign mode {mode!r}")
+    corpus = campaign_corpus(d, mode, max_p, count, seed)
+    shards = [
+        (mode, d, p, lo, min(lo + _BATCH_SIZE, size), stream_seed)
+        for p, size, stream_seed in corpus
+        for lo in range(0, size, _BATCH_SIZE)
+    ]
+    return shards, sum(size for _, size, _ in corpus)
 
 
 def _battery_batch(shard: tuple) -> tuple[int, Counter, Counter, Counter, list]:
@@ -333,11 +312,7 @@ def _battery_batch(shard: tuple) -> tuple[int, Counter, Counter, Counter, list]:
     index, check, serialized gem): enough of them to fill the report's
     embedded counterexamples, so a violating shard holds no more.
     """
-    mode, d, p, lo, hi, seed = shard
-    if mode == "random":
-        gems = _random_stream(GenSpec(d=d, p=p, count=hi, seed=seed, connected_only=True), lo)
-    else:
-        gems = _gem_stream(d, p, True, lo, hi)
+    gems = campaign_gems(*shard)
     graphs = 0
     flagged: Counter = Counter()
     evaluated: Counter = Counter()
@@ -384,8 +359,6 @@ def campaign_report(
     check_dimension(d)
     if max_p < 1:
         raise GemError(f"campaigns need a positive half-order bound, got {max_p}")
-    if mode == "random" and count < 1:
-        raise GemError("random campaigns need a positive sample count")
 
     shards, raw = _shards(d, mode, max_p, count, seed)
     workers = min(threads, _usable_cpus(), len(shards)) if raw > _BATCH_SIZE else 1

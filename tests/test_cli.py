@@ -256,8 +256,8 @@ def test_exhaustive_shards_are_raw_ranges_across_p(recording_pool, monkeypatch):
     shards = _assert_descriptors_only(recording_pool)
     # the 81 raw candidates at p = 2 in ranges of 16, then the one at p = 1
     assert [shard[2:] for shard in shards] == [
-        (2, lo, lo + 16, None) for lo in range(0, 81, 16)
-    ] + [(1, 0, 16, None)]
+        (2, lo, min(lo + 16, 81), None) for lo in range(0, 81, 16)
+    ] + [(1, 0, 1, None)]
     assert duo["counts"]["graphs"] == 81
     assert reports_module.report_json(duo) == reports_module.report_json(solo)
 
@@ -290,6 +290,20 @@ def test_random_campaign_walks_only_nonempty_half_orders():
     # one gem of each p: the range [0, 1) of the corpus (seed + p, p)
     assert [shard[2:] for shard in shards] == [(1, 0, 1, 1), (2, 0, 1, 2), (3, 0, 1, 3)]
     assert raw == 3
+
+
+def test_zero_count_random_campaign_refused_before_generation(recording_pool, capsys):
+    assert main(["verify", "--d", "3", "--mode", "random", "--p", "2", "--count", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "random campaigns need a positive sample count" in err
+    assert recording_pool.built == []
+
+
+def test_unknown_campaign_mode_refused_before_generation(recording_pool):
+    with pytest.raises(GemError, match="'bogus'"):
+        reports_module.campaign_report(3, "bogus", 2)
+    assert recording_pool.built == []
 
 
 def test_random_shard_memory_does_not_grow_with_its_size():

@@ -288,7 +288,7 @@ def test_residue_degree_identity_g4(g4):
         )
     # degree 6 = 3*(2 + 4 - 5) + 3, residues contributing (1, 1, 1, 0, 0)
     assert sorted(t // 2 for t in totals) == [0, 0, 1, 1, 1]
-    assert g_degree_definition(g4) == 3 * (g4.p + 4 - 5) + HalfInt(sum(totals))
+    assert g_degree_definition(g4).twice == 2 * 3 * (g4.p + 4 - 5) + sum(totals)
 
 
 def test_residue_degree_identity_random():

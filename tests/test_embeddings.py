@@ -1,4 +1,4 @@
-"""Genera, degrees, and exact half-integer arithmetic."""
+"""Genera, degrees, and the exact half-integer value type."""
 
 from __future__ import annotations
 
@@ -35,26 +35,18 @@ from conftest import M_A, corpus, oracle_components, oracle_genus_twice
 
 
 def test_halfint_basics():
-    h = HalfInt(3)
-    assert str(h) == "3/2" and not h.is_integer
-    assert str(HalfInt(4)) == "2" and HalfInt(4).is_integer
-    assert HalfInt(4).to_int() == 2
-    with pytest.raises(ValueError):
-        h.to_int()
-    assert HalfInt.whole(5) == HalfInt(10) == 5
-    assert -HalfInt(3) == HalfInt(-3)
+    assert str(HalfInt(3)) == "3/2" and str(HalfInt(-3)) == "-3/2"
+    assert str(HalfInt(4)) == "2" and repr(HalfInt(3)) == "HalfInt(3/2)"
+    assert HalfInt(10) == 5 and HalfInt(10) != HalfInt(9)
 
 
 def test_halfint_mixed_comparisons():
-    assert HalfInt(2) == 1
-    assert HalfInt(3) > 1
-    assert HalfInt(3) < 2
-    assert 0 <= HalfInt(0)
+    assert HalfInt(2) == 1 and 1 == HalfInt(2)
+    assert HalfInt(3) != 1 and HalfInt(3) != 2
     assert hash(HalfInt(2)) == hash(1)
     assert hash(HalfInt(-2)) == hash(-1)  # -2: CPython reserves hash -1
     assert hash(HalfInt(3)) == hash(HalfInt(3))
     assert len({HalfInt(4), 2, HalfInt(3), HalfInt(-3)}) == 3
-    assert sum([HalfInt(1), HalfInt(2), 1]) == HalfInt(5)
 
 
 def test_halfint_type_discipline():
@@ -66,15 +58,12 @@ def test_halfint_type_discipline():
         HalfInt(1) + 0.5
 
 
-@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-5, 5))
-def test_halfint_matches_fraction_model(a, b, k):
+@given(st.integers(-50, 50), st.integers(-50, 50))
+def test_halfint_matches_fraction_model(a, b):
     fa, fb = Fraction(a, 2), Fraction(b, 2)
-    assert (HalfInt(a) + HalfInt(b)).twice == (fa + fb) * 2
-    assert (HalfInt(a) - HalfInt(b)).twice == (fa - fb) * 2
-    assert (k * HalfInt(a)).twice == k * fa * 2
-    assert (HalfInt(a) < HalfInt(b)) == (fa < fb)
+    assert str(HalfInt(a)) == str(fa)
     assert (HalfInt(a) == HalfInt(b)) == (fa == fb)
-    assert HalfInt(a).is_integer == (fa.denominator == 1)
+    assert (HalfInt(a) == b) == (fa == b)
     assert hash(HalfInt(a)) == hash(fa)
 
 
@@ -209,14 +198,14 @@ def test_degree_definition_equals_formula(d, p, seed):
 def test_degree_multiple_of_half_factorial(d, p, seed):
     for g in corpus(d, p, 25, seed=seed, connected_only=True):
         omega = g_degree_definition(g)
-        assert omega >= 0
+        assert omega.twice >= 0
         assert omega.twice % factorial(d - 1) == 0
 
 
 def test_bipartite_genera_integral():
     for g in corpus(4, 3, 20, seed=59, connected_only=True, bipartite_only=True):
         for eps in cyclic_permutations(4):
-            assert regular_genus(g, eps).is_integer
+            assert regular_genus(g, eps).twice % 2 == 0
         assert g_degree_definition(g).twice % (2 * factorial(3)) == 0  # mod 6
 
 
