@@ -16,7 +16,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice
 from math import factorial
-from typing import Iterable
+from typing import BinaryIO, Iterable
 
 from .core import (
     ColoredGraph,
@@ -335,6 +335,67 @@ def _battery_batch(shard: tuple) -> tuple[int, Counter, Counter, Counter, list]:
     return graphs, flagged, evaluated, violated, earliest
 
 
+def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:
+    """Each shard's :func:`_battery_batch` result, keyed by the shard, from
+    ``workers`` processes: this one and a forked child per further share.
+
+    Shares are dealt in snake order (0, 1, .., w-1, w-1, .., 0, 0, ..).  A
+    child pipes back its pickled results, or the exception it raised, which
+    is raised here; one that ends with neither raises
+    :class:`ChildProcessError`.  On any error the children are killed, and
+    all are reaped before this returns.
+    """
+    import pickle, signal  # only a fan-out pays for them
+
+    shares: list[list[tuple]] = [[] for _ in range(workers)]
+    for k, shard in enumerate(shards):
+        lap, i = divmod(k, workers)
+        shares[workers - 1 - i if lap % 2 else i].append(shard)
+    children: dict[int, BinaryIO] = {}  # pid: the read end of its pipe
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            # fork, not a fresh interpreter: a child starts with every module
+            # and table loaded; gemcalc starts no thread, so fork is safe
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    try:
+                        payload = [_battery_batch(shard) for shard in share]
+                    except Exception as exc:
+                        payload = exc
+                    data = pickle.dumps(payload)
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children[pid] = open(read_end, "rb")
+        done = {shard: _battery_batch(shard) for shard in shares[0]}
+        for pid, share in zip(list(children), shares[1:]):
+            data = children[pid].read()
+            children.pop(pid).close()
+            _, status = os.waitpid(pid, 0)
+            if not data:
+                raise ChildProcessError(
+                    f"campaign worker {pid} ended without a result "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                )
+            payload = pickle.loads(data)
+            if isinstance(payload, Exception):
+                raise payload
+            done.update(zip(share, payload))
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return done
+
+
 def campaign_report(
     d: int,
     mode: str,
@@ -347,10 +408,13 @@ def campaign_report(
 
     Workers are sent shard descriptors and build their own gems; the corpus
     order is deterministic and every violation carries its corpus index, so
-    the report does not depend on sharding or the worker count.  No pool
-    starts when the corpus fits one batch, and the pool never exceeds the
-    usable CPUs or the shard count, whatever ``threads`` asks for.  The
-    first few violating gems are embedded verbatim.
+    the report does not depend on sharding or the worker count.  This
+    process is one of the workers and forks the others (:func:`_fan_out`);
+    the workers never exceed the usable CPUs or the shard count, whatever
+    ``threads`` asks for, and the campaign runs in-process when the corpus
+    fits one batch or the platform has no ``os.fork``.  A worker that dies
+    without a result raises :class:`ChildProcessError`.  The first few
+    violating gems are embedded verbatim.
     """
     if threads is None:
         threads = worker_count()
@@ -361,20 +425,14 @@ def campaign_report(
         raise GemError(f"campaigns need a positive half-order bound, got {max_p}")
 
     shards, raw = _shards(d, mode, max_p, count, seed)
-    workers = min(threads, _usable_cpus(), len(shards)) if raw > _BATCH_SIZE else 1
+    fans_out = raw > _BATCH_SIZE and hasattr(os, "fork")
+    workers = min(threads, _usable_cpus(), len(shards)) if fans_out else 1
     if workers > 1:
-        # imported here, not at module level: loading the pool stack takes
-        # tens of milliseconds, which every command that starts no pool
-        # would otherwise pay at start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the largest half-orders cost the most per gem: dispatch them first
-        # (the sort is stable, so each p's ranges stay in order), so that no
-        # worker starts the longest shard last, then put the results back in
-        # corpus order (every descriptor is distinct)
+        # the largest half-orders cost the most per gem: deal them first (the
+        # sort is stable, so each p's ranges stay in order), then put the
+        # results back in corpus order (every descriptor is distinct)
         longest_first = sorted(shards, key=lambda shard: -shard[2])
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = dict(zip(longest_first, pool.map(_battery_batch, longest_first)))
+        done = _fan_out(longest_first, workers)
         results = [done[shard] for shard in shards]
     else:
         results = map(_battery_batch, shards)

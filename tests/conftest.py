@@ -1,4 +1,4 @@
-"""Shared fixtures, a fake process pool and independent oracles.
+"""Shared fixtures, a fake campaign fan-out and independent oracles.
 
 The oracles deliberately use different computational routes than the
 library: breadth-first walks instead of union-find for components,
@@ -8,12 +8,12 @@ part assignment for bipartiteness.
 
 from __future__ import annotations
 
-import concurrent.futures
+import os
 from itertools import combinations
 
 import pytest
 
-from gemcalc import ColoredGraph, GenSpec, random_gem
+from gemcalc import ColoredGraph, GenSpec, random_gem, reports
 
 # the three fixed-point-free involutions of {1,2,3,4}
 M_A = (2, 1, 4, 3)
@@ -50,30 +50,34 @@ def non_closed_d3() -> ColoredGraph:
     return ColoredGraph(d=3, order=4, matchings=(M_A, M_B, M_C, M_A))
 
 
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    created: list[int] = []
-
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 @pytest.fixture
-def serial_pool(monkeypatch) -> type[SerialPool]:
-    # campaigns import the pool where they start it, so patch it at its source
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "created", [])
-    return SerialPool
+def serial_fan_out(monkeypatch) -> list[int]:
+    """Stands in for ``reports._fan_out``: records the worker count of each
+    call and runs the shards in-process, in the order it is given them."""
+    workers_seen: list[int] = []
+
+    def fan_out(shards, workers):
+        workers_seen.append(workers)
+        return {shard: reports._battery_batch(shard) for shard in shards}
+
+    monkeypatch.setattr(reports, "_fan_out", fan_out)
+    return workers_seen
+
+
+def assert_no_child() -> None:
+    """Fail if this process has a child, running or not yet reaped."""
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind: waitpid gave ({pid}, {status})")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """A test that leaves a child process behind fails."""
+    yield
+    assert_no_child()
 
 
 def corpus(d: int, p: int, count: int, seed: int, **kw) -> list[ColoredGraph]:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
 import pickle
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -19,8 +19,8 @@ from gemcalc import generator as generator_module
 from gemcalc import reports as reports_module
 from gemcalc import cycle_decomp
 
-from conftest import M_A, M_C, SerialPool
-from gemcalc import ColoredGraph, GemError, dipole
+from conftest import M_A, M_C, assert_no_child
+from gemcalc import ColoredGraph, GemError, InvariantViolation, dipole
 
 
 @pytest.fixture
@@ -163,21 +163,133 @@ def test_verify_random_reproducible(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _two_cpus(monkeypatch) -> None:
+    # the fan-out is capped by the usable CPUs: show two on any machine
+    monkeypatch.setattr(
+        reports_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+
+
+def _counted_forks(monkeypatch) -> list[int]:
+    """Record the pid of the process behind each os.fork from now on."""
+    forks: list[int] = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 def test_verify_worker_sharding_invisible(tmp_path, monkeypatch):
     args = ["verify", "--d", "4", "--mode", "random", "--p", "2",
             "--count", "60", "--seed", "31"]
     monkeypatch.setattr(reports_module, "_BATCH_SIZE", 16)
+    _two_cpus(monkeypatch)
+    forks = _counted_forks(monkeypatch)
     solo, duo = tmp_path / "solo.json", tmp_path / "duo.json"
     monkeypatch.setenv("GEMCALC_THREADS", "1")
     assert main(args + ["--out", str(solo)]) == 0
+    assert forks == []
     monkeypatch.setenv("GEMCALC_THREADS", "2")
     assert main(args + ["--out", str(duo)]) == 0
+    # this process is one of the two workers: it forked the other once
+    assert forks == [os.getpid()]
     assert solo.read_bytes() == duo.read_bytes()
+    assert_no_child()
+
+
+def test_fan_out_deals_in_snake_order(monkeypatch):
+    # seven shards over three workers: this process takes the first share
+    # and forks one child for each of the other two
+    monkeypatch.setattr(reports_module, "_battery_batch", lambda shard: (os.getpid(), shard))
+    shards = [("shard", k) for k in range(7)]
+    done = reports_module._fan_out(shards, 3)
+    assert all(done[shard][1] == shard for shard in shards)
+    pids = [done[shard][0] for shard in shards]
+    assert pids[0] == os.getpid() and os.getpid() not in pids[1:3]
+    # dealt 0, 1, 2, 2, 1, 0, 0
+    assert pids == [pids[i] for i in (0, 1, 2, 2, 1, 0, 0)]
+    assert len(set(pids)) == 3
+    assert_no_child()
+
+
+# 2,400 gems over p <= 2: two shards, the p = 2 one run by this process and
+# the p = 1 one by the child it forks
+_FAN_OUT_VERIFY = ["verify", "--d", "3", "--mode", "random", "--p", "2",
+                   "--count", "2400", "--seed", "5"]
+
+
+@pytest.mark.parametrize("error, code", [(InvariantViolation, 1), (GemError, 2)])
+def test_worker_error_reraised_with_its_type(monkeypatch, capsys, error, code):
+    parent = os.getpid()
+    check_graph = reports_module.check_graph
+
+    def failing(g):
+        if os.getpid() != parent:
+            raise error(f"planted in a worker at p = {g.p}")
+        return check_graph(g)
+
+    monkeypatch.setattr(reports_module, "check_graph", failing)
+    _two_cpus(monkeypatch)
+    monkeypatch.setenv("GEMCALC_THREADS", "2")
+    assert main(_FAN_OUT_VERIFY) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {error('planted in a worker at p = 1')}\n"
+    assert_no_child()
+
+
+def test_worker_death_exits_2_with_one_error_line(monkeypatch, capsys, tmp_path):
+    parent = os.getpid()
+    battery = reports_module._battery_batch
+
+    def dying(shard):
+        if os.getpid() != parent:
+            os._exit(3)
+        return battery(shard)
+
+    monkeypatch.setattr(reports_module, "_battery_batch", dying)
+    _two_cpus(monkeypatch)
+    monkeypatch.setenv("GEMCALC_THREADS", "2")
+    assert main(_FAN_OUT_VERIFY) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: campaign worker ") and err.count("\n") == 1
+    assert "ended without a result (exit status 3)" in err
+    report = tmp_path / "report.json"
+    assert main(_FAN_OUT_VERIFY + ["--out", str(report)]) == 2
+    assert not report.exists()
+    assert_no_child()
+
+
+def test_parent_error_kills_and_reaps_running_workers(monkeypatch, capsys):
+    # the child would run for a minute; the error in this process's own
+    # share must not wait for it
+    parent = os.getpid()
+    battery = reports_module._battery_batch
+
+    def stalling(shard):
+        if os.getpid() != parent:
+            time.sleep(60)
+            return battery(shard)
+        raise GemError("planted in the parent")
+
+    monkeypatch.setattr(reports_module, "_battery_batch", stalling)
+    _two_cpus(monkeypatch)
+    monkeypatch.setenv("GEMCALC_THREADS", "2")
+    start = time.monotonic()
+    assert main(_FAN_OUT_VERIFY) == 2
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr() == ("", "error: planted in the parent\n")
+    assert_no_child()
 
 
 @pytest.mark.parametrize("cpus, expected", [(8, 4), (3, 3)])
 def test_verify_pool_capped_by_cpus_and_batches(
-    tmp_path, monkeypatch, serial_pool, cpus, expected
+    tmp_path, monkeypatch, serial_fan_out, cpus, expected
 ):
     # 60 gems over p <= 4 make 4 shards of 15; GEMCALC_THREADS asks for 10000
     monkeypatch.setattr(reports_module, "_BATCH_SIZE", 16)
@@ -189,58 +301,60 @@ def test_verify_pool_capped_by_cpus_and_batches(
             "--count", "60", "--seed", "31"]
     capped, solo = tmp_path / "capped.json", tmp_path / "solo.json"
     assert main(args + ["--out", str(capped)]) == 0
-    assert SerialPool.created == [expected]
+    assert serial_fan_out == [expected]
     monkeypatch.setenv("GEMCALC_THREADS", "1")
     assert main(args + ["--out", str(solo)]) == 0
-    assert SerialPool.created == [expected]  # one worker: no pool at all
+    assert serial_fan_out == [expected]  # one worker: no fan-out at all
     assert capped.read_bytes() == solo.read_bytes()
 
 
-class RecordingPool(SerialPool):
-    """Pickles every item it is sent, as a process pool would, and notes how
-    many gems this process had built by then; then maps in-process."""
+class RecordingFanOut:
+    """Stands in for ``reports._fan_out``: notes the worker count and how many
+    gems this process had built by the call, pickles every shard it is sent,
+    then runs them in-process."""
 
-    sent: list[bytes] = []
-    built_at_map: list[int] = []
-    built: list[ColoredGraph] = []
+    def __init__(self):
+        self.workers: list[int] = []
+        self.built_at_call: list[int] = []
+        self.sent: list[bytes] = []
+        self.built: list[ColoredGraph] = []
 
-    def map(self, fn, items):
-        self.built_at_map.append(len(self.built))
-        data = [pickle.dumps(item) for item in items]
+    def __call__(self, shards, workers):
+        self.workers.append(workers)
+        self.built_at_call.append(len(self.built))
+        data = [pickle.dumps(shard) for shard in shards]
         self.sent += data
-        return map(fn, map(pickle.loads, data))
+        return {shard: reports_module._battery_batch(pickle.loads(item))
+                for shard, item in zip(shards, data)}
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
+def recording_fan_out(monkeypatch) -> RecordingFanOut:
+    recorder = RecordingFanOut()
     post_init = ColoredGraph.__post_init__
 
     def counting(self):
-        RecordingPool.built.append(self)
+        recorder.built.append(self)
         post_init(self)
 
-    for name in ("created", "sent", "built_at_map", "built"):
-        monkeypatch.setattr(RecordingPool, name, [])
     monkeypatch.setattr(ColoredGraph, "__post_init__", counting)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(
-        reports_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
-    )
-    return RecordingPool
+    monkeypatch.setattr(reports_module, "_fan_out", recorder)
+    _two_cpus(monkeypatch)
+    return recorder
 
 
-def _assert_descriptors_only(pool) -> list[tuple]:
-    # the parent built no gem before dispatch and sent none to the workers
-    assert pool.created == [2]
-    assert pool.built_at_map == [0]
-    assert all(b"ColoredGraph" not in data and len(data) < 256 for data in pool.sent)
-    return [pickle.loads(data) for data in pool.sent]
+def _assert_descriptors_only(fan_out: RecordingFanOut) -> list[tuple]:
+    # the parent built no gem before dispatch and dealt none to the workers
+    assert fan_out.workers == [2]
+    assert fan_out.built_at_call == [0]
+    assert all(b"ColoredGraph" not in data and len(data) < 256 for data in fan_out.sent)
+    return [pickle.loads(data) for data in fan_out.sent]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_random_shards_carry_descriptors_not_graphs(recording_pool, seed):
+def test_random_shards_carry_descriptors_not_graphs(recording_fan_out, seed):
     duo = reports_module.campaign_report(3, "random", 8, 4000, seed, threads=2)
-    shards = _assert_descriptors_only(recording_pool)
+    shards = _assert_descriptors_only(recording_fan_out)
     # the largest half-order first
     assert [shard[2] for shard in shards] == list(range(8, 0, -1))
     assert duo["counts"]["graphs"] == 4000
@@ -248,12 +362,12 @@ def test_random_shards_carry_descriptors_not_graphs(recording_pool, seed):
     assert reports_module.report_json(duo) == reports_module.report_json(solo)
 
 
-def test_exhaustive_shards_are_raw_ranges_across_p(recording_pool, monkeypatch):
+def test_exhaustive_shards_are_raw_ranges_across_p(recording_fan_out, monkeypatch):
     solo = reports_module.campaign_report(4, "exhaustive", 2, threads=1)
     monkeypatch.setattr(reports_module, "_BATCH_SIZE", 16)
-    monkeypatch.setattr(recording_pool, "built", [])
+    recording_fan_out.built.clear()
     duo = reports_module.campaign_report(4, "exhaustive", 2, threads=2)
-    shards = _assert_descriptors_only(recording_pool)
+    shards = _assert_descriptors_only(recording_fan_out)
     # the 81 raw candidates at p = 2 in ranges of 16, then the one at p = 1
     assert [shard[2:] for shard in shards] == [
         (2, lo, min(lo + 16, 81), None) for lo in range(0, 81, 16)
@@ -263,7 +377,7 @@ def test_exhaustive_shards_are_raw_ranges_across_p(recording_pool, monkeypatch):
 
 
 def test_single_half_order_random_campaign_runs_in_parallel(
-    recording_pool, monkeypatch, tmp_path
+    recording_fan_out, monkeypatch, tmp_path
 ):
     # 4,001 gems of one half-order: two full gem ranges and a last one of one
     args = ["verify", "--d", "3", "--mode", "random", "--p", "1",
@@ -271,13 +385,13 @@ def test_single_half_order_random_campaign_runs_in_parallel(
     solo, duo = tmp_path / "solo.json", tmp_path / "duo.json"
     monkeypatch.setenv("GEMCALC_THREADS", "2")
     assert main(args + ["--out", str(duo)]) == 0
-    shards = _assert_descriptors_only(recording_pool)
+    shards = _assert_descriptors_only(recording_fan_out)
     assert [shard[2:] for shard in shards] == [
         (1, 0, 2000, 8), (1, 2000, 4000, 8), (1, 4000, 4001, 8)
     ]
     monkeypatch.setenv("GEMCALC_THREADS", "1")
     assert main(args + ["--out", str(solo)]) == 0
-    assert recording_pool.created == [2]  # one worker: no pool at all
+    assert recording_fan_out.workers == [2]  # one worker: no fan-out at all
     assert solo.read_bytes() == duo.read_bytes()
 
 
@@ -292,18 +406,18 @@ def test_random_campaign_walks_only_nonempty_half_orders():
     assert raw == 3
 
 
-def test_zero_count_random_campaign_refused_before_generation(recording_pool, capsys):
+def test_zero_count_random_campaign_refused_before_generation(recording_fan_out, capsys):
     assert main(["verify", "--d", "3", "--mode", "random", "--p", "2", "--count", "0"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "random campaigns need a positive sample count" in err
-    assert recording_pool.built == []
+    assert recording_fan_out.built == []
 
 
-def test_unknown_campaign_mode_refused_before_generation(recording_pool):
+def test_unknown_campaign_mode_refused_before_generation(recording_fan_out):
     with pytest.raises(GemError, match="'bogus'"):
         reports_module.campaign_report(3, "bogus", 2)
-    assert recording_pool.built == []
+    assert recording_fan_out.built == []
 
 
 def test_random_shard_memory_does_not_grow_with_its_size():
@@ -437,9 +551,10 @@ def _import_chain(importtime: str, module: str) -> str:
     return f"{module}: not in the -X importtime output"
 
 
-# Runs in a fresh interpreter: a 1-worker verify and an analyze, then the
-# same verify with 2 workers on a machine made to show 2 CPUs.  Prints the
-# pool modules loaded after the first half and the workers the pool got.
+# Runs in a fresh interpreter: every command, a 1-worker verify among them,
+# then the same verify with 2 workers on a machine made to show 2 CPUs.
+# Prints the pool modules loaded at start and at the end, and the workers
+# each campaign fan-out got.
 _POOL_PROBE = """
 import json, os, sys
 
@@ -448,42 +563,45 @@ def pool_modules():
                   if m.split(".")[0] in ("concurrent", "multiprocessing"))
 
 loaded_at_start = pool_modules()
+from gemcalc import reports
 from gemcalc.cli import main
 
-gem, solo, duo, verify = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
+gem, solo, duo, corpus, verify = sys.argv[1:5] + [sys.argv[5:]]
 os.environ["GEMCALC_THREADS"] = "1"
 assert main(["analyze", gem, "--out", os.devnull]) == 0
+assert main(["decompose", "--n", "7", "--out", os.devnull]) == 0
+assert main(["generate", "--d", "3", "--p", "2", "--count", "2", "--out", corpus]) == 0
+assert main(["search-odd", "--max-p", "2", "--out", os.devnull]) == 0
 assert main(verify + ["--out", solo]) == 0
-loaded_serial = pool_modules()
 
-import concurrent.futures
+fan_outs = []
+fan_out = reports._fan_out
 
-pools = []
+def counted(shards, workers):
+    fan_outs.append(workers)
+    return fan_out(shards, workers)
 
-class CountedPool(concurrent.futures.ProcessPoolExecutor):
-    def __init__(self, max_workers):
-        pools.append(max_workers)
-        super().__init__(max_workers=max_workers)
-
-concurrent.futures.ProcessPoolExecutor = CountedPool
+reports._fan_out = counted
 os.sched_getaffinity = lambda pid: {0, 1}
 os.environ["GEMCALC_THREADS"] = "2"
 assert main(verify + ["--out", duo]) == 0
-print(json.dumps([loaded_at_start, loaded_serial, pools]))
+print(json.dumps([loaded_at_start, pool_modules(), fan_outs]))
 """
 
 
-def test_pool_stack_loaded_only_when_a_pool_starts(tmp_path, dipole_file):
+def test_pool_stack_loaded_by_no_command(tmp_path, dipole_file):
     # 2,400 gems over p <= 2 make 2 shards, over the 2,000 of one batch
     verify = ["verify", "--d", "3", "--mode", "random", "--p", "2",
               "--count", "2400", "--seed", "5"]
     assert 2400 > reports_module._BATCH_SIZE
     solo, duo = tmp_path / "solo.json", tmp_path / "duo.json"
-    proc = _run_probe(_POOL_PROBE, str(dipole_file), str(solo), str(duo), *verify)
-    loaded_at_start, loaded_serial, pools = json.loads(proc.stdout)
+    proc = _run_probe(_POOL_PROBE, str(dipole_file), str(solo), str(duo),
+                      str(tmp_path / "corpus"), *verify)
+    # generate reports what it wrote on stdout: the probe's line is the last
+    loaded_at_start, loaded, fan_outs = json.loads(proc.stdout.splitlines()[-1])
     assert loaded_at_start == []
-    assert loaded_serial == [], "\n\n".join(_import_chain(proc.stderr, m) for m in loaded_serial)
-    assert pools == [2]
+    assert loaded == [], "\n\n".join(_import_chain(proc.stderr, m) for m in loaded)
+    assert fan_outs == [2]
     assert solo.read_bytes() == duo.read_bytes()
 
 

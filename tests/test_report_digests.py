@@ -18,8 +18,6 @@ import pytest
 from gemcalc import GenSpec, random_gem, reports
 from gemcalc.reports import analysis_report, campaign_report, report_json
 
-from conftest import SerialPool
-
 
 def _digest(report: dict) -> str:
     return hashlib.sha256(report_json(report).encode()).hexdigest()
@@ -68,7 +66,7 @@ RANDOM_CAMPAIGNS = [params for params in CAMPAIGNS if params[1] == "random"]
 @pytest.mark.parametrize("batch_size", [2000, 16, 1])
 @pytest.mark.parametrize("params", RANDOM_CAMPAIGNS, ids=lambda p: f"d{p[0]}")
 def test_random_campaign_bytes_do_not_depend_on_gem_ranges(
-    monkeypatch, serial_pool, params, batch_size, workers
+    monkeypatch, serial_fan_out, params, batch_size, workers
 ):
     # a shard is a range of gems, each drawn from its own stream
     monkeypatch.setattr(reports, "_BATCH_SIZE", batch_size)
@@ -76,7 +74,7 @@ def test_random_campaign_bytes_do_not_depend_on_gem_ranges(
         reports.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
     )
     report = campaign_report(*params, threads=workers)
-    assert SerialPool.created == ([2] if workers == 2 and batch_size < params[3] else [])
+    assert serial_fan_out == ([2] if workers == 2 and batch_size < params[3] else [])
     assert _digest(report) == CAMPAIGNS[params]
 
 
@@ -122,7 +120,7 @@ def _sabotaged(check_graph):
     "params", list(VIOLATING_CAMPAIGNS), ids=lambda p: f"d{p[0]}-{p[1]}-p{p[2]}"
 )
 def test_violating_campaign_bytes_pinned(
-    monkeypatch, serial_pool, params, batch_size, workers
+    monkeypatch, serial_fan_out, params, batch_size, workers
 ):
     # counts, per-check tallies and embedded gems must not depend on batching
     monkeypatch.setattr(reports, "check_graph", _sabotaged(reports.check_graph))
@@ -132,7 +130,7 @@ def test_violating_campaign_bytes_pinned(
     )
     report = campaign_report(*params, threads=workers)
     batches = -(-report["counts"]["graphs"] // batch_size)
-    assert SerialPool.created == ([2] if workers == 2 and batches > 1 else [])
+    assert serial_fan_out == ([2] if workers == 2 and batches > 1 else [])
     assert _digest(report) == VIOLATING_CAMPAIGNS[params]
 
 
