@@ -9,16 +9,20 @@ partition for n = 5.
 
 Every identity reads its residue counts from the graph's residue vector
 and its genera as integer "twice" values (see ``genus_twices``), through
-index tables built once.  Singular-manifold recognition and the component
-side of the residue-degree identity are the exception: one walk over the
-graph's bicolored cycles (in the battery, the walk it hands to
-``check_identities``) keeps a vertex of each cycle, a label walk over
-the matchings numbers the components of each residue, and each cycle
-is counted as a face of its component.  Neither side therefore collapses
-into an algebraic consequence of the vector it is checked against.
-Manifold recognition labels only 3-colored residues: each 3-colored
-residue of a 4-colored residue component is a 3-colored residue of the
-whole graph.
+index tables built once; the adjacent-minus-skip pair sums of the twelve
+permutations are read off the vector once per graph, as one gap tuple.
+Singular-manifold recognition and the component side of the
+residue-degree identity are the exception: one walk over the graph's
+bicolored cycles (in the battery, the walk it hands to
+``check_identities``) keeps a vertex of each cycle, and a label walk over
+the matchings numbers the components of each residue.  Singular-manifold
+recognition labels the 3-colored residues and counts each cycle as a face
+of its component; the residue-degree identity counts the components of
+the five 4-colored residues and their cycles.  Neither side therefore
+collapses into an algebraic consequence of the vector it is checked
+against.  Manifold recognition labels only 3-colored residues: each
+3-colored residue of a 4-colored residue component is a 3-colored residue
+of the whole graph.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .core import (
 from .embeddings import (
     HalfInt,
     _bicolored_cycles,
-    _reduced_degree,
     genus_twices,
 )
 from .perms import CyclicPerm, canonical_perm, cycle_masks, cyclic_permutations, perm_index
@@ -121,18 +124,38 @@ def _mask(colors) -> int:
 _PERMS = cyclic_permutations(4)
 _PARTNER = tuple(perm_index(4)[associated_permutation(eps)] for eps in _PERMS)
 _PAIRS = tuple((perm_index(4)[a], perm_index(4)[b]) for a, b in associated_pairs())
-_ADJACENT, _SKIP = cycle_masks(4, 1), cycle_masks(4, 2)  # pairs (e_j, e_{j+1}), (e_j, e_{j+2})
 _CONSECUTIVE3 = tuple(tuple(consecutive_triples(eps)) for eps in _PERMS)
 _SKIP3 = tuple(tuple(skip_triples(eps)) for eps in _PERMS)
+# per permutation, five masks counted plus and then five counted minus: the
+# pairs (e_j, e_{j+1}) against (e_j, e_{j+2}), and the consecutive triples
+# against the skip triples
+_PAIR_GAP_MASKS = tuple(a + s for a, s in zip(cycle_masks(4, 1), cycle_masks(4, 2)))
+_TRIPLE_GAP_MASKS = tuple(tuple(map(_mask, c + s)) for c, s in zip(_CONSECUTIVE3, _SKIP3))
 _TRIPLE_MASK = {t: _mask(t) for t in combinations(range(5), 3)}
 _TRIPLE_PAIRS = tuple(  # (rst, rs, rt, st) masks of the ten triples
     (m,) + tuple(_mask(pr) for pr in combinations(t, 2)) for t, m in _TRIPLE_MASK.items()
 )
-_HATS = tuple(0b11111 ^ (1 << i) for i in range(5))  # the colors other than i
+_HAT_COLORS = tuple(tuple(c for c in range(5) if c != i) for i in range(5))  # all but i
+_HATS = tuple(map(_mask, _HAT_COLORS))
+_HAT_PAIRS = tuple(tuple(combinations(colors, 2)) for colors in _HAT_COLORS)
 
 
 def _hat_sum(vec: tuple[int, ...]) -> int:
     return sum(vec[m] for m in _HATS)
+
+
+def _gaps(vec: tuple[int, ...], masks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Per permutation, the counts under its first five masks minus those under
+    its last five."""
+    return tuple(
+        vec[a] + vec[b] + vec[c] + vec[d] + vec[e] - vec[f] - vec[g] - vec[h] - vec[i] - vec[j]
+        for a, b, c, d, e, f, g, h, i, j in masks
+    )
+
+
+def _pair_gaps(vec: tuple[int, ...]) -> tuple[int, ...]:
+    """sum g_{e_j e_{j+1}} - sum g_{e_j e_{j+2}} for each permutation e."""
+    return _gaps(vec, _PAIR_GAP_MASKS)
 
 
 class SurfaceType(NamedTuple):
@@ -197,31 +220,22 @@ def is_singular_4_manifold(g: ColoredGraph) -> bool:
 
 # twice the Euler characteristic of a singular 4-manifold from one associated
 # pair: (rho_e + rho_e') - p + sum g_hat - 2, whichever pair is taken
-def _euler_twice_via_pair(vec: tuple[int, ...], twices: tuple[int, ...], i: int, p: int) -> int:
-    return twices[i] + twices[_PARTNER[i]] + 2 * (_hat_sum(vec) - p - 2)
+def _euler_twice_via_pair(hat_sum: int, twices: tuple[int, ...], i: int, p: int) -> int:
+    return twices[i] + twices[_PARTNER[i]] + 2 * (hat_sum - p - 2)
 
 
 def _euler_via_pair(vec: tuple[int, ...], twices: tuple[int, ...], i: int, p: int) -> int:
-    twice = _euler_twice_via_pair(vec, twices, i, p)
+    twice = _euler_twice_via_pair(_hat_sum(vec), twices, i, p)
     if twice % 2:
         raise InvariantViolation("non-integral Euler characteristic")
     return twice // 2
 
 
-def _adjacent_minus_skip(vec: tuple[int, ...], i: int) -> int:
-    return sum([vec[m] for m in _ADJACENT[i]]) - sum([vec[m] for m in _SKIP[i]])
-
-
-# 2(rho_e' - rho_e) = sum g_{e_j e_{j+1}} - sum g_{e_j e_{j+2}} on every 5-colored graph
-def _difference_a(vec: tuple[int, ...], twices: tuple[int, ...], i: int) -> bool:
-    return twices[_PARTNER[i]] - twices[i] == _adjacent_minus_skip(vec, i)
-
-
-# rho_e' - rho_e = consecutive minus skip triple residues, on singular-manifold graphs
-def _difference_b(vec: tuple[int, ...], twices: tuple[int, ...], i: int) -> bool:
-    consec = sum(vec[_TRIPLE_MASK[t]] for t in _CONSECUTIVE3[i])
-    skip = sum(vec[_TRIPLE_MASK[t]] for t in _SKIP3[i])
-    return twices[_PARTNER[i]] - twices[i] == 2 * (consec - skip)
+# 2(rho_e' - rho_e) = sum g_{e_j e_{j+1}} - sum g_{e_j e_{j+2}} on every 5-colored
+# graph, and rho_e' - rho_e = consecutive minus skip triple residues on
+# singular-manifold graphs: each difference against one gap tuple
+def _differences_hold(twices: tuple[int, ...], gaps: tuple[int, ...], scale: int) -> bool:
+    return all(twices[_PARTNER[i]] - twices[i] == scale * gap for i, gap in enumerate(gaps))
 
 
 def _triple_relation(vec: tuple[int, ...], p: int) -> bool:
@@ -234,10 +248,8 @@ def _triple_relation(vec: tuple[int, ...], p: int) -> bool:
 
 # the minimal-degree criterion, both sides: the degree is twelve times the regular
 # genus, and the adjacent and skip pair sums agree for every permutation
-def _corollary_12rho(vec: tuple[int, ...], twices: tuple[int, ...]) -> tuple[bool, bool]:
-    left = sum(twices) == 12 * min(twices)
-    right = all(_adjacent_minus_skip(vec, i) == 0 for i in range(len(twices)))
-    return left, right
+def _minimal_degree_sides(twices: tuple[int, ...], gaps: tuple[int, ...]) -> tuple[bool, bool]:
+    return sum(twices) == 12 * min(twices), not any(gaps)
 
 
 class CrystallizationProfile(NamedTuple):
@@ -271,12 +283,12 @@ def crystallization_profile(g: ColoredGraph, m: int) -> CrystallizationProfile:
             raise GemError(f"residue missing color {i} is disconnected: not a crystallization")
     if not is_singular_4_manifold(g):
         raise GemError("graph fails the singular-manifold residue test")
-    return _ledger(g, vec, m)
+    return _ledger(g, vec, m, euler_characteristic_complex(g))
 
 
-def _ledger(g: ColoredGraph, vec: tuple[int, ...], m: int) -> CrystallizationProfile:
-    """The profile of a graph already known to pass the residue tests."""
-    chi = euler_characteristic_complex(g)
+def _ledger(g: ColoredGraph, vec: tuple[int, ...], m: int, chi: int) -> CrystallizationProfile:
+    """The profile of a graph already known to pass the residue tests, whose
+    Euler characteristic is ``chi``."""
     g_triples = {t: vec[mask] for t, mask in _TRIPLE_MASK.items()}
     t_triples = {t: v - 1 - m for t, v in g_triples.items()}
     for t, v in t_triples.items():
@@ -325,11 +337,11 @@ def classify_crystallization(
     """
     if g.p != profile.half_order:
         raise GemError("profile does not belong to this graph")
-    return _classify(profile, residue_vector(g), genus_twices(g))
+    return _classify(profile, genus_twices(g), _pair_gaps(residue_vector(g)))
 
 
 def _classify(
-    profile: CrystallizationProfile, vec: tuple[int, ...], twices: tuple[int, ...]
+    profile: CrystallizationProfile, twices: tuple[int, ...], gaps: tuple[int, ...]
 ) -> ClassificationResult:
     t = profile.t_triples
     witness = next(
@@ -346,7 +358,7 @@ def _classify(
             "classification statements disagree "
             f"(gap={stmt_gap}, witness={stmt_witness}, genus={stmt_genus})"
         )
-    left, right = _corollary_12rho(vec, twices)
+    left, right = _minimal_degree_sides(twices, gaps)
     if left != right:
         raise InvariantViolation("minimal-degree criterion sides disagree")
     if profile.q == 0:
@@ -364,33 +376,39 @@ def _classify(
     return ClassificationResult(kind=kind, witness=witness, satisfies_12rho=left)
 
 
+def _hat_degree_total(g: ColoredGraph, cycles: dict[tuple[int, int], list[int]]) -> int:
+    """The component degrees of the five 4-colored residues, summed.
+
+    At d = 3 a component's degree is its reduced degree 3 + 3p_c - f_c; the
+    k components of a residue cover all p, so its sum is 3k + 3p - F, with k
+    counted by a label walk and F the residue's bicolored cycles.
+    """
+    total = 0
+    for colors, pairs in zip(_HAT_COLORS, _HAT_PAIRS):
+        k = len(_component_labels(g, colors)[1])
+        total += 3 * (k + g.p) - sum(len(cycles[pair]) for pair in pairs)
+    return total
+
+
 def _residue_degree_holds(
-    g: ColoredGraph,
-    cycles: dict[tuple[int, int], list[int]],
-    vec: tuple[int, ...],
-    omega_twice: int,
+    g: ColoredGraph, cycles: dict[tuple[int, int], list[int]], hat_sum: int, omega_twice: int
 ) -> bool:
-    # at d = 3 a component's degree is its reduced degree
-    total = sum(
-        _reduced_degree(3, p_c, faces)
-        for hat in combinations(g.colors, 4)
-        for faces, p_c in _component_faces(g, cycles, hat)
-    )
-    return omega_twice == 6 * (g.p + 4 - _hat_sum(vec)) + 2 * total and total % 3 == 0
+    total = _hat_degree_total(g, cycles)
+    return omega_twice == 6 * (g.p + 4 - hat_sum) + 2 * total and total % 3 == 0
 
 
 def residue_degree_identity(g: ColoredGraph) -> bool:
     """Degree of the graph against the degrees of its 4-colored residues.
 
     Checks omega = 3*(p + 4 - sum g_hat) + sum of the component degrees of
-    the five residues (components computed at d = 3 by the closed formula),
-    and that the component-degree total is a multiple of three.
+    the five residues (at d = 3 by the closed formula, summed per residue
+    from its component count and its bicolored cycles), and that the component-degree total is a multiple of three.
     """
     _require_d(g, 4)
     if not is_connected(g):
         raise GemError("the residue-degree identity requires a connected graph")
     return _residue_degree_holds(
-        g, _bicolored_cycles(g), residue_vector(g), sum(genus_twices(g))
+        g, _bicolored_cycles(g), _hat_sum(residue_vector(g)), sum(genus_twices(g))
     )
 
 
@@ -411,45 +429,48 @@ def check_identities(
     ``twices`` is :func:`genus_twices` of the graph, and ``cycles`` and
     ``reduced`` are the battery's one bicolored-cycle walk and the reduced
     degree of its pair sum; no walk starts here.  ``flags`` already holds
-    ``bipartite`` and ``odd_reduced_degree``.  The walk serves every
-    residue: the singular test labels the ten 3-colored residues and stops
-    at the first non-sphere, and the residue-degree identity labels the
-    five 4-colored ones.
+    ``bipartite`` and ``odd_reduced_degree``.  Each per-graph quantity is
+    read once: the pair gap tuple serves the bicolored difference, the
+    minimal-degree criterion and the classification, and the Euler
+    characteristic serves the Euler identities and the ledger.  The walk
+    serves every residue: the singular test labels the ten 3-colored
+    residues and stops at the first non-sphere, and the residue-degree
+    identity counts the components of the five 4-colored ones.
     """
     vec = residue_vector(g)
     omega_twice = sum(twices)
+    gaps = _pair_gaps(vec)
+    hat_sum = _hat_sum(vec)
     singular = _spherical_triples(g, cycles)
     flags["singular_manifold"] = singular
 
     pair_twices = [twices[a] + twices[b] for a, b in _PAIRS]
     checks["pair_degree_identity"] = all(omega_twice == 6 * t for t in pair_twices)
     checks["pair_sum_constant"] = all(t == reduced for t in pair_twices)
-    checks["pair_difference_bicolored"] = all(
-        _difference_a(vec, twices, i) for i in range(len(twices))
-    )
-    left, right = _corollary_12rho(vec, twices)
+    checks["pair_difference_bicolored"] = _differences_hold(twices, gaps, 1)
+    left, right = _minimal_degree_sides(twices, gaps)
     checks["minimal_degree_biconditional"] = left == right
     if flags["odd_reduced_degree"]:
         checks["odd_reduced_forces_nonorientable"] = not flags["bipartite"] and not singular
-    checks["residue_degree_identity"] = _residue_degree_holds(g, cycles, vec, omega_twice)
+    checks["residue_degree_identity"] = _residue_degree_holds(g, cycles, hat_sum, omega_twice)
     if not singular:
         return
 
-    checks["pair_difference_tricolored"] = all(
-        _difference_b(vec, twices, i) for i in range(len(twices))
+    checks["pair_difference_tricolored"] = _differences_hold(
+        twices, _gaps(vec, _TRIPLE_GAP_MASKS), 2
     ) and _triple_relation(vec, g.p)
     chi = euler_characteristic_complex(g)
     checks["euler_formula_agreement"] = all(
-        _euler_twice_via_pair(vec, twices, a, g.p) == 2 * chi for a, _ in _PAIRS
+        _euler_twice_via_pair(hat_sum, twices, a, g.p) == 2 * chi for a, _ in _PAIRS
     )
     if all(vec[hat] == 1 for hat in _HATS):
-        _crystallization_checks(g, vec, twices, flags, checks)
+        _crystallization_checks(g, vec, twices, gaps, chi, flags, checks)
 
 
-def _crystallization_checks(g, vec, twices, flags, checks) -> None:
+def _crystallization_checks(g, vec, twices, gaps, chi, flags, checks) -> None:
     """Profile the graph with rank 0 asserted and check the excess identities."""
     try:
-        profile = _ledger(g, vec, 0)
+        profile = _ledger(g, vec, 0, chi)
     except GemError:
         checks["crystallization_profile_consistent"] = False
         return
@@ -472,7 +493,7 @@ def _crystallization_checks(g, vec, twices, flags, checks) -> None:
         twices[a] + twices[b] == 2 * (2 * base + q) for a, b in _PAIRS
     )
     try:
-        _classify(profile, vec, twices)
+        _classify(profile, twices, gaps)
         checks["classification_consistent"] = True
     except GemError:
         checks["classification_consistent"] = False

@@ -42,6 +42,7 @@ from .dim4 import (
     crystallization_profile,
     _classify,
     _euler_via_pair,
+    _pair_gaps,
     _surface,
 )
 from .embeddings import (
@@ -269,7 +270,7 @@ def _check_metadata(g: ColoredGraph, metadata: dict) -> None:
 
 def _metadata_block(g: ColoredGraph, metadata: dict, twices: tuple[int, ...]) -> dict:
     profile = crystallization_profile(g, metadata["m"])
-    result = _classify(profile, residue_vector(g), twices)
+    result = _classify(profile, twices, _pair_gaps(residue_vector(g)))
     return {
         "m": profile.m,
         "euler": profile.euler,

@@ -30,9 +30,19 @@ from gemcalc import (
     surface_type,
 )
 from gemcalc import core as core_module
-from gemcalc.embeddings import _bicolored_cycles
+from gemcalc import dim4 as dim4_module
+from gemcalc.embeddings import _bicolored_cycles, _reduced_degree
+from gemcalc.perms import cycle_pairs
 from gemcalc.reports import analysis_report, check_graph
-from gemcalc.dim4 import NEITHER, SEMI_SIMPLE, WEAK_SEMI_SIMPLE, _component_faces, skip_triples
+from gemcalc.dim4 import (
+    NEITHER,
+    SEMI_SIMPLE,
+    WEAK_SEMI_SIMPLE,
+    _component_faces,
+    _hat_degree_total,
+    _pair_gaps,
+    skip_triples,
+)
 
 from conftest import M_A, M_B, M_C, corpus, oracle_components, oracle_faces, oracle_residues
 
@@ -50,8 +60,6 @@ def test_association_is_involutive():
 
 
 def test_association_covers_all_pairs():
-    from gemcalc.perms import cycle_pairs
-
     for eps in cyclic_permutations(4):
         partner = associated_permutation(eps)
         union = sorted(cycle_pairs(eps) + cycle_pairs(partner))
@@ -326,6 +334,19 @@ def test_tampered_pair_count_breaks_residue_degree_identity(odd_degree_witness):
     assert checks["residue_degree_identity"] is False
 
 
+def test_tampered_hat_count_breaks_residue_degree_identity(odd_degree_witness):
+    # the components of each 4-colored residue are counted by a label walk,
+    # never read off the vector, so a corrupted hat count disagrees with them
+    graphs = [odd_degree_witness]
+    graphs += [g for p in range(1, 6) for g in corpus(4, p, 8, seed=320 + p, connected_only=True)]
+    for g in graphs:
+        assert residue_degree_identity(g)
+        assert check_graph(g)[1]["residue_degree_identity"]
+        for hat in combinations(range(5), 4):
+            assert not residue_degree_identity(_bump(g, hat))
+            assert check_graph(_bump(g, hat))[1]["residue_degree_identity"] is False
+
+
 def test_tampered_triple_count_breaks_tricolored_difference(g4):
     # singular-manifold recognition labels residues over the bicolored-cycle
     # walk, so a corrupted triple count cannot switch the tricolored identity off
@@ -438,14 +459,18 @@ def test_analysis_reads_genera_once(monkeypatch, g4, rp2_gem):
 # --- component labels over the bicolored cycles ---------------------------------
 
 
-def test_label_walk_matches_extracted_residues():
+def _label_walk_corpus() -> list[ColoredGraph]:
     graphs = [g for p in (1, 2) for g in enumerate_gems(4, p, connected_only=True)]
     graphs += [
         g for p in range(1, 7) for g in corpus(4, p, 60, seed=400 + p, connected_only=True)
     ]
     graphs += [g for p in range(1, 7) for g in corpus(3, p, 60, seed=500 + p)]
+    return graphs
+
+
+def test_label_walk_matches_extracted_residues():
     spherical = set()
-    for g in graphs:
+    for g in _label_walk_corpus():
         cycles = _bicolored_cycles(g)
         for (r, s), reps in cycles.items():
             assert len(reps) == oracle_faces(g, r, s)
@@ -460,6 +485,73 @@ def test_label_walk_matches_extracted_residues():
                 if h == 3:
                     spherical.update(faces - p_c == 2 for faces, p_c in walked)
     assert spherical == {True, False}
+
+
+def test_gap_table_and_hat_total_match_oracles():
+    # each gap is the adjacent-pair faces minus the skip-pair faces, walked
+    # edge by edge; the count-only hat total is the per-component degree sum
+    nonzero = set()
+    for g in _label_walk_corpus():
+        if g.d != 4:
+            continue
+        faces = {pair: oracle_faces(g, *pair) for pair in combinations(g.colors, 2)}
+        gaps = _pair_gaps(residue_vector(g))
+        assert gaps == tuple(
+            sum(faces[pair] for pair in cycle_pairs(eps, 1))
+            - sum(faces[pair] for pair in cycle_pairs(eps, 2))
+            for eps in cyclic_permutations(4)
+        )
+        nonzero.add(any(gaps))
+        cycles = _bicolored_cycles(g)
+        assert _hat_degree_total(g, cycles) == sum(
+            _reduced_degree(3, p_c, f_c)
+            for hat in combinations(g.colors, 4)
+            for f_c, p_c in _component_faces(g, cycles, hat)
+        )
+    assert nonzero == {True, False}
+
+
+def test_d4_battery_reads_each_residue_fact_once(monkeypatch, g4, odd_degree_witness):
+    # per gem: one pair gap tuple, one label walk per hat and at most one per
+    # triple, and faces attributed per component on the triples alone
+    graphs = [g for p in range(1, 7) for g in corpus(4, p, 20, seed=600 + p, connected_only=True)]
+    graphs += [g4, odd_degree_witness]
+    pair_gap_builds, labelled, faced = [], [], []
+    gaps, labels, component_faces = (
+        dim4_module._gaps, dim4_module._component_labels, dim4_module._component_faces
+    )
+
+    def counting_gaps(vec, masks):
+        if masks is dim4_module._PAIR_GAP_MASKS:
+            pair_gap_builds.append(vec)
+        return gaps(vec, masks)
+
+    def counting_labels(g, colors):
+        labelled.append(tuple(colors))
+        return labels(g, colors)
+
+    def counting_faces(g, cycles, colors):
+        faced.append(tuple(colors))
+        return component_faces(g, cycles, colors)
+
+    monkeypatch.setattr(dim4_module, "_gaps", counting_gaps)
+    monkeypatch.setattr(dim4_module, "_component_labels", counting_labels)
+    monkeypatch.setattr(dim4_module, "_component_faces", counting_faces)
+    branches = set()
+    for g in graphs:
+        pair_gap_builds.clear()
+        labelled.clear()
+        faced.clear()
+        flags, _ = check_graph(g)
+        assert len(pair_gap_builds) == 1
+        hats = [colors for colors in labelled if len(colors) == 4]
+        triples = [colors for colors in labelled if len(colors) == 3]
+        assert sorted(hats) == list(combinations(range(5), 4))
+        assert len(hats) + len(triples) == len(labelled)
+        assert len(set(triples)) == len(triples) <= 10
+        assert faced == triples
+        branches.add((flags["singular_manifold"], "crystallization_profile" in flags))
+    assert branches == {(False, False), (True, False), (True, True)}
 
 
 def test_d4_battery_builds_no_graphs(monkeypatch, g4, odd_degree_witness):
