@@ -11,7 +11,6 @@ from .core import (
     ColoredGraph,
     GemError,
     InvariantViolation,
-    ResidueTable,
     euler_characteristic_complex,
     is_bipartite,
     is_connected,

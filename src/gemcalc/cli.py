@@ -151,28 +151,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_search_odd(args: argparse.Namespace) -> int:
     witness = search_odd_reduced(args.d, args.max_p)
-    if witness is None:
-        doc = {
-            "schema": REPORT_SCHEMA,
-            "kind": "odd-degree-search",
-            "found": False,
-            "d": args.d,
-            "max_p": args.max_p,
-        }
-    else:
-        doc = {
-            "schema": REPORT_SCHEMA,
-            "kind": "odd-degree-search",
-            "found": True,
-            "d": args.d,
-            "max_p": args.max_p,
-            "reduced_degree": reduced_g_degree(witness),
-            "bipartite": is_bipartite(witness),
-            "singular_manifold": (
-                is_singular_4_manifold(witness) if args.d == 4 else None
-            ),
-            "gem": json.loads(serialize_gem(witness)),
-        }
+    doc = {
+        "schema": REPORT_SCHEMA,
+        "kind": "odd-degree-search",
+        "found": witness is not None,
+        "d": args.d,
+        "max_p": args.max_p,
+    }
+    if witness is not None:
+        doc.update(
+            reduced_degree=reduced_g_degree(witness),
+            bipartite=is_bipartite(witness),
+            singular_manifold=is_singular_4_manifold(witness) if args.d == 4 else None,
+            gem=json.loads(serialize_gem(witness)),
+        )
     _emit(doc, "json", args.out)
     return 0
 

@@ -20,7 +20,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Iterable, Mapping
+from typing import Iterable
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -28,7 +28,6 @@ __all__ = [
     "ColoredGraph",
     "GemError",
     "InvariantViolation",
-    "ResidueTable",
     "check_dimension",
     "euler_characteristic_complex",
     "is_bipartite",
@@ -71,41 +70,17 @@ def check_dimension(d: int) -> None:
         )
 
 
-class _Frozen:
-    """Slotted base whose fields are set once, in ``__init__``, and never again.
-
-    ``_fields`` names the constructor's parameters in order; they make the
-    ``repr`` and the pickle, which rebuilds (and so re-validates) the value.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...]
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({args})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(getattr(self, name) for name in self._fields)
-
-
-class ColoredGraph(_Frozen):
+class ColoredGraph:
     """Immutable (d+1)-edge-colored graph given by one involution per color.
 
     Top-level gems have ``d >= 2``; any ``d >= 0`` is accepted, so that a
     residue can be built as a graph of its own.  ``_vector`` caches
     :func:`residue_vector` and ``_connected`` caches :func:`is_connected`;
-    neither takes part in equality, hashing, ``repr`` or pickling.
+    neither takes part in equality, hashing, ``repr`` or pickling, which
+    rebuilds (and so re-validates) the graph through the constructor.
     """
 
     __slots__ = ("d", "order", "matchings", "_vector", "_connected")
-    _fields = ("d", "order", "matchings")
 
     def __init__(self, d: int, order: int, matchings: tuple[tuple[int, ...], ...]) -> None:
         set_ = object.__setattr__
@@ -123,6 +98,18 @@ class ColoredGraph(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.d, self.order, self.matchings))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"ColoredGraph(d={self.d!r}, order={self.order!r}, matchings={self.matchings!r})"
+
+    def __reduce__(self) -> tuple:
+        return ColoredGraph, (self.d, self.order, self.matchings)
 
     def __post_init__(self) -> None:
         if self.d < 0:
@@ -259,29 +246,14 @@ def residue_count(g: ColoredGraph, colors: Iterable[int]) -> int:
     return residue_vector(g)[_color_mask(g, colors)]
 
 
-class ResidueTable(_Frozen):
-    """All residue counts of a graph, keyed by color subset."""
-
-    __slots__ = _fields = ("d", "order", "counts")
-
-    def __init__(self, d: int, order: int, counts: Mapping[frozenset[int], int]) -> None:
-        set_ = object.__setattr__
-        set_(self, "d", d)
-        set_(self, "order", order)
-        set_(self, "counts", counts)
-
-    def __getitem__(self, colors: Iterable[int]) -> int:
-        return self.counts[frozenset(colors)]
-
-
-def residue_table(g: ColoredGraph) -> ResidueTable:
+def residue_table(g: ColoredGraph) -> dict[frozenset[int], int]:
     """Residue counts for every subset of the color set, keyed by frozenset."""
     vec = residue_vector(g)
-    counts = {}
-    for h in range(g.d + 2):
-        for b in combinations(g.colors, h):
-            counts[frozenset(b)] = vec[sum(1 << c for c in b)]
-    return ResidueTable(d=g.d, order=g.order, counts=counts)
+    return {
+        frozenset(b): vec[sum(1 << c for c in b)]
+        for h in range(g.d + 2)
+        for b in combinations(g.colors, h)
+    }
 
 
 def _component_labels(g: ColoredGraph, colors: Iterable[int]) -> tuple[list[int], list[int]]:

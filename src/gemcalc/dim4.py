@@ -9,27 +9,27 @@ partition for n = 5.
 
 Every identity reads its residue counts from the graph's residue vector
 and its genera as integer "twice" values (see ``genus_twices``), through
-index tables built once; the adjacent-minus-skip pair sums of the twelve
-permutations are read off the vector once per graph, as one gap tuple.
-Singular-manifold recognition and the component side of the
-residue-degree identity are the exception: one walk over the graph's
-bicolored cycles (in the battery, the walk it hands to
-``check_identities``) keeps a vertex of each cycle, and a label walk over
-the matchings numbers the components of each residue.  Singular-manifold
-recognition labels the 3-colored residues and counts each cycle as a face
-of its component; the residue-degree identity counts the components of
-the five 4-colored residues and their cycles.  Neither side therefore
-collapses into an algebraic consequence of the vector it is checked
-against.  Manifold recognition labels only 3-colored residues: each
-3-colored residue of a 4-colored residue component is a 3-colored residue
-of the whole graph.
+index tables built once.  The battery's pair gaps, singular-manifold
+recognition and the component side of the residue-degree identity are the
+exception: one walk over the graph's bicolored cycles (in the battery, the
+walk it hands to ``check_identities``) keeps a vertex of each cycle, and a
+label walk over the matchings numbers the components of each residue.
+The battery reads the adjacent-minus-skip pair sums of the twelve
+permutations off that walk once per graph, as one gap tuple.
+Singular-manifold recognition labels the 3-colored residues and counts
+each cycle as a face of its component; the residue-degree identity counts
+the components of the five 4-colored residues and their cycles.  No side
+therefore collapses into an algebraic consequence of the vector it is
+checked against.  Manifold recognition labels only 3-colored residues:
+each 3-colored residue of a 4-colored residue component is a 3-colored
+residue of the whole graph.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     ColoredGraph,
@@ -144,7 +144,7 @@ def _hat_sum(vec: tuple[int, ...]) -> int:
     return sum(vec[m] for m in _HATS)
 
 
-def _gaps(vec: tuple[int, ...], masks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def _gaps(vec: Sequence[int], masks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Per permutation, the counts under its first five masks minus those under
     its last five."""
     return tuple(
@@ -153,9 +153,19 @@ def _gaps(vec: tuple[int, ...], masks: tuple[tuple[int, ...], ...]) -> tuple[int
     )
 
 
-def _pair_gaps(vec: tuple[int, ...]) -> tuple[int, ...]:
-    """sum g_{e_j e_{j+1}} - sum g_{e_j e_{j+2}} for each permutation e."""
+def _pair_gaps(vec: Sequence[int]) -> tuple[int, ...]:
+    """sum g_{e_j e_{j+1}} - sum g_{e_j e_{j+2}} for each permutation e, from
+    the pair counts of a mask-indexed vector."""
     return _gaps(vec, _PAIR_GAP_MASKS)
+
+
+def _cycle_counts(cycles: dict[tuple[int, int], list[int]]) -> list[int]:
+    """The walk's cycle count of each color pair, at the pair's mask of a
+    32-entry list; the other entries are 0 and never read."""
+    counts = [0] * 32
+    for (r, s), reps in cycles.items():
+        counts[1 << r | 1 << s] = len(reps)
+    return counts
 
 
 class SurfaceType(NamedTuple):
@@ -393,8 +403,7 @@ def _hat_degree_total(g: ColoredGraph, cycles: dict[tuple[int, int], list[int]])
 def _residue_degree_holds(
     g: ColoredGraph, cycles: dict[tuple[int, int], list[int]], hat_sum: int, omega_twice: int
 ) -> bool:
-    total = _hat_degree_total(g, cycles)
-    return omega_twice == 6 * (g.p + 4 - hat_sum) + 2 * total and total % 3 == 0
+    return omega_twice == 6 * (g.p + 4 - hat_sum) + 2 * _hat_degree_total(g, cycles)
 
 
 def residue_degree_identity(g: ColoredGraph) -> bool:
@@ -402,7 +411,7 @@ def residue_degree_identity(g: ColoredGraph) -> bool:
 
     Checks omega = 3*(p + 4 - sum g_hat) + sum of the component degrees of
     the five residues (at d = 3 by the closed formula, summed per residue
-    from its component count and its bicolored cycles), and that the component-degree total is a multiple of three.
+    from its component count and its bicolored cycles).
     """
     _require_d(g, 4)
     if not is_connected(g):
@@ -430,16 +439,17 @@ def check_identities(
     ``reduced`` are the battery's one bicolored-cycle walk and the reduced
     degree of its pair sum; no walk starts here.  ``flags`` already holds
     ``bipartite`` and ``odd_reduced_degree``.  Each per-graph quantity is
-    read once: the pair gap tuple serves the bicolored difference, the
-    minimal-degree criterion and the classification, and the Euler
-    characteristic serves the Euler identities and the ledger.  The walk
-    serves every residue: the singular test labels the ten 3-colored
-    residues and stops at the first non-sphere, and the residue-degree
-    identity counts the components of the five 4-colored ones.
+    read once: the pair gap tuple, read off the walk's cycle counts, serves
+    the bicolored difference, the minimal-degree criterion and the
+    classification, and the Euler characteristic serves the Euler
+    identities and the ledger.  The walk also serves every residue: the
+    singular test labels the ten 3-colored residues and stops at the first
+    non-sphere, and the residue-degree identity counts the components of
+    the five 4-colored ones.
     """
     vec = residue_vector(g)
     omega_twice = sum(twices)
-    gaps = _pair_gaps(vec)
+    gaps = _pair_gaps(_cycle_counts(cycles))
     hat_sum = _hat_sum(vec)
     singular = _spherical_triples(g, cycles)
     flags["singular_manifold"] = singular

@@ -10,6 +10,7 @@ import pickle
 import pkgutil
 import re
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -160,15 +161,17 @@ def test_residue_color_out_of_range(g4):
 def test_residue_table_invariants(g4, dipole4):
     for g in (g4, dipole4):
         table = residue_table(g)
-        assert table[()] == g.order
+        assert table[frozenset()] == g.order
         for c in g.colors:
-            assert table[(c,)] == g.p
-        assert table[tuple(g.colors)] == 1  # connected fixtures
+            assert table[frozenset((c,))] == g.p
+        assert table[frozenset(g.colors)] == 1  # connected fixtures
         for h in range(g.d + 2):
-            families = [b for b in table.counts if len(b) == h]
-            from math import comb
-
-            assert len(families) == comb(g.d + 1, h)
+            assert sum(len(b) == h for b in table) == comb(g.d + 1, h)
+        assert table == {
+            frozenset(b): residue_count(g, b)
+            for h in range(g.d + 2)
+            for b in combinations(g.colors, h)
+        }
 
 
 def test_bipartite(dipole4, g4, rp2_gem):
