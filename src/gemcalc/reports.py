@@ -2,10 +2,12 @@
 
 Every theorem-shaped statement the library exposes is evaluated per graph
 as a named boolean check; campaign reports aggregate evaluation and
-violation counts, embedding the first counterexample gems verbatim.  All
-reports serialize deterministically (sorted keys, integers and exact
-half-integer strings only), so a repeated run with the same seed is
-byte-identical.
+violation counts, embedding the first counterexample gems verbatim.  A
+campaign shard longer than the number of labelled gems it draws from must
+repeat a gem, and checks each distinct gem once; every repeat is still
+counted, and embedded, as its own gem.  All reports serialize
+deterministically (sorted keys, integers and exact half-integer strings
+only), so a repeated run with the same seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .embeddings import (
     _reduced_degree,
     genus_twices,
 )
-from .generator import campaign_corpus, campaign_gems
+from .generator import campaign_corpus, campaign_gems, enumeration_size
 from .perms import cyclic_permutations, perm_index
 
 __all__ = [
@@ -288,21 +290,18 @@ def _metadata_block(g: ColoredGraph, metadata: dict, twices: tuple[int, ...]) ->
 # --- campaigns ---------------------------------------------------------------
 
 
-def _shards(d: int, mode: str, max_p: int, count: int, seed: int) -> tuple[list[tuple], int]:
-    """Shard descriptors ``(mode, d, p, lo, hi, seed)`` in corpus order, and
-    the raw corpus size.
+def _shards(d: int, mode: str, max_p: int, count: int, seed: int) -> list[tuple]:
+    """Shard descriptors ``(mode, d, p, lo, hi, seed)`` in corpus order.
 
     A shard is a range ``[lo, hi)`` of at most ``_BATCH_SIZE`` positions in
     one p's stream of the :func:`campaign_corpus`, which refuses an
     oversized corpus before any shard exists.
     """
-    corpus = campaign_corpus(d, mode, max_p, count, seed)
-    shards = [
+    return [
         (mode, d, p, lo, min(lo + _BATCH_SIZE, size), stream_seed)
-        for p, size, stream_seed in corpus
+        for p, size, stream_seed in campaign_corpus(d, mode, max_p, count, seed)
         for lo in range(0, size, _BATCH_SIZE)
     ]
-    return shards, sum(size for _, size, _ in corpus)
 
 
 def _battery_batch(shard: tuple) -> tuple[int, Counter, Counter, Counter, list]:
@@ -312,8 +311,22 @@ def _battery_batch(shard: tuple) -> tuple[int, Counter, Counter, Counter, list]:
     violated checks by name, and its earliest violations as (shard-local
     index, check, serialized gem): enough of them to fill the report's
     embedded counterexamples, so a violating shard holds no more.
+
+    A shard with more gems than there are labelled gems of its half-order,
+    (2p-1)!!^(d+1), must repeat one (pigeonhole): such a shard checks each
+    distinct gem once and reuses the names of its true flags, evaluated
+    checks and failed checks for every repeat, so the memo holds at most
+    that many gems (one at p = 1, 81 at d = 3, p = 2).  A repeat still
+    counts as its own gem, under its own index.  Exhaustive shards, which
+    hold each gem once, never reach the bound.
     """
+    _, d, p, lo, hi, _ = shard
     gems = campaign_gems(*shard)
+    # (2p-1)!!^(d+1) labelled gems, a perfect matching of 2p vertices per
+    # color: at least p, so a shard of at most p gems skips the big product
+    memo: dict | None = (
+        {} if p < hi - lo and hi - lo > enumeration_size(d + 1, p) else None
+    )
     graphs = 0
     flagged: Counter = Counter()
     evaluated: Counter = Counter()
@@ -323,10 +336,18 @@ def _battery_batch(shard: tuple) -> tuple[int, Counter, Counter, Counter, list]:
     # one gem at a time from the stream measured about 10 us/gem slower
     while run := list(islice(gems, _RUN_SIZE)):
         for g in run:
-            flags, checks = check_graph(g)
-            flagged.update(name for name, value in flags.items() if value)
-            evaluated.update(checks.keys())  # a mapping would add its values
-            failed = [name for name, ok in checks.items() if not ok]
+            if memo is None or (outcome := memo.get(g)) is None:
+                flags, checks = check_graph(g)
+                outcome = (
+                    [name for name, value in flags.items() if value],
+                    checks.keys(),  # names only: a mapping would add its values
+                    [name for name, ok in checks.items() if not ok],
+                )
+                if memo is not None:
+                    memo[g] = outcome
+            trues, names, failed = outcome
+            flagged.update(trues)
+            evaluated.update(names)
             if failed:
                 violated.update(failed)
                 if len(earliest) < MAX_EMBEDDED_COUNTEREXAMPLES:
@@ -413,7 +434,7 @@ def campaign_report(
     process is one of the workers and forks the others (:func:`_fan_out`);
     the workers never exceed the usable CPUs or the shard count, whatever
     ``threads`` asks for, and the campaign runs in-process when the corpus
-    fits one batch or the platform has no ``os.fork``.  A worker that dies
+    is one shard or the platform has no ``os.fork``.  A worker that dies
     without a result raises :class:`ChildProcessError`.  The first few
     violating gems are embedded verbatim.
     """
@@ -425,13 +446,13 @@ def campaign_report(
     if max_p < 1:
         raise GemError(f"campaigns need a positive half-order bound, got {max_p}")
 
-    shards, raw = _shards(d, mode, max_p, count, seed)
-    fans_out = raw > _BATCH_SIZE and hasattr(os, "fork")
-    workers = min(threads, _usable_cpus(), len(shards)) if fans_out else 1
+    shards = _shards(d, mode, max_p, count, seed)
+    workers = min(threads, _usable_cpus(), len(shards)) if hasattr(os, "fork") else 1
     if workers > 1:
-        # the largest half-orders cost the most per gem: deal them first (the
-        # sort is stable, so each p's ranges stay in order), then put the
-        # results back in corpus order (every descriptor is distinct)
+        # the largest half-orders cost the most per shard (the p = 1 shard,
+        # one dipole checked once, the least): deal them first (the sort is
+        # stable, so each p's ranges stay in order), then put the results
+        # back in corpus order (every descriptor is distinct)
         longest_first = sorted(shards, key=lambda shard: -shard[2])
         done = _fan_out(longest_first, workers)
         results = [done[shard] for shard in shards]

@@ -183,10 +183,8 @@ def _counted_forks(monkeypatch) -> list[int]:
     return forks
 
 
-def test_verify_worker_sharding_invisible(tmp_path, monkeypatch):
-    args = ["verify", "--d", "4", "--mode", "random", "--p", "2",
-            "--count", "60", "--seed", "31"]
-    monkeypatch.setattr(reports_module, "_BATCH_SIZE", 16)
+def _assert_two_workers_fork_once(tmp_path, monkeypatch, args) -> None:
+    """One worker forks nothing, two fork once, and the reports are equal."""
     _two_cpus(monkeypatch)
     forks = _counted_forks(monkeypatch)
     solo, duo = tmp_path / "solo.json", tmp_path / "duo.json"
@@ -199,6 +197,22 @@ def test_verify_worker_sharding_invisible(tmp_path, monkeypatch):
     assert forks == [os.getpid()]
     assert solo.read_bytes() == duo.read_bytes()
     assert_no_child()
+
+
+def test_verify_worker_sharding_invisible(tmp_path, monkeypatch):
+    args = ["verify", "--d", "4", "--mode", "random", "--p", "2",
+            "--count", "60", "--seed", "31"]
+    monkeypatch.setattr(reports_module, "_BATCH_SIZE", 16)
+    _assert_two_workers_fork_once(tmp_path, monkeypatch, args)
+
+
+def test_benchmark_d4_shape_forks_once_at_two_workers(tmp_path, monkeypatch):
+    # 600 gems over p <= 6 fit one batch but make six shards, one per p:
+    # a campaign of more than one shard fans out whatever its size
+    args = ["verify", "--d", "4", "--mode", "random", "--p", "6",
+            "--count", "600", "--seed", "5"]
+    assert 600 <= reports_module._BATCH_SIZE
+    _assert_two_workers_fork_once(tmp_path, monkeypatch, args)
 
 
 def test_fan_out_deals_in_snake_order(monkeypatch):
@@ -400,10 +414,9 @@ def test_random_campaign_walks_only_nonempty_half_orders():
     huge = reports_module.campaign_report(2, "random", 10**18, 3, 0)
     assert huge["counts"]["graphs"] == 3
     assert huge["counts"] == reports_module.campaign_report(2, "random", 3, 3, 0)["counts"]
-    shards, raw = reports_module._shards(2, "random", 10**18, 3, 0)
+    shards = reports_module._shards(2, "random", 10**18, 3, 0)
     # one gem of each p: the range [0, 1) of the corpus (seed + p, p)
     assert [shard[2:] for shard in shards] == [(1, 0, 1, 1), (2, 0, 1, 2), (3, 0, 1, 3)]
-    assert raw == 3
 
 
 def test_zero_count_random_campaign_refused_before_generation(recording_fan_out, capsys):
@@ -423,18 +436,20 @@ def test_unknown_campaign_mode_refused_before_generation(recording_fan_out):
 def test_random_shard_memory_does_not_grow_with_its_size():
     # a first shard fills the interpreter's tuple free lists (2,000 per size),
     # which tracemalloc counts as allocated; after it, the traced peaks count
-    # only what a shard itself holds
-    reports_module._battery_batch(("random", 2, 1, 0, 2100, 2))
-    peaks = []
-    for n in (125, 1000):
-        tracemalloc.start()
-        try:
-            graphs, *_ = reports_module._battery_batch(("random", 2, 1, 0, n, 2))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert graphs == n
-    assert peaks[1] < 2 * peaks[0]
+    # only what a shard itself holds.  A p = 1 shard checks its one dipole
+    # once; a p = 3 shard (3,375 labelled gems at d = 2) checks every gem
+    for p in (1, 3):
+        reports_module._battery_batch(("random", 2, p, 0, 2100, 2))
+        peaks = []
+        for n in (125, 1000):
+            tracemalloc.start()
+            try:
+                graphs, *_ = reports_module._battery_batch(("random", 2, p, 0, n, 2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert graphs == n
+        assert peaks[1] < 2 * peaks[0]
 
 
 def test_violating_campaign_memory_does_not_grow_with_its_size(monkeypatch):

@@ -12,10 +12,15 @@ the bytes and fails this test.
 from __future__ import annotations
 
 import hashlib
+import json
+from collections import Counter
+from itertools import groupby
+from math import prod
+from operator import itemgetter
 
 import pytest
 
-from gemcalc import GenSpec, random_gem, reports
+from gemcalc import GenSpec, dipole, parse_gem, random_gem, reports
 from gemcalc.reports import analysis_report, campaign_report, report_json
 
 
@@ -74,30 +79,61 @@ def test_random_campaign_bytes_do_not_depend_on_gem_ranges(
         reports.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
     )
     report = campaign_report(*params, threads=workers)
-    assert serial_fan_out == ([2] if workers == 2 and batch_size < params[3] else [])
+    # every campaign of more than one shard fans out
+    shards = reports._shards(*params)
+    assert serial_fan_out == ([2] if workers == 2 and len(shards) > 1 else [])
     assert _digest(report) == CAMPAIGNS[params]
+
+
+def _labelled_gems(d: int, p: int) -> int:
+    # (2p-1)!! perfect matchings of 2p vertices for each of the d + 1 colors
+    return prod(range(1, 2 * p, 2)) ** (d + 1)
 
 
 @pytest.mark.parametrize("batch_size", [2000, 16])
 def test_random_campaign_corpus_is_random_gem_per_half_order(monkeypatch, batch_size):
     # the corpus the traced benchmark draws: count split over p = 1..max_p,
-    # the p-th part random_gem(GenSpec(d, p, n_p, seed + p, connected_only=True))
-    d, max_p, count, seed = 4, 5, 123, 3
-    seen = []
-    check_graph = reports.check_graph
+    # the p-th part random_gem(GenSpec(d, p, n_p, seed + p, connected_only=True));
+    # a shard longer than the labelled gems of its p checks each distinct gem
+    # once, any other shard checks every gem
+    campaign_gems, check_graph = reports.campaign_gems, reports.check_graph
+    drawn, checked = [], []
 
-    def recording(g):
-        seen.append(g)
+    def drawing(*shard):
+        for g in campaign_gems(*shard):
+            drawn.append((shard, g))
+            yield g
+
+    def checking(g):
+        checked.append(g)
         return check_graph(g)
 
-    monkeypatch.setattr(reports, "check_graph", recording)
+    monkeypatch.setattr(reports, "campaign_gems", drawing)
+    monkeypatch.setattr(reports, "check_graph", checking)
     monkeypatch.setattr(reports, "_BATCH_SIZE", batch_size)
-    campaign_report(d, "random", max_p, count, seed, threads=1)
-    expected = []
-    for p in range(1, max_p + 1):
-        n = count // max_p + (1 if p - 1 < count % max_p else 0)
-        expected += random_gem(GenSpec(d=d, p=p, count=n, seed=seed + p, connected_only=True))
-    assert seen == expected
+    # d = 4: only p = 1 repeats; d = 3, p = 2: 200 gems over 81 labelled ones
+    for d, max_p, count, seed in [(4, 5, 123, 3), (3, 2, 400, 6)]:
+        drawn.clear()
+        checked.clear()
+        campaign_report(d, "random", max_p, count, seed, threads=1)
+        expected = []
+        for p in range(1, max_p + 1):
+            n = count // max_p + (1 if p - 1 < count % max_p else 0)
+            expected += random_gem(
+                GenSpec(d=d, p=p, count=n, seed=seed + p, connected_only=True)
+            )
+        assert [g for _, g in drawn] == expected
+        first_seen = []
+        for shard, group in groupby(drawn, key=itemgetter(0)):
+            gems = [g for _, g in group]
+            _, _, p, lo, hi, _ = shard
+            if hi - lo > _labelled_gems(d, p):
+                distinct: dict = {}
+                gems = [distinct.setdefault(g.matchings, g) for g in gems
+                        if g.matchings not in distinct]
+            first_seen += gems
+        assert checked == first_seen
+        assert len(checked) < len(drawn)  # the dipole repeats at every batch size
 
 
 def _sabotaged(check_graph):
@@ -129,9 +165,73 @@ def test_violating_campaign_bytes_pinned(
         reports.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
     )
     report = campaign_report(*params, threads=workers)
-    batches = -(-report["counts"]["graphs"] // batch_size)
-    assert serial_fan_out == ([2] if workers == 2 and batches > 1 else [])
+    shards = reports._shards(*params)
+    assert serial_fan_out == ([2] if workers == 2 and len(shards) > 1 else [])
     assert _digest(report) == VIOLATING_CAMPAIGNS[params]
+
+
+def _sabotaged_repeats(check_graph):
+    """Fail degree_formula_agreement on the dipole, and
+    class_genus_sum_constant on the p = 2 gems whose colors 0 and 1 share
+    their matching: some of the gems of one half-order and not others."""
+
+    def wrapped(g):
+        flags, checks = check_graph(g)
+        if g.p == 1:
+            checks["degree_formula_agreement"] = False
+        if g.p == 2 and g.matchings[0] == g.matchings[1]:
+            checks["class_genus_sum_constant"] = False
+        return flags, checks
+
+    return wrapped
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch_size", [2000, 16])
+def test_repeated_violating_gems_tallied_one_by_one(monkeypatch, batch_size, workers):
+    # d = 3, p <= 2, 400 gems: 200 dipoles, then 200 gems of p = 2 drawn from
+    # 81 labelled ones; every repeat counts, and violates, as its own gem
+    d, max_p, count, seed = 3, 2, 400, 6
+    sabotaged = _sabotaged_repeats(reports.check_graph)
+    monkeypatch.setattr(reports, "check_graph", sabotaged)
+    monkeypatch.setattr(reports, "_BATCH_SIZE", batch_size)
+    monkeypatch.setattr(
+        reports.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+    report = campaign_report(d, "random", max_p, count, seed, threads=workers)
+
+    corpus = []
+    for p in (1, 2):
+        corpus += random_gem(
+            GenSpec(d=d, p=p, count=count // max_p, seed=seed + p, connected_only=True)
+        )
+    flagged, evaluated, violated, violations = Counter(), Counter(), Counter(), []
+    for index, g in enumerate(corpus):
+        flags, checks = sabotaged(g)
+        flagged.update(name for name, value in flags.items() if value)
+        evaluated.update(checks.keys())
+        for name, ok in sorted(checks.items()):
+            if not ok:
+                violated[name] += 1
+                violations.append((index, name, g))
+    assert report["counts"] == {
+        "graphs": count,
+        "bipartite": flagged["bipartite"],
+        "singular_manifold": 0,
+        "odd_reduced_degree": flagged["odd_reduced_degree"],
+        "crystallization_profiles": 0,
+    }
+    assert report["checks"] == {
+        name: {"evaluated": evaluated[name], "violations": violated[name]}
+        for name in evaluated
+    }
+    assert 0 < violated["class_genus_sum_constant"] < count // max_p
+    embedded = [
+        (v["index"], v["check"], parse_gem(json.dumps(v["gem"])))
+        for v in report["violations"]
+    ]
+    assert embedded == violations[:5]
+    assert embedded == [(i, "degree_formula_agreement", dipole(d)) for i in range(5)]
 
 
 @pytest.mark.parametrize(
