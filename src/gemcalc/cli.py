@@ -71,13 +71,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _emit(report, args.format, args.out)
     if report["status"] != "ok":
         first = report["violations"][0]
-        counterexample = json.dumps(first["gem"])
-        if args.out:
-            ce_path = Path(args.out).with_suffix(".counterexample.json")
-            ce_path.write_text(counterexample + "\n")
-            where = str(ce_path)
-        else:
-            where = "report body"
+        where = _keep_counterexample(json.dumps(first["gem"]), args.out) or "report body"
         print(
             f"violation of {first['check']} at corpus index {first['index']}; "
             f"counterexample gem preserved in {where}",
@@ -85,6 +79,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         return 1
     return 0
+
+
+def _keep_counterexample(text: str, out: str | None) -> str | None:
+    """Write a serialized gem to ``<out>.counterexample.json`` and return that
+    path; without ``--out``, write nothing and return None."""
+    if not out:
+        return None
+    path = Path(out).with_suffix(".counterexample.json")
+    path.write_text(text + "\n")
+    return str(path)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -150,7 +154,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_search_odd(args: argparse.Namespace) -> int:
-    witness = search_odd_reduced(args.d, args.max_p)
+    try:
+        witness = search_odd_reduced(args.d, args.max_p)
+    except InvariantViolation as exc:
+        if len(exc.args) < 2:
+            raise
+        # keep the gem the check failed on, as verify keeps a counterexample
+        text = serialize_gem(exc.args[1])
+        where = _keep_counterexample(text, args.out)
+        print(f"error: {exc}", file=sys.stderr)
+        if where:
+            print(f"counterexample gem preserved in {where}", file=sys.stderr)
+        else:
+            print(f"counterexample gem: {text}", file=sys.stderr)
+        return 1
     doc = {
         "schema": REPORT_SCHEMA,
         "kind": "odd-degree-search",

@@ -46,10 +46,14 @@ class GemError(ValueError):
 
 
 class InvariantViolation(GemError):
-    """A computed result breaks a property that correct code guarantees."""
+    """A computed result breaks a property that correct code guarantees.
+
+    The first argument is the message; a second, where given, is the graph
+    the violation was found on.
+    """
 
     def __str__(self) -> str:
-        return f"internal invariant violation: {super().__str__()}"
+        return f"internal invariant violation: {self.args[0]}"
 
 
 # ceiling on enumerated spaces: the (2p-1)!!^d raw gem stream of exhaustive
@@ -164,15 +168,17 @@ def _build_vector(
     order: int, matchings: tuple[tuple[int, ...], ...], size: int | None = None
 ) -> tuple[int | None, ...]:
     """Component counts of the color subsets of at most ``size`` colors (of
-    every subset by default), by subset DP over union-find.
+    every subset by default), by subset DP over union-find forests.
 
-    A single color's components are its edges, each labelled by its lesser
-    end.  The components of a larger ``mask`` are those of ``mask`` minus
-    its top color, merged along the edges of that color: one union-find
-    pass over the component labels of the smaller set.  Labels are kept
-    only for the sets that are ever extended: those without the last color
-    and below the size bound.  The entries of larger subsets are None,
-    never counted.
+    A single color's forest points each vertex at the lesser end of its
+    edge.  The forest of a larger ``mask`` is a copy of the forest of
+    ``mask`` minus its top color, merged along the edges of that color; its
+    roots are the components, so it is kept as it is, with no relabel pass.
+    Finds halve the paths they walk (Tarjan & van Leeuwen, J. ACM 31, 1984),
+    which keeps the chains short that copied forests pass on from one level
+    to the next.  Forests are kept only for the sets that are ever extended:
+    those without the last color and below the size bound.  The entries of
+    larger subsets are None, never counted.
     """
     n = len(matchings)
     if size is None:
@@ -181,35 +187,29 @@ def _build_vector(
     counts: list[int | None] = [None] * (1 << n)
     counts[0] = order
     extended = 1 << (n - 1)
-    labels: list[list[int]] = [[]] * extended
+    forests: list[list[int]] = [[]] * extended
     for c, mu in enumerate(matchings):
         counts[1 << c] = order // 2
         if 1 << c < extended and size > 1:
-            labels[1 << c] = [v if v < w - 1 else w - 1 for v, w in enumerate(mu)]
+            forests[1 << c] = [v if v < w - 1 else w - 1 for v, w in enumerate(mu)]
     for mask in _subset_masks(n, size):
         top = mask.bit_length() - 1
         rest = mask ^ (1 << top)
-        label = labels[rest]
-        parent = list(range(order))
+        parent = forests[rest][:]
         count = counts[rest]
-        for v, w in edges[top]:
-            a = label[v]
-            while parent[a] != a:
-                a = parent[a]
-            b = label[w]
-            while parent[b] != b:
-                b = parent[b]
+        for a, b in edges[top]:
+            # path halving: point each vertex walked at its grandparent
+            # (parent[a] is assigned before a moves on)
+            while a != (up := parent[a]):
+                parent[a] = a = parent[up]
+            while b != (up := parent[b]):
+                parent[b] = b = parent[up]
             if a != b:
                 parent[b] = a
                 count -= 1
         counts[mask] = count
         if mask < extended and mask.bit_count() < size:
-            for x in range(order):
-                r = x
-                while parent[r] != r:
-                    r = parent[r]
-                parent[x] = r
-            labels[mask] = [parent[x] for x in label]
+            forests[mask] = parent
     return tuple(counts)
 
 
@@ -257,10 +257,14 @@ def residue_table(g: ColoredGraph) -> dict[frozenset[int], int]:
 
 
 def _component_labels(g: ColoredGraph, colors: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Component labels of the residue keeping ``colors``, by one stack walk.
+    """Component labels of the residue keeping ``colors``, by one walk per
+    component.
 
     ``label[v]`` is the component of vertex ``v + 1``; components are
     numbered by least vertex, and ``sizes[k]`` is the order of component k.
+    A component's walk reads its vertices in the order they are found,
+    appending each newly labelled one, so the list it ends with is the
+    component and its length the size.
     """
     mus = [g.matchings[c] for c in colors]
     label = [-1] * g.order
@@ -269,17 +273,14 @@ def _component_labels(g: ColoredGraph, colors: Iterable[int]) -> tuple[list[int]
         if label[start] < 0:
             k = len(sizes)
             label[start] = k
-            stack = [start]
-            size = 1
-            while stack:
-                v = stack.pop()
+            found = [start]
+            for v in found:  # the list grows as it is read
                 for mu in mus:
                     w = mu[v] - 1
                     if label[w] < 0:
                         label[w] = k
-                        stack.append(w)
-                        size += 1
-            sizes.append(size)
+                        found.append(w)
+            sizes.append(len(found))
     return label, sizes
 
 

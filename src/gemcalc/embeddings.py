@@ -29,7 +29,7 @@ from typing import Sequence
 from .core import (
     ColoredGraph, GemError, InvariantViolation, _pair_vector, is_connected, residue_count,
 )
-from .perms import cycle_masks, cycle_pairs
+from .perms import cycle_gathers, cycle_pairs
 
 __all__ = [
     "HalfInt",
@@ -122,7 +122,7 @@ def genus_twices(g: ColoredGraph) -> tuple[int, ...]:
     _require_connected(g)
     vec = _pair_vector(g)
     base = 2 + (g.d - 1) * g.p
-    return tuple(base - sum([vec[m] for m in masks]) for masks in cycle_masks(g.d))
+    return tuple(base - sum(gather(vec)) for gather in cycle_gathers(g.d))
 
 
 def regular_genus(g: ColoredGraph, eps: Sequence[int]) -> HalfInt:

@@ -362,7 +362,8 @@ def search_odd_reduced(d: int, max_p: int) -> ColoredGraph | None:
     Even d >= 4 only.  Half-orders are scanned upward: exhaustively while
     the enumeration budget allows, then by a fixed-seed random scan.  A hit
     is post-verified to be non-bipartite and to fail the singular-manifold
-    test, as any odd-reduced-degree graph must; violations raise.
+    test, as any odd-reduced-degree graph must; a hit that fails raises
+    :class:`InvariantViolation` with the hit as its second argument.
     """
     if d < 4 or d % 2:
         raise GemError(f"odd reduced degree search needs an even d >= 4, got {d}")
@@ -378,8 +379,8 @@ def search_odd_reduced(d: int, max_p: int) -> ColoredGraph | None:
         for g in candidates:
             if reduced_g_degree(g) % 2:
                 if is_bipartite(g):
-                    raise InvariantViolation("odd reduced degree on a bipartite graph")
+                    raise InvariantViolation("odd reduced degree on a bipartite graph", g)
                 if d == 4 and is_singular_4_manifold(g):
-                    raise InvariantViolation("odd reduced degree on a singular-manifold graph")
+                    raise InvariantViolation("odd reduced degree on a singular-manifold graph", g)
                 return g
     return None

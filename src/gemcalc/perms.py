@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from operator import itemgetter
 from typing import Sequence
 
 from .core import GemError
@@ -18,6 +19,7 @@ CyclicPerm = tuple[int, ...]
 __all__ = [
     "CyclicPerm",
     "canonical_perm",
+    "cycle_gathers",
     "cycle_masks",
     "cycle_pairs",
     "cyclic_permutations",
@@ -77,3 +79,11 @@ def cycle_masks(d: int, step: int = 1) -> tuple[tuple[int, ...], ...]:
         tuple((1 << a) | (1 << b) for a, b in cycle_pairs(eps, step))
         for eps in cyclic_permutations(d)
     )
+
+
+@lru_cache(maxsize=None)
+def cycle_gathers(d: int) -> tuple[itemgetter, ...]:
+    """One ``itemgetter`` per entry of :func:`cycle_masks` (step 1): applied
+    to a residue vector, it returns the pair counts of that permutation's
+    d + 1 adjacent pairs as a tuple."""
+    return tuple(itemgetter(*masks) for masks in cycle_masks(d))

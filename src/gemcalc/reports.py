@@ -293,15 +293,18 @@ def _metadata_block(g: ColoredGraph, metadata: dict, twices: tuple[int, ...]) ->
 def _shards(d: int, mode: str, max_p: int, count: int, seed: int) -> list[tuple]:
     """Shard descriptors ``(mode, d, p, lo, hi, seed)`` in corpus order.
 
-    A shard is a range ``[lo, hi)`` of at most ``_BATCH_SIZE`` positions in
-    one p's stream of the :func:`campaign_corpus`, which refuses an
-    oversized corpus before any shard exists.
+    A shard is a range ``[lo, hi)`` of one p's stream of the
+    :func:`campaign_corpus`, which refuses an oversized corpus before any
+    shard exists.  Each stream is cut into the fewest ranges of at most
+    ``_BATCH_SIZE`` positions, whose lengths differ by at most one (the
+    longer ones first).
     """
-    return [
-        (mode, d, p, lo, min(lo + _BATCH_SIZE, size), stream_seed)
-        for p, size, stream_seed in campaign_corpus(d, mode, max_p, count, seed)
-        for lo in range(0, size, _BATCH_SIZE)
-    ]
+    shards = []
+    for p, size, stream_seed in campaign_corpus(d, mode, max_p, count, seed):
+        parts = -(-size // _BATCH_SIZE)  # every p's stream holds a gem
+        cuts = [k * (size // parts) + min(k, size % parts) for k in range(parts + 1)]
+        shards += [(mode, d, p, lo, hi, stream_seed) for lo, hi in zip(cuts, cuts[1:])]
+    return shards
 
 
 def _battery_batch(shard: tuple) -> tuple[int, Counter, Counter, Counter, list]:

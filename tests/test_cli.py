@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gemcalc import serialize_gem
+from gemcalc import parse_gem, serialize_gem
 from gemcalc.cli import main
 from gemcalc import generator as generator_module
 from gemcalc import reports as reports_module
@@ -382,9 +382,11 @@ def test_exhaustive_shards_are_raw_ranges_across_p(recording_fan_out, monkeypatc
     recording_fan_out.built.clear()
     duo = reports_module.campaign_report(4, "exhaustive", 2, threads=2)
     shards = _assert_descriptors_only(recording_fan_out)
-    # the 81 raw candidates at p = 2 in ranges of 16, then the one at p = 1
+    # the 81 raw candidates at p = 2 in six even ranges of at most 16, then
+    # the one at p = 1
+    cuts = [0, 14, 28, 42, 55, 68, 81]
     assert [shard[2:] for shard in shards] == [
-        (2, lo, min(lo + 16, 81), None) for lo in range(0, 81, 16)
+        (2, lo, hi, None) for lo, hi in zip(cuts, cuts[1:])
     ] + [(1, 0, 1, None)]
     assert duo["counts"]["graphs"] == 81
     assert reports_module.report_json(duo) == reports_module.report_json(solo)
@@ -393,7 +395,7 @@ def test_exhaustive_shards_are_raw_ranges_across_p(recording_fan_out, monkeypatc
 def test_single_half_order_random_campaign_runs_in_parallel(
     recording_fan_out, monkeypatch, tmp_path
 ):
-    # 4,001 gems of one half-order: two full gem ranges and a last one of one
+    # 4,001 gems of one half-order: three gem ranges, as even as they can be
     args = ["verify", "--d", "3", "--mode", "random", "--p", "1",
             "--count", "4001", "--seed", "7"]
     solo, duo = tmp_path / "solo.json", tmp_path / "duo.json"
@@ -401,12 +403,41 @@ def test_single_half_order_random_campaign_runs_in_parallel(
     assert main(args + ["--out", str(duo)]) == 0
     shards = _assert_descriptors_only(recording_fan_out)
     assert [shard[2:] for shard in shards] == [
-        (1, 0, 2000, 8), (1, 2000, 4000, 8), (1, 4000, 4001, 8)
+        (1, 0, 1334, 8), (1, 1334, 2668, 8), (1, 2668, 4001, 8)
     ]
     monkeypatch.setenv("GEMCALC_THREADS", "1")
     assert main(args + ["--out", str(solo)]) == 0
     assert recording_fan_out.workers == [2]  # one worker: no fan-out at all
     assert solo.read_bytes() == duo.read_bytes()
+
+
+@pytest.mark.parametrize("batch", [1, 16, 2000])
+def test_shards_cut_each_stream_into_even_ranges(monkeypatch, batch):
+    monkeypatch.setattr(reports_module, "_BATCH_SIZE", batch)
+    for count in (1, 15, 16, 17, 81, 600, 1999, 2000, 2001, 4001, 10_000):
+        shards = reports_module._shards(3, "random", 2, count, 9)
+        for p, size, seed in generator_module.campaign_corpus(3, "random", 2, count, 9):
+            ranges = [shard[3:5] for shard in shards if shard[2] == p]
+            assert all(shard[5] == seed for shard in shards if shard[2] == p)
+            # the fewest ranges of at most `batch` positions, tiling the stream
+            assert len(ranges) == -(-size // batch)
+            assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+            assert ranges[-1][1] == size
+            lengths = [hi - lo for lo, hi in ranges]
+            assert max(lengths) <= batch
+            # as even as can be, the longer ones first
+            assert lengths == sorted(lengths, reverse=True)
+            assert lengths[0] - lengths[-1] <= 1
+
+
+def test_benchmark_shapes_keep_one_shard_per_half_order():
+    # verify-d4-mixed and verify-d3-fanout: each p's share fits one batch
+    for d, max_p, count, seed in ((4, 6, 600, 1220894173), (3, 8, 4000, 1865967541)):
+        per_p = count // max_p
+        assert per_p <= reports_module._BATCH_SIZE
+        assert reports_module._shards(d, "random", max_p, count, seed) == [
+            ("random", d, p, 0, per_p, seed + p) for p in range(1, max_p + 1)
+        ]
 
 
 def test_random_campaign_walks_only_nonempty_half_orders():
@@ -807,10 +838,25 @@ def test_search_odd_cli(tmp_path, capsys):
     assert report["dim4"]["singular_manifold"] is False
 
 
-def test_search_odd_invariant_violation_exits_1(monkeypatch, capsys):
-    # a broken internal invariant is not an input error
+def test_search_odd_invariant_violation_exits_1(monkeypatch, capsys, tmp_path):
+    # a broken internal invariant is not an input error, and the gem it was
+    # found on is kept: on one stderr line, or next to --out
+    witness = generator_module.search_odd_reduced(4, 3)
     monkeypatch.setattr(generator_module, "is_bipartite", lambda g: True)
     assert main(["search-odd", "--max-p", "3"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "internal invariant violation: odd reduced degree on a bipartite graph" in err
+    first, kept = err.splitlines()
+    assert first == "error: internal invariant violation: odd reduced degree on a bipartite graph"
+    prefix = "counterexample gem: "
+    assert kept.startswith(prefix)
+    assert parse_gem(kept[len(prefix):]) == witness
+
+    report = tmp_path / "odd.json"
+    assert main(["search-odd", "--max-p", "3", "--out", str(report)]) == 1
+    out, err = capsys.readouterr()
+    ce = report.with_suffix(".counterexample.json")
+    assert out == ""
+    assert err.splitlines() == [first, f"counterexample gem preserved in {ce}"]
+    assert not report.exists()
+    assert parse_gem(ce.read_text()) == witness

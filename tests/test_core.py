@@ -8,6 +8,7 @@ import inspect
 import json
 import pickle
 import pkgutil
+import random
 import re
 from itertools import combinations
 from math import comb
@@ -151,6 +152,41 @@ def test_pair_counts_match_full_vector(d):
             for mask, value in enumerate(pairs):
                 assert value == (full[mask] if mask.bit_count() <= 2 else None), (g, mask)
             assert g._vector is None
+
+
+def _hamiltonian_pair_gem(d: int, p: int, seed: int) -> ColoredGraph:
+    """Colors 0 and 1 form one bicolored cycle through all 2p vertices, the
+    matchings (1 2)(3 4)... and (2 3)(4 5)...(2p 1); the others are random."""
+    n = 2 * p
+    first = tuple(v + 1 if v % 2 else v - 1 for v in range(1, n + 1))
+    second = tuple(v - 1 if v % 2 else v + 1 for v in range(1, n + 1))
+    second = (n,) + second[1:-1] + (1,)
+    rng = random.Random(seed)
+    mats = [first, second]
+    for _ in range(d - 1):
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        mu = [0] * n
+        for a, b in zip(order[::2], order[1::2]):
+            mu[a - 1], mu[b - 1] = b, a
+        mats.append(tuple(mu))
+    return ColoredGraph(d=d, order=n, matchings=tuple(mats))
+
+
+@pytest.mark.parametrize("d, p", [(2, 2000), (4, 300)])
+def test_forest_dp_on_one_long_bicolored_cycle(d, p):
+    # the forests of the sets holding colors 0 and 1 span one long cycle,
+    # and every larger set is merged from a copy of them
+    g = _hamiltonian_pair_gem(d, p, seed=d)
+    assert oracle_components(g, (0, 1)) == 1
+    full = _build_vector(g.order, g.matchings)
+    for mask, value in enumerate(full):
+        colors = [c for c in g.colors if mask >> c & 1]
+        assert value == oracle_components(g, colors), mask
+    for size in (2, 3):
+        bounded = _build_vector(g.order, g.matchings, size)
+        for mask, value in enumerate(bounded):
+            assert value == (full[mask] if mask.bit_count() <= size else None), (size, mask)
 
 
 def test_residue_color_out_of_range(g4):

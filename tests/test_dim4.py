@@ -3,6 +3,7 @@ Euler identities, crystallization profiles."""
 
 from __future__ import annotations
 
+import random
 import sys
 from itertools import combinations
 
@@ -33,7 +34,7 @@ from gemcalc import core as core_module
 from gemcalc import dim4 as dim4_module
 from gemcalc.embeddings import _bicolored_cycles, _reduced_degree
 from gemcalc.perms import cycle_pairs
-from gemcalc.reports import analysis_report, check_graph
+from gemcalc.reports import _class_indices, analysis_report, check_graph
 from gemcalc.dim4 import (
     NEITHER,
     SEMI_SIMPLE,
@@ -356,6 +357,74 @@ def test_tampered_triple_count_breaks_tricolored_difference(g4):
     assert flags["singular_manifold"]
     assert checks["pair_difference_tricolored"] is False
     assert checks["residue_degree_identity"]
+
+
+def _stand_in(g: ColoredGraph, vec: list[int]) -> ColoredGraph:
+    """An equal graph that holds an arbitrary residue vector."""
+    h = ColoredGraph(d=g.d, order=g.order, matchings=g.matchings)
+    object.__setattr__(h, "_vector", tuple(vec))
+    return h
+
+
+def _pair_sum(vec) -> int:
+    return sum(value for mask, value in enumerate(vec) if mask.bit_count() == 2)
+
+
+def test_implied_checks_hold_for_any_vector():
+    # pair_degree_identity holds on every vector; pair_sum_constant and
+    # class_genus_sum_constant hold exactly when the vector's pair sum is the
+    # walk's, which is what degree_formula_agreement compares.  2,000 arbitrary
+    # 32-entry vectors, half of them with the walk's pair sum, go through the
+    # genus side's own gathers and the battery.
+    rng = random.Random(1913)
+    gems = [g for p in range(1, 7) for g in corpus(4, p, 4, seed=760 + p, connected_only=True)]
+    classes = _class_indices(4)
+    pair_masks = [mask for mask in range(32) if mask.bit_count() == 2]
+    outcomes = set()
+    for k in range(2000):
+        g = gems[k % len(gems)]
+        vec = [rng.randrange(2 * g.order + 1) for _ in range(32)]
+        walk_sum = sum(map(len, _bicolored_cycles(g).values()))
+        if k % 2:  # a sum-keeping tamper of the true pair counts
+            for mask in pair_masks:
+                vec[mask] = residue_vector(g)[mask]
+            a, b = rng.sample(pair_masks, 2)
+            shift = rng.randrange(vec[b] + 1)
+            vec[a] += shift
+            vec[b] -= shift
+        h = _stand_in(g, vec)
+        twices = genus_twices(h)
+        omega_twice = sum(twices)
+        closed = _reduced_degree(4, g.p, _pair_sum(vec))
+        for a, b in dim4_module._PAIRS:
+            assert omega_twice == 6 * (twices[a] + twices[b])
+            assert twices[a] + twices[b] == closed
+        assert all(sum(twices[i] for i in cls) == closed for cls in classes)
+
+        checks = check_graph(h)[1]
+        agree = _pair_sum(vec) == walk_sum
+        assert checks["pair_degree_identity"] is True
+        assert checks["degree_formula_agreement"] is agree
+        assert checks["pair_sum_constant"] is agree
+        assert checks["class_genus_sum_constant"] is agree
+        outcomes.add(agree)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6])
+def test_class_sums_follow_the_vector_pair_sum(d):
+    # at every d with a partition, each class sum of genus_twices is the
+    # closed form of the vector's own pair sum, whatever the vector holds
+    rng = random.Random(1917 + d)
+    g = corpus(d, 2, 1, seed=780 + d, connected_only=True)[0]
+    expected_factor = 1 if d % 2 == 0 else 2
+    classes = _class_indices(d)
+    assert classes
+    for _ in range(200):
+        vec = [rng.randrange(2 * g.order + 1) for _ in range(2 ** (d + 1))]
+        twices = genus_twices(_stand_in(g, vec))
+        closed = expected_factor * _reduced_degree(d, g.p, _pair_sum(vec))
+        assert all(sum(twices[i] for i in cls) == closed for cls in classes)
 
 
 @pytest.mark.parametrize("d", range(2, 7))
