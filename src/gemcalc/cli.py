@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .core import GemError, InvariantViolation, is_bipartite, parse_gem, serialize_gem
 from .cycle_decomp import partition_even, partition_odd, walecki_decomposition
-from .dim4 import is_singular_4_manifold
 from .embeddings import reduced_g_degree
 from .generator import GenSpec, _random_stream, search_odd_reduced
 from .reports import (
@@ -154,6 +153,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_search_odd(args: argparse.Namespace) -> int:
+    from .dim4 import is_singular_4_manifold  # imported here: verify --d 3 never loads dim4
+
     try:
         witness = search_odd_reduced(args.d, args.max_p)
     except InvariantViolation as exc:

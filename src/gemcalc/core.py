@@ -116,9 +116,10 @@ class ColoredGraph:
         return ColoredGraph, (self.d, self.order, self.matchings)
 
     def __post_init__(self) -> None:
-        if self.d < 0:
-            raise GemError(f"dimension must be non-negative, got {self.d}")
-        if self.order <= 0 or self.order % 2:
+        # exact ints only: a bool is an int, but would serialize as true/false
+        if type(self.d) is not int or self.d < 0:
+            raise GemError(f"dimension must be a non-negative integer, got {self.d!r}")
+        if type(self.order) is not int or self.order <= 0 or self.order % 2:
             raise GemError(f"vertex count must be a positive even number, got {self.order}")
         if len(self.matchings) != self.d + 1:
             raise GemError(
@@ -132,7 +133,7 @@ class ColoredGraph:
                 )
             for v in range(1, self.order + 1):
                 w = mu[v - 1]
-                if not isinstance(w, int) or not 1 <= w <= self.order:
+                if type(w) is not int or not 1 <= w <= self.order:
                     raise GemError(f"color {c}: vertex {v} is matched outside 1..{self.order}")
                 if w == v:
                     raise GemError(f"color {c}: loop forbidden at vertex {v}")

@@ -30,7 +30,6 @@ from .core import (
     is_bipartite,
     is_connected,
 )
-from .dim4 import is_singular_4_manifold
 from .embeddings import reduced_g_degree
 
 __all__ = [
@@ -49,12 +48,27 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
+# SplitMix64's state increment (the golden gamma) and the two multipliers
+# of its output function
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 # per-sample rejection ceiling before a filter is declared infeasible
 REJECTION_BUDGET = 100_000
 
-# fixed seed for the randomized tail of witness searches
+# fixed seed, and gems per half-order, of the randomized tail of witness searches
 _SEARCH_SEED = 0x0DDC0FFEE
+_SEARCH_COUNT = 5000
+
+
+def _first64(seed: int) -> int:
+    """``SplitMix64(seed).next64()``: the output function applied to
+    seed + gamma mod 2**64."""
+    z = (seed + _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
 
 
 class SplitMix64:
@@ -66,10 +80,9 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next64(self) -> int:
-        z = self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        z = _first64(self.state)
+        self.state = (self.state + _GAMMA) & _MASK64
+        return z
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), unbiased by rejection."""
@@ -139,22 +152,43 @@ def dipole(d: int) -> ColoredGraph:
     return ColoredGraph(d=d, order=2, matchings=((2, 1),) * (d + 1))
 
 
+@lru_cache(maxsize=8)
+def _draw_limits(order: int) -> tuple[tuple[int, int], ...]:
+    """The ``(bound, limit)`` of each draw of a matching of 1..order.
+
+    The bounds run order - 1, order - 3, ..., 3.  As in ``SplitMix64.below``,
+    a 64-bit output is accepted below its limit, the largest multiple of the
+    bound up to 2**64.
+    """
+    return tuple((bound, _TWO64 - _TWO64 % bound) for bound in range(order - 1, 1, -2))
+
+
 def _random_matching(rng: SplitMix64, order: int) -> tuple[int, ...]:
     """A uniform perfect matching of 1..order, as its involution array.
 
     The last free vertex is paired with a uniformly drawn other free vertex
     until two are left, which pair with each other: p - 1 draws for
     order 2p, with 2p - 1, 2p - 3, ..., 3 outcomes, so each of the (2p-1)!!
-    matchings is drawn with the same probability.
+    matchings is drawn with the same probability.  Each draw is
+    ``rng.below(bound)``, written out on a local copy of the state, which is
+    stored back once at the end.
     """
     free = list(range(1, order + 1))
     mu = [0] * order
-    below = rng.below
-    for others in range(order - 1, 1, -2):
+    state = rng.state
+    for bound, limit in _draw_limits(order):
+        while True:
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                break
         a = free.pop()
-        b = free.pop(below(others))
+        b = free.pop(z % bound)
         mu[a - 1] = b
         mu[b - 1] = a
+    rng.state = state
     a, b = free
     mu[a - 1] = b
     mu[b - 1] = a
@@ -166,11 +200,12 @@ def _gem_streams(seed: int, p: int, lo: int, hi: int) -> Iterator[SplitMix64]:
 
     With f(z) the SplitMix64 output function, the finalizer applied to
     z + 0x9E3779B97F4A7C15 mod 2**64 (the first ``next64`` of
-    ``SplitMix64(z)``), gem i's stream starts from f(f(f(seed) ^ p) ^ i).
+    ``SplitMix64(z)``, see ``_first64``), gem i's stream starts from
+    f(f(f(seed) ^ p) ^ i).
     """
-    key = SplitMix64(SplitMix64(seed).next64() ^ p).next64()
+    key = _first64(_first64(seed) ^ p)
     for i in range(lo, hi):
-        yield SplitMix64(SplitMix64(key ^ i).next64())
+        yield SplitMix64(_first64(key ^ i))
 
 
 def random_gem(spec: GenSpec) -> list[ColoredGraph]:
@@ -363,19 +398,23 @@ def search_odd_reduced(d: int, max_p: int) -> ColoredGraph | None:
     the enumeration budget allows, then by a fixed-seed random scan.  A hit
     is post-verified to be non-bipartite and to fail the singular-manifold
     test, as any odd-reduced-degree graph must; a hit that fails raises
-    :class:`InvariantViolation` with the hit as its second argument.
+    :class:`InvariantViolation` with the hit as its second argument.  A
+    ``max_p`` whose random tail would break the random corpus bound is
+    refused before any gem is drawn.
     """
+    from .dim4 import is_singular_4_manifold  # imported here: drawing a corpus never loads dim4
+
     if d < 4 or d % 2:
         raise GemError(f"odd reduced degree search needs an even d >= 4, got {d}")
     if max_p < 1:
         raise GemError(f"max_p must be >= 1, got {max_p}")
+    _check_sample_bound(d, max_p, _SEARCH_COUNT)  # the largest random tail
     for p in range(1, max_p + 1):
         if enumeration_size(d, p) <= ENUMERATION_BUDGET:
             candidates: Iterator[ColoredGraph] = enumerate_gems(d, p, connected_only=True)
         else:
-            candidates = _random_stream(
-                GenSpec(d=d, p=p, count=5000, seed=_SEARCH_SEED + p, connected_only=True)
-            )
+            spec = GenSpec(d, p, _SEARCH_COUNT, _SEARCH_SEED + p, connected_only=True)
+            candidates = _random_stream(spec)
         for g in candidates:
             if reduced_g_degree(g) % 2:
                 if is_bipartite(g):

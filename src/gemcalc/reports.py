@@ -38,15 +38,6 @@ from .cycle_decomp import (
     partition_odd,
     walecki_decomposition,
 )
-from .dim4 import (
-    associated_pairs,
-    check_identities,
-    crystallization_profile,
-    _classify,
-    _euler_via_pair,
-    _pair_gaps,
-    _surface,
-)
 from .embeddings import (
     HalfInt,
     _bicolored_cycles,
@@ -90,6 +81,16 @@ def _usable_cpus() -> int:
 
 def _perm_key(eps: Iterable[int]) -> str:
     return ",".join(str(c) for c in eps)
+
+
+@lru_cache(maxsize=None)
+def _dim4():
+    """:mod:`gemcalc.dim4`, imported by the first d = 2 or d = 4 battery or
+    analysis that reads it, so that no other command compiles it.  Cached:
+    an import statement in the battery would cost about 1.2 us per gem."""
+    from . import dim4
+
+    return dim4
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +156,7 @@ def _check(
         )
 
     if d == 2:
-        walk_euler = _surface(bipartite, pair_sum, g.p).euler
+        walk_euler = _dim4()._surface(bipartite, pair_sum, g.p).euler
         chi = euler_characteristic_complex(g)
         checks["surface_classification"] = (
             walk_euler == chi
@@ -165,7 +166,7 @@ def _check(
         )
 
     if d == 4:
-        check_identities(g, twices, cycles, reduced, flags, checks)
+        _dim4().check_identities(g, twices, cycles, reduced, flags, checks)
 
     # the main theorem: (d-1)! divides the degree of bipartite and of
     # singular-manifold graphs in even d >= 4
@@ -227,13 +228,14 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
     if d >= 3:
         report["reduced_degree"] = sum(twices) // factorial(d - 1)
     if d == 2:
-        st = _surface(flags["bipartite"], sum(map(len, cycles.values())), g.p)
+        st = _dim4()._surface(flags["bipartite"], sum(map(len, cycles.values())), g.p)
         report["surface"] = {
             "orientable": st.orientable,
             "euler": st.euler,
             "genus": str(st.genus),
         }
     if d == 4:
+        dim4 = _dim4()
         singular = flags["singular_manifold"]
         index = perm_index(4)
         block: dict = {
@@ -241,13 +243,13 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
                 f"{_perm_key(a)}|{_perm_key(b)}": str(
                     HalfInt(twices[index[a]] + twices[index[b]])
                 )
-                for a, b in associated_pairs()
+                for a, b in dim4.associated_pairs()
             },
             "singular_manifold": singular,
         }
         if singular:
-            block["euler_by_pair_formula"] = _euler_via_pair(
-                residue_vector(g), twices, index[associated_pairs()[0][0]], g.p
+            block["euler_by_pair_formula"] = dim4._euler_via_pair(
+                residue_vector(g), twices, index[dim4.associated_pairs()[0][0]], g.p
             )
         if metadata is not None:
             block["crystallization"] = _metadata_block(g, metadata, twices)
@@ -271,8 +273,9 @@ def _check_metadata(g: ColoredGraph, metadata: dict) -> None:
 
 
 def _metadata_block(g: ColoredGraph, metadata: dict, twices: tuple[int, ...]) -> dict:
-    profile = crystallization_profile(g, metadata["m"])
-    result = _classify(profile, twices, _pair_gaps(residue_vector(g)))
+    dim4 = _dim4()
+    profile = dim4.crystallization_profile(g, metadata["m"])
+    result = dim4._classify(profile, twices, dim4._pair_gaps(residue_vector(g)))
     return {
         "m": profile.m,
         "euler": profile.euler,
@@ -452,6 +455,8 @@ def campaign_report(
     shards = _shards(d, mode, max_p, count, seed)
     workers = min(threads, _usable_cpus(), len(shards)) if hasattr(os, "fork") else 1
     if workers > 1:
+        if d in (2, 4):
+            _dim4()  # loaded before the fork, so that no worker compiles it again
         # the largest half-orders cost the most per shard (the p = 1 shard,
         # one dipole checked once, the least): deal them first (the sort is
         # stable, so each p's ranges stay in order), then put the results

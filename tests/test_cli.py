@@ -21,6 +21,7 @@ from gemcalc import cycle_decomp
 
 from conftest import M_A, M_C, assert_no_child
 from gemcalc import ColoredGraph, GemError, InvariantViolation, dipole
+from gemcalc.core import ENUMERATION_BUDGET
 
 
 @pytest.fixture
@@ -675,6 +676,77 @@ def test_commands_skip_dataclasses_and_fractions(dipole_file):
     after_analyze, after_verify = json.loads(proc.stdout)
     loaded = sorted(set(after_analyze) | set(after_verify))
     assert loaded == [], "\n\n".join(_import_chain(proc.stderr, m) for m in loaded)
+
+
+# Runs in a fresh interpreter: one verify at the given worker count, on a
+# machine made to show 2 CPUs.  Prints the gemcalc modules loaded, and for
+# each campaign fan-out whether gemcalc.dim4 was loaded when it forked.
+_DIM4_PROBE = """
+import json, os, sys
+from gemcalc import reports
+from gemcalc.cli import main
+
+at_fork = []
+fan_out = reports._fan_out
+
+def recorded(shards, workers):
+    at_fork.append("gemcalc.dim4" in sys.modules)
+    return fan_out(shards, workers)
+
+reports._fan_out = recorded
+os.sched_getaffinity = lambda pid: {0, 1}
+os.environ["GEMCALC_THREADS"] = sys.argv[1]
+assert main(sys.argv[2:] + ["--out", os.devnull]) == 0
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("gemcalc")), at_fork]))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("d", [3, 4])
+def test_dim4_loaded_only_where_its_battery_runs(d, workers):
+    # no d = 3 command compiles gemcalc.dim4; a d = 4 campaign loads it, and
+    # before it forks, so that no worker compiles it again
+    verify = ["verify", "--d", str(d), "--mode", "random", "--p", "3",
+              "--count", "60", "--seed", "5"]
+    proc = _run_probe(_DIM4_PROBE, str(workers), *verify)
+    loaded, at_fork = json.loads(proc.stdout)
+    if d == 3:
+        assert "gemcalc.dim4" not in loaded, _import_chain(proc.stderr, "gemcalc.dim4")
+    else:
+        assert "gemcalc.dim4" in loaded
+    assert at_fork == ([d == 4] if workers == 2 else [])
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_search_odd_max_p_bounded_before_any_gem(monkeypatch, capsys, d):
+    # the largest random tail, 5,000 gems of half-order max_p, must fit the
+    # random corpus bound, checked before the first (exhaustive) half-order
+    built = []
+    post_init = ColoredGraph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ColoredGraph, "__post_init__", counting)
+    top = ENUMERATION_BUDGET // (2 * (d + 1))
+    for max_p in (top + 1, 10_000_000):
+        assert main(["search-odd", "--d", str(d), "--max-p", str(max_p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: random corpus bound exceeded: (d+1)*2p = {(d + 1) * 2 * max_p} "
+            f"matching entries > {ENUMERATION_BUDGET} for d={d}, p={max_p}\n"
+        )
+    assert built == []
+    generator_module._check_sample_bound(d, top, generator_module._SEARCH_COUNT)
+
+
+def test_search_odd_accepts_the_largest_bounded_max_p(capsys):
+    # at d = 4 the witness lies at a small half-order, so the search stops there
+    top = ENUMERATION_BUDGET // (2 * 5)
+    assert main(["search-odd", "--max-p", str(top)]) == 0
+    assert json.loads(capsys.readouterr().out)["found"] is True
 
 
 def test_dimension_beyond_permutation_budget_refused(tmp_path, capsys):

@@ -268,7 +268,9 @@ def test_euler_characteristic_g4(g4):
 
 
 def test_serialization_round_trip(g4, dipole4, rp2_gem):
-    for g in (g4, dipole4, rp2_gem):
+    # the d = 2 dipole is the int twin of a graph with a bool entry, refused
+    # by test_graph_refuses_values_that_are_not_ints
+    for g in (g4, dipole4, rp2_gem, ColoredGraph(d=2, order=2, matchings=((2, 1),) * 3)):
         text = serialize_gem(g)
         again = parse_gem(text)
         assert again == g
@@ -317,6 +319,24 @@ def test_graph_validation_errors():
         ColoredGraph(d=2, order=4, matchings=((2, 3, 4, 1), M_A, M_A))
 
 
+@pytest.mark.parametrize(
+    "d, order, matchings",
+    [
+        (2, 2, ((2, True), (2, 1), (2, 1))),
+        (True, 2, ((2, 1), (2, 1))),
+        (2.0, 2, ((2, 1),) * 3),
+        (2, 2.0, ((2, 1),) * 3),
+        (2, 4, ((2, 1, 4, 3), (2, 1, 4.0, 3), (2, 1, 4, 3))),
+    ],
+    ids=["bool-entry", "bool-d", "float-d", "float-order", "float-entry"],
+)
+def test_graph_refuses_values_that_are_not_ints(d, order, matchings):
+    # a bool equals an int, but serializes as true or false, which parse_gem
+    # refuses: the constructor takes exact ints only
+    with pytest.raises(GemError, match="integer|even number|outside 1.."):
+        ColoredGraph(d=d, order=order, matchings=matchings)
+
+
 def test_graphs_hash_by_content(g4):
     twin = ColoredGraph(d=4, order=4, matchings=(M_A, M_A, M_A, M_C, M_C))
     assert twin == g4 and hash(twin) == hash(g4)
@@ -347,9 +367,9 @@ def test_graph_repr_unchanged():
 
 
 def test_public_exports_resolve():
-    # every module's __all__ resolves, and the package re-exports only names
-    # that their source modules declare public, each function and class from
-    # the module that defines it (so no alias re-export comes back)
+    # every module's __all__ resolves, and the package's export table names
+    # only names that their source modules declare public, each function and
+    # class from the module that defines it (so no alias re-export comes back)
     modules = {
         info.name: importlib.import_module(f"gemcalc.{info.name}")
         for info in pkgutil.iter_modules(gemcalc.__path__)
@@ -358,22 +378,42 @@ def test_public_exports_resolve():
     for name, module in modules.items():
         missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
         assert not missing, f"gemcalc.{name}.__all__ names undefined {missing}"
-    tree = ast.parse(Path(gemcalc.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        assert node.level == 1 and node.module in modules, ast.unparse(node)
-        public = modules[node.module].__all__
-        stray = [alias.name for alias in node.names if alias.name not in public]
-        assert not stray, f"gemcalc imports {stray} outside gemcalc.{node.module}.__all__"
-        objects = [getattr(gemcalc, alias.name) for alias in node.names]
+    assert gemcalc._EXPORTS
+    for source, names in gemcalc._EXPORTS.items():
+        assert source in modules, source
+        public = modules[source].__all__
+        stray = [name for name in names if name not in public]
+        assert not stray, f"gemcalc exports {stray} outside gemcalc.{source}.__all__"
+        objects = [getattr(gemcalc, name) for name in names]
+        assert objects == [getattr(modules[source], name) for name in names]
         relayed = [
             f"{obj.__module__}.{obj.__name__}"
             for obj in objects
             if (inspect.isclass(obj) or inspect.isroutine(obj))
-            and obj.__module__ != f"gemcalc.{node.module}"
+            and obj.__module__ != f"gemcalc.{source}"
         ]
-        assert not relayed, f"gemcalc imports {relayed} through gemcalc.{node.module}"
+        assert not relayed, f"gemcalc exports {relayed} through gemcalc.{source}"
+
+
+def test_package_names_resolve_on_first_use():
+    # the package imports none of its modules itself; each public name is
+    # looked up in its module's table when first asked for
+    tree = ast.parse(Path(gemcalc.__file__).read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    names = [name for table in gemcalc._EXPORTS.values() for name in table]
+    assert gemcalc.__all__ == sorted(names) and len(set(names)) == len(names)
+    for name in gemcalc.__all__:
+        obj = getattr(gemcalc, name)
+        assert getattr(gemcalc, name) is obj
+    listed = dir(gemcalc)
+    assert set(gemcalc.__all__) <= set(listed) and listed == sorted(listed)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        gemcalc.no_such_name
+    with pytest.raises(ImportError):
+        from gemcalc import no_such_name  # noqa: F401
+    namespace: dict = {}
+    exec("from gemcalc import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(gemcalc.__all__)
 
 
 def test_benchmark_library_surface_resolves():

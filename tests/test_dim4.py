@@ -411,6 +411,84 @@ def test_implied_checks_hold_for_any_vector():
     assert outcomes == {False, True}
 
 
+_PAIR_MASKS = [mask for mask in range(32) if mask.bit_count() == 2]
+
+
+def _sum_keeping_tampers(g: ColoredGraph):
+    """Each stand-in for g with one pair count raised by one and another
+    lowered by one, so the vector's pair sum stays the walk's."""
+    vec = residue_vector(g)
+    for up in _PAIR_MASKS:
+        for down in _PAIR_MASKS:
+            if up != down and vec[down]:
+                tampered = list(vec)
+                tampered[up] += 1
+                tampered[down] -= 1
+                yield _stand_in(g, tampered)
+
+
+def _tamper_corpus() -> list[ColoredGraph]:
+    return [g for p in range(1, 5) for g in corpus(4, p, 3, seed=790 + p, connected_only=True)]
+
+
+def test_sum_keeping_tamper_breaks_pair_difference_bicolored():
+    # the gaps are read off the walk, the genera off the vector: moving one
+    # unit between two pair counts changes some genus difference, while the
+    # degree, which reads only the pair sum, still agrees with the walk
+    tampers = 0
+    for g in _tamper_corpus():
+        assert check_graph(g)[1]["pair_difference_bicolored"]
+        for h in _sum_keeping_tampers(g):
+            checks = check_graph(h)[1]
+            assert checks["degree_formula_agreement"] is True
+            assert checks["pair_difference_bicolored"] is False
+            tampers += 1
+    assert tampers > 1000
+
+
+def test_sum_keeping_tamper_breaks_minimal_degree_biconditional():
+    # the first sum-keeping tamper, in corpus order, that flips the degree
+    # side of the criterion and leaves the walk side (no nonzero gap) alone
+    found = None
+    for g in _tamper_corpus():
+        assert check_graph(g)[1]["minimal_degree_biconditional"]
+        for h in _sum_keeping_tampers(g):
+            checks = check_graph(h)[1]
+            if not checks["minimal_degree_biconditional"]:
+                found = h, checks
+                break
+        if found:
+            break
+    assert found is not None
+    h, checks = found
+    assert checks["degree_formula_agreement"] is True
+    left, right = dim4_module._minimal_degree_sides(
+        genus_twices(h), _pair_gaps(dim4_module._cycle_counts(_bicolored_cycles(h)))
+    )
+    assert left != right
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_hat_count_tamper_breaks_only_the_residue_degree_identity(delta):
+    # a hat (4-colored) count is read by the residue-degree identity alone on
+    # a non-singular gem; the degree and every pair check still hold
+    kinds = set()
+    for g in _tamper_corpus():
+        singular = check_graph(g)[0]["singular_manifold"]
+        kinds.add(singular)
+        vec = residue_vector(g)
+        for hat in dim4_module._HATS:
+            tampered = list(vec)
+            tampered[hat] += delta
+            checks = check_graph(_stand_in(g, tampered))[1]
+            assert checks["degree_formula_agreement"] is True
+            assert checks["residue_degree_identity"] is False
+            if not singular:
+                failed = [name for name, ok in checks.items() if not ok]
+                assert failed == ["residue_degree_identity"]
+    assert kinds == {False, True}
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 6])
 def test_class_sums_follow_the_vector_pair_sum(d):
     # at every d with a partition, each class sum of genus_twices is the

@@ -123,23 +123,81 @@ def test_each_gem_has_its_own_stream(spec):
     assert list(_random_stream(spec, 5)) == gems[5:]
 
 
-def test_matching_draw_takes_p_minus_one_bounded_draws(monkeypatch):
-    calls = []
-    below = SplitMix64.below
+_GAMMA = 0x9E3779B97F4A7C15
 
-    def counting(self, bound):
-        calls.append(bound)
-        return below(self, bound)
 
-    monkeypatch.setattr(SplitMix64, "below", counting)
+def _draws(before: int, after: int) -> int:
+    # each 64-bit output advances the state by gamma, which is odd and so
+    # invertible mod 2**64
+    return (after - before) * pow(_GAMMA, -1, 2**64) % 2**64
+
+
+def test_matching_draw_takes_p_minus_one_bounded_draws():
+    # the bounds of the draws, 2p - 1, 2p - 3, ..., 3, are checked against
+    # SplitMix64.below in test_matching_draw_equals_the_below_reference
     rng = SplitMix64(11)
     for p in range(1, 9):
         for _ in range(20):
-            calls.clear()
+            before = rng.state
             mu = _random_matching(rng, 2 * p)
-            assert calls == list(range(2 * p - 1, 1, -2))  # p - 1 draws
+            assert _draws(before, rng.state) == p - 1
             assert sorted(mu) == list(range(1, 2 * p + 1))
             assert all(mu[w - 1] == v != w for v, w in enumerate(mu, 1))
+
+
+def _reference_matching(rng: SplitMix64, order: int) -> tuple[int, ...]:
+    # the direct pairing, each draw a call of SplitMix64.below
+    free = list(range(1, order + 1))
+    mu = [0] * order
+    for others in range(order - 1, 1, -2):
+        a = free.pop()
+        b = free.pop(rng.below(others))
+        mu[a - 1], mu[b - 1] = b, a
+    a, b = free
+    mu[a - 1], mu[b - 1] = b, a
+    return tuple(mu)
+
+
+def test_matching_draw_equals_the_below_reference():
+    # three matchings in a row from each stream: the state is stored back
+    for seed in range(0, 2**64, 2**64 // 150 + 1):
+        for order in range(2, 41, 2):
+            rng, ref = SplitMix64(seed + order), SplitMix64(seed + order)
+            for _ in range(3):
+                assert _random_matching(rng, order) == _reference_matching(ref, order)
+                assert rng.state == ref.state
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    # the x with x ^ (x >> shift) == y, on 64 bits
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _state_before(output: int) -> int:
+    """The state whose next SplitMix64 output is ``output``: the output
+    function undone step by step, less gamma."""
+    z = _unxorshift(output, 31)
+    z = _unxorshift(z * pow(0x94D049BB133111EB, -1, 2**64) % 2**64, 27)
+    z = _unxorshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64, 30)
+    return (z - _GAMMA) % 2**64
+
+
+def test_matching_draw_rejects_outputs_past_the_last_full_multiple():
+    # 2**64 - 1 lies at or past the limit of every odd bound above 1, so the
+    # first draw of any matching of order >= 4 is rejected and drawn again
+    top = 2**64 - 1
+    state = _state_before(top)
+    assert _output(state) == top
+    assert SplitMix64(state).next64() == top
+    for order in range(4, 41, 2):
+        rng, ref = SplitMix64(state), SplitMix64(state)
+        mu = _random_matching(rng, order)
+        assert mu == _reference_matching(ref, order)
+        assert rng.state == ref.state
+        assert _draws(state, rng.state) == order // 2  # p - 1 draws and one rejected
 
 
 def test_matching_draw_is_uniform_at_order_six():
