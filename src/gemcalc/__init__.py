@@ -41,7 +41,6 @@ _EXPORTS = {
     "dim4": (
         "ClassificationResult",
         "CrystallizationProfile",
-        "SurfaceType",
         "associated_pairs",
         "associated_permutation",
         "classify_crystallization",
@@ -49,14 +48,15 @@ _EXPORTS = {
         "is_closed_3_manifold",
         "is_singular_4_manifold",
         "residue_degree_identity",
-        "surface_type",
     ),
     "embeddings": (
         "HalfInt",
+        "SurfaceType",
         "g_degree_definition",
         "genus_twices",
         "reduced_g_degree",
         "regular_genus",
+        "surface_type",
     ),
     "generator": (
         "GenSpec",

@@ -107,21 +107,12 @@ def walecki_decomposition(n: int) -> DecompositionClass:
             f"Walecki decomposition of K_{n} has n(n-1)/2 = {edges} edges, "
             f"more than the enumeration budget {ENUMERATION_BUDGET}"
         )
-    m = (n - 1) // 2
-    zigzag = [0]
-    lo, hi = 1, n - 2
-    take_lo = True
-    while len(zigzag) < n - 1:
-        if take_lo:
-            zigzag.append(lo)
-            lo += 1
-        else:
-            zigzag.append(hi)
-            hi -= 1
-        take_lo = not take_lo
-    cycles = []
-    for k in range(m):
-        cycles.append(canonical_perm([n - 1] + [(v + k) % (n - 1) for v in zigzag]))
+    # 0, 1, n-2, 2, n-3, ...: odd steps climb from 1, even steps descend from n-2
+    zigzag = [0] + [(k + 1) // 2 if k % 2 else n - 1 - k // 2 for k in range(1, n - 1)]
+    cycles = [
+        canonical_perm([n - 1] + [(v + k) % (n - 1) for v in zigzag])
+        for k in range((n - 1) // 2)
+    ]
     cls = DecompositionClass(n=n, multiplicity=1, cycles=tuple(sorted(cycles)))
     if not validate_class(cls):
         raise InvariantViolation(f"Walecki decomposition invalid for n={n}")
@@ -168,80 +159,62 @@ def partition_even(n: int) -> PermPartition:
 
     Found by backtracking: the smallest unused cycle opens a class, the
     class is completed by always branching on its smallest edge still below
-    multiplicity two (candidates in lexicographic cycle order), and classes
-    are retried on failure.  The first partition found in this fixed order
-    is the canonical output.
+    multiplicity two (candidates in lexicographic cycle order, past the one
+    taken by the branch above on the same edge), and classes are retried on
+    failure.  A full class needs no final test: n-1 cycles hold n(n-1)
+    edges, twice the edges of K_n, none of them more than twice.  The first
+    partition found in this fixed order is the canonical output.
     """
     if n not in PARTITION_EVEN_SUPPORTED:
         raise GemError(
             f"full even partition supported for n in {PARTITION_EVEN_SUPPORTED}, got {n}"
         )
     cycles = cyclic_permutations(n - 1)
-    edges = list(combinations(range(n), 2))
-    edge_index = {e: i for i, e in enumerate(edges)}
-    edge_lists = [
-        [edge_index[e] for e in cycle_pairs(c)] for c in cycles
-    ]
-    by_edge: list[list[int]] = [[] for _ in edges]
-    for i, bits in enumerate(edge_lists):
-        for b in bits:
-            by_edge[b].append(i)
-    class_size = n - 1
-    total_classes = len(cycles) // class_size
+    edge_index = {e: i for i, e in enumerate(combinations(range(n), 2))}
+    edge_lists = [[edge_index[e] for e in cycle_pairs(c)] for c in cycles]
+    by_edge: list[list[int]] = [[] for _ in edge_index]
+    for i, edges in enumerate(edge_lists):
+        for e in edges:
+            by_edge[e].append(i)
     used = [False] * len(cycles)
-    classes: list[tuple[int, ...]] = []
 
-    def completions(members: list[int], counts: list[int], floor: dict[int, int], acc):
-        if len(members) == class_size:
-            if all(c == 2 for c in counts):
-                acc.append(tuple(members))
+    def completions(members: tuple[int, ...], counts: list[int], last: tuple[int, int]):
+        """Each completion of a class, with its cycles marked used while it
+        is out; ``last`` is the (edge, cycle) of the branch above."""
+        if len(members) == n - 1:
+            yield members
             return
         e = next(i for i, c in enumerate(counts) if c < 2)
+        floor = last[1] if last[0] == e else -1
         for j in by_edge[e]:
-            if used[j] or j <= floor.get(e, -1):
-                continue
-            if any(counts[b] >= 2 for b in edge_lists[j]):
+            if j <= floor or used[j] or any(counts[b] == 2 for b in edge_lists[j]):
                 continue
             for b in edge_lists[j]:
                 counts[b] += 1
             used[j] = True
-            members.append(j)
-            prev = floor.get(e)
-            floor[e] = j
-            completions(members, counts, floor, acc)
-            if prev is None:
-                del floor[e]
-            else:
-                floor[e] = prev
-            members.pop()
+            yield from completions(members + (j,), counts, (e, j))
             used[j] = False
             for b in edge_lists[j]:
                 counts[b] -= 1
 
-    def solve() -> bool:
-        if len(classes) == total_classes:
-            return True
-        pivot = next(i for i, u in enumerate(used) if not u)
-        counts = [0] * len(edges)
+    def solve() -> list[tuple[int, ...]] | None:
+        """The classes covering the unused cycles, or None; unused stay unused."""
+        if all(used):
+            return []
+        pivot = used.index(False)
+        counts = [0] * len(edge_index)
         for b in edge_lists[pivot]:
             counts[b] += 1
         used[pivot] = True
-        acc: list[tuple[int, ...]] = []
-        completions([pivot], counts, {}, acc)
-        for comp in acc:
-            for j in comp:
-                used[j] = True
-            classes.append(comp)
-            if solve():
-                return True
-            classes.pop()
-            for j in comp:
-                if j != pivot:
-                    used[j] = False
+        for cls in completions((pivot,), counts, (-1, -1)):
+            rest = solve()
+            if rest is not None:
+                return [cls, *rest]
         used[pivot] = False
-        return False
+        return None
 
-    if not solve():
+    classes = solve()
+    if classes is None:
         raise InvariantViolation(f"no even partition found for n={n}")
     part = PermPartition(
         n=n,
@@ -255,4 +228,3 @@ def partition_even(n: int) -> PermPartition:
     if not validate_partition(part):
         raise InvariantViolation(f"even partition invalid for n={n}")
     return part
-

@@ -1,5 +1,7 @@
-"""Five-colored graphs: associated permutations, singular-manifold recognition,
-Euler-characteristic identities, and crystallization profiles.
+"""Four- and five-colored graphs: closed 3-manifold and singular-manifold
+recognition, associated permutations, Euler-characteristic identities, and
+crystallization profiles.  The surface of a three-colored graph, its one
+regular embedding, lives with the genera in ``embeddings``.
 
 With five colors every cyclic permutation e has an associated partner
 e' = (e_0, e_2, e_4, e_1, e_3); the edges of e and e' jointly exhaust the
@@ -37,21 +39,15 @@ from .core import (
     InvariantViolation,
     _component_labels,
     euler_characteristic_complex,
-    is_bipartite,
     is_connected,
     residue_vector,
 )
-from .embeddings import (
-    HalfInt,
-    _bicolored_cycles,
-    genus_twices,
-)
+from .embeddings import _bicolored_cycles, _require_d, genus_twices
 from .perms import CyclicPerm, canonical_perm, cycle_masks, cyclic_permutations, perm_index
 
 __all__ = [
     "ClassificationResult",
     "CrystallizationProfile",
-    "SurfaceType",
     "associated_pairs",
     "associated_permutation",
     "check_identities",
@@ -62,17 +58,11 @@ __all__ = [
     "is_singular_4_manifold",
     "residue_degree_identity",
     "skip_triples",
-    "surface_type",
 ]
 
 SEMI_SIMPLE = "semi_simple"
 WEAK_SEMI_SIMPLE = "weak_semi_simple"
 NEITHER = "neither"
-
-
-def _require_d(g: ColoredGraph, d: int) -> None:
-    if g.d != d:
-        raise GemError(f"operation defined for {d + 1}-colored graphs, got d={g.d}")
 
 
 def associated_permutation(eps: CyclicPerm) -> CyclicPerm:
@@ -166,25 +156,6 @@ def _cycle_counts(cycles: dict[tuple[int, int], list[int]]) -> list[int]:
     for (r, s), reps in cycles.items():
         counts[1 << r | 1 << s] = len(reps)
     return counts
-
-
-class SurfaceType(NamedTuple):
-    orientable: bool
-    euler: int
-    genus: HalfInt  # orientable genus, or half the non-orientable genus
-
-
-def _surface(bipartite: bool, pair_sum: int, p: int) -> SurfaceType:
-    chi = pair_sum - p  # connected 3-colored graph: faces minus edges plus vertices
-    return SurfaceType(bipartite, chi, HalfInt(2 - chi))
-
-
-def surface_type(g: ColoredGraph) -> SurfaceType:
-    """Orientability, Euler characteristic, and genus of a 3-colored graph's surface."""
-    _require_d(g, 2)
-    if not is_connected(g):
-        raise GemError("surface type requires a connected graph")
-    return _surface(is_bipartite(g), sum(map(len, _bicolored_cycles(g).values())), g.p)
 
 
 def _component_faces(

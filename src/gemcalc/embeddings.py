@@ -16,7 +16,8 @@ must agree with it exactly.  The identity battery
 at every gem, from one walk over the bicolored cycles against the genera
 read from the residue vector.  Genera and degrees are computed as integer
 twice values (``genus_twices``) and rendered as exact half-integers
-(``HalfInt``); floats never appear.
+(``HalfInt``); floats never appear.  At d = 2 there is one permutation,
+and its surface is the surface of the graph (``surface_type``).
 """
 
 from __future__ import annotations
@@ -24,19 +25,22 @@ from __future__ import annotations
 import sys
 from itertools import combinations
 from math import factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
-    ColoredGraph, GemError, InvariantViolation, _pair_vector, is_connected, residue_count,
+    ColoredGraph, GemError, InvariantViolation, _pair_vector, is_bipartite, is_connected,
+    residue_count,
 )
 from .perms import cycle_gathers, cycle_pairs
 
 __all__ = [
     "HalfInt",
+    "SurfaceType",
     "g_degree_definition",
     "genus_twices",
     "reduced_g_degree",
     "regular_genus",
+    "surface_type",
 ]
 
 # the inverse of 2 modulo the hash modulus: hash(n/2) for a rational n/2
@@ -84,6 +88,11 @@ class HalfInt:
 
     def __repr__(self):
         return f"HalfInt({self})"
+
+
+def _require_d(g: ColoredGraph, d: int) -> None:
+    if g.d != d:
+        raise GemError(f"operation defined for {d + 1}-colored graphs, got d={g.d}")
 
 
 def _require_connected(g: ColoredGraph) -> None:
@@ -164,3 +173,22 @@ def reduced_g_degree(g: ColoredGraph) -> int:
         raise InvariantViolation(f"degree {omega} is not a multiple of (d-1)!/2")
     return quotient
 
+
+class SurfaceType(NamedTuple):
+    orientable: bool
+    euler: int
+    genus: HalfInt  # orientable genus, or half the non-orientable genus
+
+
+def _surface(bipartite: bool, pair_sum: int, p: int) -> SurfaceType:
+    chi = pair_sum - p  # connected 3-colored graph: faces minus edges plus vertices
+    return SurfaceType(bipartite, chi, HalfInt(2 - chi))
+
+
+def surface_type(g: ColoredGraph) -> SurfaceType:
+    """Orientability, Euler characteristic, and genus of a 3-colored graph's
+    surface: its one regular embedding, whose genus is the graph's regular genus."""
+    _require_d(g, 2)
+    if not is_connected(g):
+        raise GemError("surface type requires a connected graph")
+    return _surface(is_bipartite(g), sum(map(len, _bicolored_cycles(g).values())), g.p)

@@ -42,6 +42,7 @@ from .embeddings import (
     HalfInt,
     _bicolored_cycles,
     _reduced_degree,
+    _surface,
     genus_twices,
 )
 from .generator import campaign_corpus, campaign_gems, enumeration_size
@@ -85,9 +86,9 @@ def _perm_key(eps: Iterable[int]) -> str:
 
 @lru_cache(maxsize=None)
 def _dim4():
-    """:mod:`gemcalc.dim4`, imported by the first d = 2 or d = 4 battery or
-    analysis that reads it, so that no other command compiles it.  Cached:
-    an import statement in the battery would cost about 1.2 us per gem."""
+    """:mod:`gemcalc.dim4`, imported by the first d = 4 battery or analysis,
+    so that no other command compiles it.  Cached: an import statement in
+    the battery would cost about 1.2 us per gem."""
     from . import dim4
 
     return dim4
@@ -156,7 +157,7 @@ def _check(
         )
 
     if d == 2:
-        walk_euler = _dim4()._surface(bipartite, pair_sum, g.p).euler
+        walk_euler = _surface(bipartite, pair_sum, g.p).euler
         chi = euler_characteristic_complex(g)
         checks["surface_classification"] = (
             walk_euler == chi
@@ -228,7 +229,7 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
     if d >= 3:
         report["reduced_degree"] = sum(twices) // factorial(d - 1)
     if d == 2:
-        st = _dim4()._surface(flags["bipartite"], sum(map(len, cycles.values())), g.p)
+        st = _surface(flags["bipartite"], sum(map(len, cycles.values())), g.p)
         report["surface"] = {
             "orientable": st.orientable,
             "euler": st.euler,
@@ -455,7 +456,7 @@ def campaign_report(
     shards = _shards(d, mode, max_p, count, seed)
     workers = min(threads, _usable_cpus(), len(shards)) if hasattr(os, "fork") else 1
     if workers > 1:
-        if d in (2, 4):
+        if d == 4:
             _dim4()  # loaded before the fork, so that no worker compiles it again
         # the largest half-orders cost the most per shard (the p = 1 shard,
         # one dipole checked once, the least): deal them first (the sort is

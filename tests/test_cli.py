@@ -702,19 +702,27 @@ print(json.dumps([sorted(m for m in sys.modules if m.startswith("gemcalc")), at_
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("d", [3, 4])
-def test_dim4_loaded_only_where_its_battery_runs(d, workers):
-    # no d = 3 command compiles gemcalc.dim4; a d = 4 campaign loads it, and
-    # before it forks, so that no worker compiles it again
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_dim4_loaded_only_where_its_battery_runs(tmp_path, rp2_gem, d, workers):
+    # no d = 2 or d = 3 command compiles gemcalc.dim4; a d = 4 campaign loads
+    # it, and before it forks, so that no worker compiles it again
     verify = ["verify", "--d", str(d), "--mode", "random", "--p", "3",
               "--count", "60", "--seed", "5"]
     proc = _run_probe(_DIM4_PROBE, str(workers), *verify)
     loaded, at_fork = json.loads(proc.stdout)
-    if d == 3:
+    if d < 4:
         assert "gemcalc.dim4" not in loaded, _import_chain(proc.stderr, "gemcalc.dim4")
     else:
         assert "gemcalc.dim4" in loaded
     assert at_fork == ([d == 4] if workers == 2 else [])
+    if d == 2:
+        # nor does the analysis of a 3-colored gem, surface included
+        path = tmp_path / "rp2.json"
+        path.write_text(serialize_gem(rp2_gem))
+        proc = _run_probe(_DIM4_PROBE, str(workers), "analyze", str(path))
+        loaded, at_fork = json.loads(proc.stdout)
+        assert "gemcalc.dim4" not in loaded, _import_chain(proc.stderr, "gemcalc.dim4")
+        assert at_fork == []
 
 
 @pytest.mark.parametrize("d", [4, 6])

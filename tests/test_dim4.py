@@ -20,6 +20,7 @@ from gemcalc import (
     cyclic_permutations,
     dipole,
     enumerate_gems,
+    euler_characteristic_complex,
     g_degree_definition,
     genus_twices,
     is_closed_3_manifold,
@@ -487,6 +488,133 @@ def test_hat_count_tamper_breaks_only_the_residue_degree_identity(delta):
                 failed = [name for name, ok in checks.items() if not ok]
                 assert failed == ["residue_degree_identity"]
     assert kinds == {False, True}
+
+
+_TRIPLE_MASKS = [mask for mask in range(32) if mask.bit_count() == 3]
+
+
+def _singular_corpus() -> list[ColoredGraph]:
+    """The singular-manifold gems among 120 seeded d = 4 gems, p <= 3: mostly
+    crystallizations, and two that are not."""
+    gems = [g for p in range(1, 4) for g in corpus(4, p, 40, seed=800 + p, connected_only=True)]
+    return [g for g in gems if check_graph(g)[0]["singular_manifold"]]
+
+
+def _failed(checks: dict) -> set[str]:
+    return {name for name, ok in checks.items() if not ok}
+
+
+def test_triple_count_tamper_breaks_euler_formula_agreement():
+    # the Euler characteristic reads every triple count, the degree none: one
+    # more 3-colored residue fails the pair formula for chi and the tricolored
+    # difference, and on a crystallization the half-order identity as well
+    kinds = set()
+    for g in _singular_corpus():
+        flags, checks = check_graph(g)
+        crystal = "crystallization_profile" in flags
+        kinds.add(crystal)
+        assert checks["euler_formula_agreement"]
+        for mask in _TRIPLE_MASKS:
+            tampered = list(residue_vector(g))
+            tampered[mask] += 1
+            checks = check_graph(_stand_in(g, tampered))[1]
+            assert checks["degree_formula_agreement"] is True
+            expected = {"euler_formula_agreement", "pair_difference_tricolored"}
+            if crystal:
+                expected.add("crystallization_profile_consistent")
+            assert _failed(checks) == expected
+    assert kinds == {False, True}
+
+
+def _profile_keeping_tampers(g: ColoredGraph, masks: list[int]):
+    """Stand-ins for a crystallization g with one unit moved from one count
+    under ``masks`` to another; a lowered triple count stays at least 1, so
+    every triple excess stays non-negative.  The pair sum S2 and the triple
+    sum S3 do not change, nor does the half-order identity 10p = 3 S2 - 2 S3
+    that the profile checks."""
+    vec = residue_vector(g)
+    floor = 1 if masks is _TRIPLE_MASKS else 0
+    for up in masks:
+        for down in masks:
+            if up != down and vec[down] > floor:
+                tampered = list(vec)
+                tampered[up] += 1
+                tampered[down] -= 1
+                yield _stand_in(g, tampered)
+
+
+@pytest.mark.parametrize(
+    "name, moved",
+    [
+        ("excess_difference_identity", "triples"),
+        ("excess_genus_offset", "triples"),
+        ("classification_consistent", "pairs"),
+        ("euler_bounds", "pairs"),
+    ],
+)
+def test_profile_keeping_tamper_breaks_excess_check(name, moved):
+    # the first tamper, in corpus order, that fails the check while the
+    # profile stays consistent and the degree agrees with the walk; a triple
+    # tamper leaves every genus, and so every check that reads only genera,
+    # as it was
+    masks = _TRIPLE_MASKS if moved == "triples" else _PAIR_MASKS
+    found = None
+    for g in _singular_corpus():
+        if "crystallization_profile" not in check_graph(g)[0]:
+            continue
+        for h in _profile_keeping_tampers(g, masks):
+            checks = check_graph(h)[1]
+            if not checks[name]:
+                found = checks
+                break
+        if found:
+            break
+    assert found is not None
+    assert found["crystallization_profile_consistent"] is True
+    assert found["degree_formula_agreement"] is True
+    if masks is _TRIPLE_MASKS:
+        assert _failed(found) <= {
+            "excess_difference_identity", "excess_genus_offset", "pair_difference_tricolored",
+            "classification_consistent",
+        }
+
+
+def test_excess_pair_sum_is_the_half_order_identity():
+    # with every hat count 1 and rank 0, each associated pair sum minus the
+    # excess form 2(2 base + q) is 3 (10p - 3 S2 + 2 S3) for any vector, and
+    # the half-order identity inside crystallization_profile_consistent is
+    # 10p = 3 S2 - 2 S3: excess_pair_sum is evaluated exactly when the
+    # profile is consistent, and then holds.  400 arbitrary pair and triple
+    # counts (each triple at least 1), half of them solving the identity.
+    rng = random.Random(1931)
+    crystals = [g for g in _singular_corpus() if "crystallization_profile" in check_graph(g)[0]]
+    outcomes = set()
+    for k in range(400):
+        g = crystals[k % len(crystals)]
+        vec = list(residue_vector(g))
+        for mask in _PAIR_MASKS:
+            vec[mask] = rng.randrange(g.p, 3 * g.p + 1)
+        vec[_PAIR_MASKS[0]] += _pair_sum(vec) % 2  # 3 S2 - 10p even
+        s3 = (3 * _pair_sum(vec) - 10 * g.p) // 2  # at least 10, as S2 >= 10p
+        cuts = sorted(rng.sample(range(1, s3), 9))
+        for mask, lo, hi in zip(_TRIPLE_MASKS, [0] + cuts, cuts + [s3]):
+            vec[mask] = hi - lo
+        if k % 2:  # off the identity by one triple
+            vec[rng.choice(_TRIPLE_MASKS)] += 1
+        h = _stand_in(g, vec)
+        s2, s3 = _pair_sum(vec), sum(vec[mask] for mask in _TRIPLE_MASKS)
+        chi = euler_characteristic_complex(h)
+        q, base = s3 - 10, 2 * chi - 4
+        twices = genus_twices(h)
+        for a, b in dim4_module._PAIRS:
+            assert twices[a] + twices[b] - 2 * (2 * base + q) == 3 * (10 * g.p - 3 * s2 + 2 * s3)
+
+        checks = check_graph(h)[1]
+        identity = 10 * g.p == 3 * s2 - 2 * s3
+        assert checks["crystallization_profile_consistent"] is identity
+        assert checks.get("excess_pair_sum") is (True if identity else None)
+        outcomes.add(identity)
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6])

@@ -1,4 +1,5 @@
-"""Byte-identity gate: fixed-seed reports hash to pinned sha256 digests.
+"""Byte-identity gate: fixed-seed reports, and the partitions ``decompose``
+prints, hash to pinned sha256 digests.
 
 The digests were re-recorded when the report schema became
 ``gemcalc.report/2`` with the second random corpus (a stream per gem,
@@ -21,6 +22,7 @@ from operator import itemgetter
 import pytest
 
 from gemcalc import GenSpec, dipole, parse_gem, random_gem, reports
+from gemcalc.cli import main
 from gemcalc.reports import analysis_report, campaign_report, report_json
 
 
@@ -53,6 +55,17 @@ ANALYSES = {
     ("odd_degree_witness", False): "07d886525d2c7c96ed469c4662d3352e5f725024eb64484c59e03bfca8056411",
     ("dipole4", True): "e6fcddc9c6e3a046bad22f763cb5d57a443ab2191d610ae50d4b90e90f5d209c",
     ("g4", True): "ddef1c05e4c0cd798908d28e6e5ecad8214089c09344cd07eef74b28480c4dfc",
+}
+
+DECOMPOSITIONS = {
+    # decompose arguments: sha256 of the command's output
+    ("--n", "4"): "6fa656c96b0c4f8e82d764c6fcbcfd731a3f9201ff638dc1549a4acc94287f94",
+    ("--n", "4", "--full"): "a1e3d18e6eb284f95080606af28a2d587f281df9c08c1ef19076cfbfee511793",
+    ("--n", "6"): "8070b9510a831abafe02e66a6a0d81364aec307dc4f0539ce574078fd326deb2",
+    ("--n", "6", "--full"): "4ce541bc4fc98f16dc54debf2bb331c2022c6c27547bc3b02d3729d84e958f8f",
+    ("--n", "5", "--full"): "df806242fb2b1463b51cbe55c71f5af52415c0c06e0220ba7f8a23ce0141940a",
+    ("--n", "7", "--full"): "d05acd026e313702ecaa73f8a415e245ae0a3ae204aa3d326d4c1059bc20dc85",
+    ("--n", "9"): "49b5bbc47744285c54f3c1cec634f76267719d4632cf1e101f749c15df07c7a8",
 }
 
 
@@ -241,3 +254,11 @@ def test_analysis_report_bytes_pinned(request, name, with_metadata):
     g = request.getfixturevalue(name)
     metadata = {"m": 0, "closed_manifold_asserted": True} if with_metadata else None
     assert _digest(analysis_report(g, metadata)) == ANALYSES[(name, with_metadata)]
+
+
+@pytest.mark.parametrize("args", list(DECOMPOSITIONS), ids=lambda a: "".join(a[1:]))
+def test_decompose_bytes_pinned(capsys, args):
+    # which classes the searches find, and in what order, is part of the output
+    assert main(["decompose", *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSITIONS[args]
