@@ -126,15 +126,13 @@ class ColoredGraph:
                 f"expected {self.d + 1} matchings for dimension {self.d}, "
                 f"got {len(self.matchings)}"
             )
+        order = self.order
         for c, mu in enumerate(self.matchings):
-            if len(mu) != self.order:
-                raise GemError(
-                    f"color {c}: matching has {len(mu)} entries, expected {self.order}"
-                )
-            for v in range(1, self.order + 1):
-                w = mu[v - 1]
-                if type(w) is not int or not 1 <= w <= self.order:
-                    raise GemError(f"color {c}: vertex {v} is matched outside 1..{self.order}")
+            if len(mu) != order:
+                raise GemError(f"color {c}: matching has {len(mu)} entries, expected {order}")
+            for v, w in enumerate(mu, 1):
+                if type(w) is not int or not 1 <= w <= order:
+                    raise GemError(f"color {c}: vertex {v} is matched outside 1..{order}")
                 if w == v:
                     raise GemError(f"color {c}: loop forbidden at vertex {v}")
                 if mu[w - 1] != v:
@@ -160,9 +158,18 @@ def _color_mask(g: ColoredGraph, colors: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _subset_masks(n: int, size: int) -> tuple[int, ...]:
-    """The subsets of 2 to ``size`` of n colors, as ascending bitmasks."""
-    return tuple(mask for mask in range(3, 1 << n) if 2 <= mask.bit_count() <= size)
+def _vector_plan(n: int, size: int) -> tuple[tuple[int, int, int, bool], ...]:
+    """``(mask, rest, top, kept)`` for each subset of 2 to ``size`` of n colors,
+    by ascending bitmask: ``top`` is its last color, ``rest`` the mask without
+    it, and ``kept`` whether its forest is ever extended (it lacks color
+    n - 1 and has fewer than ``size`` colors)."""
+    plan = []
+    for mask in range(3, 1 << n):
+        colors = mask.bit_count()
+        if 2 <= colors <= size:
+            top = mask.bit_length() - 1
+            plan.append((mask, mask ^ (1 << top), top, mask < 1 << (n - 1) and colors < size))
+    return tuple(plan)
 
 
 def _build_vector(
@@ -179,7 +186,9 @@ def _build_vector(
     which keeps the chains short that copied forests pass on from one level
     to the next.  Forests are kept only for the sets that are ever extended:
     those without the last color and below the size bound.  The entries of
-    larger subsets are None, never counted.
+    larger subsets are None, never counted.  Each subset's predecessor, new
+    color and whether it is kept come from a plan built once per ``(n, size)``
+    (:func:`_vector_plan`), so no bit is counted per graph.
     """
     n = len(matchings)
     if size is None:
@@ -193,9 +202,7 @@ def _build_vector(
         counts[1 << c] = order // 2
         if 1 << c < extended and size > 1:
             forests[1 << c] = [v if v < w - 1 else w - 1 for v, w in enumerate(mu)]
-    for mask in _subset_masks(n, size):
-        top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
+    for mask, rest, top, kept in _vector_plan(n, size):
         parent = forests[rest][:]
         count = counts[rest]
         for a, b in edges[top]:
@@ -209,7 +216,7 @@ def _build_vector(
                 parent[b] = a
                 count -= 1
         counts[mask] = count
-        if mask < extended and mask.bit_count() < size:
+        if kept:
             forests[mask] = parent
     return tuple(counts)
 

@@ -20,7 +20,8 @@ The battery reads the adjacent-minus-skip pair sums of the twelve
 permutations off that walk once per graph, as one gap tuple.
 Singular-manifold recognition labels the 3-colored residues and counts
 each cycle as a face of its component; the residue-degree identity counts
-the components of the five 4-colored residues and their cycles.  No side
+the components of the five 4-colored residues, whose cycles are three times
+the walk's (each color pair lies in three of them).  No side
 therefore collapses into an algebraic consequence of the vector it is
 checked against.  Manifold recognition labels only 3-colored residues:
 each 3-colored residue of a 4-colored residue component is a 3-colored
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter, sub
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -113,6 +115,7 @@ def _mask(colors) -> int:
 # Index tables over cyclic_permutations(4), read by every identity below.
 _PERMS = cyclic_permutations(4)
 _PARTNER = tuple(perm_index(4)[associated_permutation(eps)] for eps in _PERMS)
+_PARTNER_OF = itemgetter(*_PARTNER)  # the genera of the partners, in permutation order
 _PAIRS = tuple((perm_index(4)[a], perm_index(4)[b]) for a, b in associated_pairs())
 _CONSECUTIVE3 = tuple(tuple(consecutive_triples(eps)) for eps in _PERMS)
 _SKIP3 = tuple(tuple(skip_triples(eps)) for eps in _PERMS)
@@ -127,20 +130,20 @@ _TRIPLE_PAIRS = tuple(  # (rst, rs, rt, st) masks of the ten triples
 )
 _HAT_COLORS = tuple(tuple(c for c in range(5) if c != i) for i in range(5))  # all but i
 _HATS = tuple(map(_mask, _HAT_COLORS))
-_HAT_PAIRS = tuple(tuple(combinations(colors, 2)) for colors in _HAT_COLORS)
+_HAT_COUNTS = itemgetter(*_HATS)
 
 
 def _hat_sum(vec: tuple[int, ...]) -> int:
-    return sum(vec[m] for m in _HATS)
+    return sum(_HAT_COUNTS(vec))
 
 
 def _gaps(vec: Sequence[int], masks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Per permutation, the counts under its first five masks minus those under
     its last five."""
-    return tuple(
+    return tuple([
         vec[a] + vec[b] + vec[c] + vec[d] + vec[e] - vec[f] - vec[g] - vec[h] - vec[i] - vec[j]
         for a, b, c, d, e, f, g, h, i, j in masks
-    )
+    ])
 
 
 def _pair_gaps(vec: Sequence[int]) -> tuple[int, ...]:
@@ -216,7 +219,7 @@ def _euler_via_pair(vec: tuple[int, ...], twices: tuple[int, ...], i: int, p: in
 # graph, and rho_e' - rho_e = consecutive minus skip triple residues on
 # singular-manifold graphs: each difference against one gap tuple
 def _differences_hold(twices: tuple[int, ...], gaps: tuple[int, ...], scale: int) -> bool:
-    return all(twices[_PARTNER[i]] - twices[i] == scale * gap for i, gap in enumerate(gaps))
+    return list(map(sub, _PARTNER_OF(twices), twices)) == [scale * gap for gap in gaps]
 
 
 def _triple_relation(vec: tuple[int, ...], p: int) -> bool:
@@ -362,13 +365,12 @@ def _hat_degree_total(g: ColoredGraph, cycles: dict[tuple[int, int], list[int]])
 
     At d = 3 a component's degree is its reduced degree 3 + 3p_c - f_c; the
     k components of a residue cover all p, so its sum is 3k + 3p - F, with k
-    counted by a label walk and F the residue's bicolored cycles.
+    counted by a label walk and F the residue's bicolored cycles.  Each color
+    pair lies in three of the five residues, so their F add up to three times
+    the walk's cycle total S, and the five sums to 3 * (sum k + 5p - S).
     """
-    total = 0
-    for colors, pairs in zip(_HAT_COLORS, _HAT_PAIRS):
-        k = len(_component_labels(g, colors)[1])
-        total += 3 * (k + g.p) - sum(len(cycles[pair]) for pair in pairs)
-    return total
+    k = sum([len(_component_labels(g, colors)[1]) for colors in _HAT_COLORS])
+    return 3 * (k + 5 * g.p - sum(map(len, cycles.values())))
 
 
 def _residue_degree_holds(
@@ -426,8 +428,8 @@ def check_identities(
     flags["singular_manifold"] = singular
 
     pair_twices = [twices[a] + twices[b] for a, b in _PAIRS]
-    checks["pair_degree_identity"] = all(omega_twice == 6 * t for t in pair_twices)
-    checks["pair_sum_constant"] = all(t == reduced for t in pair_twices)
+    checks["pair_degree_identity"] = [6 * t for t in pair_twices] == [omega_twice] * len(_PAIRS)
+    checks["pair_sum_constant"] = pair_twices == [reduced] * len(_PAIRS)
     checks["pair_difference_bicolored"] = _differences_hold(twices, gaps, 1)
     left, right = _minimal_degree_sides(twices, gaps)
     checks["minimal_degree_biconditional"] = left == right
@@ -444,7 +446,7 @@ def check_identities(
     checks["euler_formula_agreement"] = all(
         _euler_twice_via_pair(hat_sum, twices, a, g.p) == 2 * chi for a, _ in _PAIRS
     )
-    if all(vec[hat] == 1 for hat in _HATS):
+    if _HAT_COUNTS(vec) == (1, 1, 1, 1, 1):
         _crystallization_checks(g, vec, twices, gaps, chi, flags, checks)
 
 

@@ -131,7 +131,7 @@ def genus_twices(g: ColoredGraph) -> tuple[int, ...]:
     _require_connected(g)
     vec = _pair_vector(g)
     base = 2 + (g.d - 1) * g.p
-    return tuple(base - sum(gather(vec)) for gather in cycle_gathers(g.d))
+    return tuple([base - sum(gather(vec)) for gather in cycle_gathers(g.d)])
 
 
 def regular_genus(g: ColoredGraph, eps: Sequence[int]) -> HalfInt:

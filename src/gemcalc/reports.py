@@ -18,6 +18,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice
 from math import factorial
+from operator import itemgetter
 from typing import BinaryIO, Iterable
 
 from .core import (
@@ -111,6 +112,17 @@ def _class_indices(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(index[cyc] for cyc in cls.cycles) for cls in classes)
 
 
+@lru_cache(maxsize=None)
+def _class_gathers(d: int) -> tuple[itemgetter, ...]:
+    """One ``itemgetter`` per class of :func:`_class_indices`: applied to the
+    genus twices, it returns the class's values as a tuple.  A one-cycle class
+    (d = 2) gathers through a slice, as a one-index getter returns no tuple."""
+    return tuple(
+        itemgetter(*cls) if len(cls) > 1 else itemgetter(slice(cls[0], cls[0] + 1))
+        for cls in _class_indices(d)
+    )
+
+
 def check_graph(g: ColoredGraph) -> tuple[dict[str, bool], dict[str, bool]]:
     """Evaluate every applicable identity on one connected graph.
 
@@ -147,13 +159,13 @@ def _check(
         checks["degree_multiple_of_half_factorial"] = multiple
         flags["odd_reduced_degree"] = rem == 0 and quotient % 2 == 1
     if bipartite:
-        checks["bipartite_genera_integral"] = all(t % 2 == 0 for t in twices)
+        checks["bipartite_genera_integral"] = all([t % 2 == 0 for t in twices])
 
-    classes = _class_indices(d)
-    if classes:
+    gathers = _class_gathers(d)
+    if gathers:
         expected = reduced if d % 2 == 0 else 2 * reduced
         checks["class_genus_sum_constant"] = all(
-            sum(twices[i] for i in cls) == expected for cls in classes
+            [sum(gather(twices)) == expected for gather in gathers]
         )
 
     if d == 2:
@@ -319,13 +331,16 @@ def _battery_batch(shard: tuple) -> tuple[int, Counter, Counter, Counter, list]:
     index, check, serialized gem): enough of them to fill the report's
     embedded counterexamples, so a violating shard holds no more.
 
+    Each gem is counted once, under its shape: the names of its true flags,
+    of its evaluated checks and of its failed checks.  A shard holds few
+    shapes, and they are expanded into the three name counts once, at its end.
+
     A shard with more gems than there are labelled gems of its half-order,
     (2p-1)!!^(d+1), must repeat one (pigeonhole): such a shard checks each
-    distinct gem once and reuses the names of its true flags, evaluated
-    checks and failed checks for every repeat, so the memo holds at most
-    that many gems (one at p = 1, 81 at d = 3, p = 2).  A repeat still
-    counts as its own gem, under its own index.  Exhaustive shards, which
-    hold each gem once, never reach the bound.
+    distinct gem once and reuses its shape for every repeat, so the memo
+    holds at most that many gems (one at p = 1, 81 at d = 3, p = 2).  A
+    repeat still counts as its own gem, under its own index.  Exhaustive
+    shards, which hold each gem once, never reach the bound.
     """
     _, d, p, lo, hi, _ = shard
     gems = campaign_gems(*shard)
@@ -335,33 +350,33 @@ def _battery_batch(shard: tuple) -> tuple[int, Counter, Counter, Counter, list]:
         {} if p < hi - lo and hi - lo > enumeration_size(d + 1, p) else None
     )
     graphs = 0
-    flagged: Counter = Counter()
-    evaluated: Counter = Counter()
-    violated: Counter = Counter()
+    shapes: Counter = Counter()
     earliest: list[tuple[int, str, str]] = []
     # drawn and checked in runs, which bounds the gems held at once; taking
     # one gem at a time from the stream measured about 10 us/gem slower
     while run := list(islice(gems, _RUN_SIZE)):
         for g in run:
-            if memo is None or (outcome := memo.get(g)) is None:
+            if memo is None or (shape := memo.get(g)) is None:
                 flags, checks = check_graph(g)
-                outcome = (
-                    [name for name, value in flags.items() if value],
-                    checks.keys(),  # names only: a mapping would add its values
-                    [name for name, ok in checks.items() if not ok],
+                shape = (
+                    tuple([name for name, value in flags.items() if value]),
+                    tuple(checks),
+                    tuple([name for name, ok in checks.items() if not ok]),
                 )
                 if memo is not None:
-                    memo[g] = outcome
-            trues, names, failed = outcome
-            flagged.update(trues)
-            evaluated.update(names)
-            if failed:
-                violated.update(failed)
-                if len(earliest) < MAX_EMBEDDED_COUNTEREXAMPLES:
-                    text = serialize_gem(g)
-                    earliest += [(graphs, name, text) for name in failed]
+                    memo[g] = shape
+            shapes[shape] += 1
+            failed = shape[2]
+            if failed and len(earliest) < MAX_EMBEDDED_COUNTEREXAMPLES:
+                text = serialize_gem(g)
+                earliest += [(graphs, name, text) for name in failed]
             graphs += 1
-    return graphs, flagged, evaluated, violated, earliest
+    tallies: tuple[Counter, Counter, Counter] = (Counter(), Counter(), Counter())
+    for shape, n in shapes.items():
+        for tally, names in zip(tallies, shape):
+            for name in names:
+                tally[name] += n
+    return graphs, *tallies, earliest
 
 
 def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:

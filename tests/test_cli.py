@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -506,6 +507,59 @@ def test_violating_campaign_memory_does_not_grow_with_its_size(monkeypatch):
         assert report["checks"]["surface_classification"]["violations"] == n
         assert len(report["violations"]) == reports_module.MAX_EMBEDDED_COUNTEREXAMPLES
     assert peaks[1] < 2 * peaks[0]
+
+
+def _tally_gem_by_gem(shard: tuple, check) -> tuple:
+    """What ``_battery_batch`` returns for ``shard``, counted gem by gem."""
+    flagged, evaluated, violated = Counter(), Counter(), Counter()
+    earliest = []
+    gems = list(generator_module.campaign_gems(*shard))
+    for index, g in enumerate(gems):
+        flags, checks = check(g)
+        flagged.update(name for name, value in flags.items() if value)
+        evaluated.update(checks.keys())
+        failed = [name for name, ok in checks.items() if not ok]
+        violated.update(failed)
+        if failed and len(earliest) < reports_module.MAX_EMBEDDED_COUNTEREXAMPLES:
+            earliest += [(index, name, serialize_gem(g)) for name in failed]
+    return len(gems), flagged, evaluated, violated, earliest
+
+
+# a d = 4 shard mix: five copies of the one p = 1 gem (checked once, through
+# the memo), and seeded shards whose gems take every battery branch
+_D4_SHARDS = [("random", 4, 1, 0, 5, 11)] + [("random", 4, p, 0, 40, 11 + p) for p in (2, 3, 4)]
+
+
+def test_shape_tally_matches_a_gem_by_gem_count():
+    kinds = Counter()
+    for shard in _D4_SHARDS:
+        expected = _tally_gem_by_gem(shard, reports_module.check_graph)
+        assert reports_module._battery_batch(shard) == expected
+        kinds.update(expected[1])
+    assert kinds["singular_manifold"] and kinds["crystallization_profile"] and kinds["bipartite"]
+
+
+def test_shape_tally_counts_violations_gem_by_gem(monkeypatch):
+    # non-bipartite gems fail one check, singular-manifold ones a second
+    real = reports_module.check_graph
+
+    def sabotaged(g):
+        flags, checks = real(g)
+        if not flags["bipartite"]:
+            checks["pair_sum_constant"] = False
+        if flags["singular_manifold"]:
+            checks["euler_formula_agreement"] = False
+        return flags, checks
+
+    monkeypatch.setattr(reports_module, "check_graph", sabotaged)
+    both = 0
+    for shard in _D4_SHARDS:
+        expected = _tally_gem_by_gem(shard, sabotaged)
+        assert reports_module._battery_batch(shard) == expected
+        *_, violated, earliest = expected
+        assert 0 < sum(violated.values()) and len(earliest) >= 5
+        both += len(violated) == 2
+    assert both
 
 
 def test_generate_memory_does_not_hold_the_corpus(tmp_path, capsys):

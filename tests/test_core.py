@@ -102,6 +102,34 @@ def test_parse_rejections(doc, message):
         parse_gem(doc)
 
 
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ((2, 1), "color 1: matching has 2 entries, expected 4"),
+        ((2, 1, 4.0, 3), "color 1: vertex 3 is matched outside 1..4"),
+        ((True, 1, 4, 3), "color 1: vertex 1 is matched outside 1..4"),
+        ((2, 1, 5, 3), "color 1: vertex 3 is matched outside 1..4"),
+        ((0, 1, 4, 3), "color 1: vertex 1 is matched outside 1..4"),
+        ((2, 1, 3, 4), "color 1: loop forbidden at vertex 3"),
+        ((2, 3, 4, 1), "color 1: not an involution at vertex 1"),
+    ],
+    ids=["length", "float", "bool", "above", "below", "loop", "involution"],
+)
+def test_constructor_refusal_messages(second, message):
+    # the second of two matchings carries the fault; the first is sound
+    with pytest.raises(GemError) as refused:
+        ColoredGraph(d=1, order=4, matchings=(M_A, second))
+    assert str(refused.value) == message
+
+
+def test_constructor_names_the_first_fault_in_color_major_order():
+    # color 0 has loops at vertices 3 and 4, color 1 one at vertex 1: the
+    # first fault by color, then by vertex, is named, not the least vertex
+    with pytest.raises(GemError) as refused:
+        ColoredGraph(d=1, order=4, matchings=((2, 1, 3, 4), (1, 2, 4, 3)))
+    assert str(refused.value) == "color 0: loop forbidden at vertex 3"
+
+
 def test_residue_counts_dipole(dipole4):
     assert residue_count(dipole4, (0, 1)) == 1
     assert residue_count(dipole4, ()) == 2

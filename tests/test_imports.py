@@ -1,7 +1,10 @@
-"""Source hygiene: no module of the package keeps an import it never uses.
+"""Source hygiene: no module of the package keeps an import it never uses,
+and no private module-level name goes unread.
 
 A name that moves between modules tends to leave its import behind, and
-an unused import still costs its module at start-up.
+an unused import still costs its module at start-up.  A private helper or
+table that its last reader stopped using is dead code the package still
+compiles and builds.
 """
 
 from __future__ import annotations
@@ -59,3 +62,64 @@ def test_unused_import_detected():
         "    return os.getcwd()\n"
     )
     assert _unused_imports(tree) == ["line 2: sys", "line 3: is_bipartite"]
+
+
+def _private_names(node: ast.stmt) -> list[str]:
+    """The private names a module-level statement defines: ``_name``, not a
+    dunder such as ``__all__``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """The names an AST reads, bare or as an attribute of a module or object."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    }
+
+
+def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """``module: name`` for each private module-level name of ``trees`` that
+    no other module-level statement of any of them reads; a function that
+    only calls itself is unread."""
+    statements = [(module, node) for module, tree in trees.items() for node in tree.body]
+    reads = [_reads(node) for _, node in statements]
+    return [
+        f"{module}: {name}"
+        for k, (module, node) in enumerate(statements)
+        for name in _private_names(node)
+        if not any(name in read for j, read in enumerate(reads) if j != k)
+    ]
+
+
+def test_every_private_name_is_read():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in MODULES}
+    assert _unread_private_names(trees) == []
+
+
+def test_unread_private_name_detected():
+    trees = {
+        "a": ast.parse(
+            "_LIVE = 1\n"
+            "_DEAD, _ALSO_DEAD = 2, 3\n"
+            "__all__ = ['f']\n"
+            "def _walk(n):\n"
+            "    return _walk(n - 1) if n else _LIVE\n"
+            "class _Unused:\n"
+            "    pass\n"
+            "def _helper():\n"
+            "    return 0\n"
+        ),
+        "b": ast.parse("from . import a\n_TABLE: int = a._helper()\nprint(_TABLE)\n"),
+    }
+    assert _unread_private_names(trees) == [
+        "a: _DEAD", "a: _ALSO_DEAD", "a: _walk", "a: _Unused"
+    ]
