@@ -13,6 +13,7 @@ only), so a repeated run with the same seed is byte-identical.
 from __future__ import annotations
 
 import json
+import marshal
 import os
 from collections import Counter
 from functools import lru_cache
@@ -323,13 +324,14 @@ def _shards(d: int, mode: str, max_p: int, count: int, seed: int) -> list[tuple]
     return shards
 
 
-def _battery_batch(shard: tuple) -> tuple[int, Counter, Counter, Counter, list]:
+def _battery_batch(shard: tuple) -> tuple[int, dict, dict, dict, list]:
     """Worker: build one shard's gems and run the battery over them.
 
     Returns the shard's graph count, its true flags, evaluated checks and
-    violated checks by name, and its earliest violations as (shard-local
-    index, check, serialized gem): enough of them to fill the report's
-    embedded counterexamples, so a violating shard holds no more.
+    violated checks by name (plain dicts of counts), and its earliest
+    violations as (shard-local index, check, serialized gem): enough of them
+    to fill the report's embedded counterexamples, so a violating shard
+    holds no more.  Every value is a built-in that :mod:`marshal` carries.
 
     Each gem is counted once, under its shape: the names of its true flags,
     of its evaluated checks and of its failed checks.  A shard holds few
@@ -371,33 +373,56 @@ def _battery_batch(shard: tuple) -> tuple[int, Counter, Counter, Counter, list]:
                 text = serialize_gem(g)
                 earliest += [(graphs, name, text) for name in failed]
             graphs += 1
-    tallies: tuple[Counter, Counter, Counter] = (Counter(), Counter(), Counter())
+    tallies: tuple[dict, dict, dict] = ({}, {}, {})
     for shape, n in shapes.items():
         for tally, names in zip(tallies, shape):
             for name in names:
-                tally[name] += n
+                tally[name] = tally.get(name, 0) + n
     return graphs, *tallies, earliest
+
+
+def _claimed_results(shards: list[tuple], claims, first: int) -> list[tuple]:
+    """One worker's ``(index, result)`` pairs: shard ``first``, then every
+    shard whose byte in ``claims`` it finds still 0 when it is free, which it
+    sets to 1 before it runs the shard."""
+    results = [(first, _battery_batch(shards[first]))]
+    k = first
+    # the bytes before a worker's last claim are all set, and none is ever
+    # cleared, so each search starts after it
+    while (k := claims.find(b"\0", k + 1)) >= 0:
+        claims[k] = 1
+        results.append((k, _battery_batch(shards[k])))
+    return results
 
 
 def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:
     """Each shard's :func:`_battery_batch` result, keyed by the shard, from
-    ``workers`` processes: this one and a forked child per further share.
+    ``workers`` processes: this one and ``workers - 1`` forked children.
 
-    Shares are dealt in snake order (0, 1, .., w-1, w-1, .., 0, 0, ..).  A
-    child pipes back its pickled results, or the exception it raised, which
-    is raised here; one that ends with neither raises
-    :class:`ChildProcessError`.  On any error the children are killed, and
-    all are reaped before this returns.
+    Worker i runs shard i first; after that, each worker that is free claims
+    the next shard in list order that no worker has claimed (greedy list
+    scheduling, so a worker held up by one costly shard is not dealt more).
+    The claims are one byte per shard in an anonymous shared map that the
+    children inherit across ``fork``: no thread, no lock that a dead child
+    could keep held, and room for any shard count.  Two workers that test
+    one byte at the same moment both run that shard; a shard's result
+    depends only on its descriptor, so both copies are equal, and the merge
+    keeps one.
+
+    A child pipes back its ``(index, result)`` pairs as :mod:`marshal`
+    data, or its exception pickled (the only path that loads
+    :mod:`pickle`), which is raised here once the others have stopped
+    claiming; one that ends with neither raises :class:`ChildProcessError`.  On any error the children still running
+    are killed, and all are reaped before this returns; the pipes and the
+    map are closed.
     """
-    import pickle, signal  # only a fan-out pays for them
+    from mmap import mmap  # only a fan-out pays for it
 
-    shares: list[list[tuple]] = [[] for _ in range(workers)]
-    for k, shard in enumerate(shards):
-        lap, i = divmod(k, workers)
-        shares[workers - 1 - i if lap % 2 else i].append(shard)
+    claims = mmap(-1, len(shards))  # all 0; anonymous, so no descriptor
+    claims[:workers] = b"\1" * workers  # worker i's first shard is shard i
     children: dict[int, BinaryIO] = {}  # pid: the read end of its pipe
     try:
-        for share in shares[1:]:
+        for first in range(1, workers):
             read_end, write_end = os.pipe()
             # fork, not a fresh interpreter: a child starts with every module
             # and table loaded; gemcalc starts no thread, so fork is safe
@@ -407,10 +432,11 @@ def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:
                 try:
                     os.close(read_end)
                     try:
-                        payload = [_battery_batch(shard) for shard in share]
+                        data = marshal.dumps(_claimed_results(shards, claims, first))
                     except Exception as exc:
-                        payload = exc
-                    data = pickle.dumps(payload)
+                        claims[:] = b"\1" * len(shards)  # no worker starts another
+                        import pickle  # only a failing worker pays for it
+                        data = marshal.dumps(pickle.dumps(exc))
                     with open(write_end, "wb") as pipe:
                         pipe.write(data)
                     status = 0
@@ -418,8 +444,8 @@ def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:
                     os._exit(status)
             os.close(write_end)
             children[pid] = open(read_end, "rb")
-        done = {shard: _battery_batch(shard) for shard in shares[0]}
-        for pid, share in zip(list(children), shares[1:]):
+        done = _claimed_results(shards, claims, 0)
+        for pid in list(children):
             data = children[pid].read()
             children.pop(pid).close()
             _, status = os.waitpid(pid, 0)
@@ -428,16 +454,20 @@ def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:
                     f"campaign worker {pid} ended without a result "
                     f"(exit status {os.waitstatus_to_exitcode(status)})"
                 )
-            payload = pickle.loads(data)
-            if isinstance(payload, Exception):
-                raise payload
-            done.update(zip(share, payload))
+            payload = marshal.loads(data)
+            if isinstance(payload, bytes):
+                import pickle
+                raise pickle.loads(payload)
+            done += payload
     finally:
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return done
+        claims.close()
+        if children:
+            import signal  # only an error with a child still running pays for it
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return {shards[k]: result for k, result in done}
 
 
 def campaign_report(
@@ -456,9 +486,11 @@ def campaign_report(
     process is one of the workers and forks the others (:func:`_fan_out`);
     the workers never exceed the usable CPUs or the shard count, whatever
     ``threads`` asks for, and the campaign runs in-process when the corpus
-    is one shard or the platform has no ``os.fork``.  A worker that dies
-    without a result raises :class:`ChildProcessError`.  The first few
-    violating gems are embedded verbatim.
+    is one shard or the platform has no ``os.fork``.  The shards are handed
+    out largest half-order first, each worker taking the next one whenever
+    it is free.  A worker that dies without a result raises
+    :class:`ChildProcessError`.  The first few violating gems are embedded
+    verbatim.
     """
     if threads is None:
         threads = worker_count()
@@ -474,9 +506,10 @@ def campaign_report(
         if d == 4:
             _dim4()  # loaded before the fork, so that no worker compiles it again
         # the largest half-orders cost the most per shard (the p = 1 shard,
-        # one dipole checked once, the least): deal them first (the sort is
-        # stable, so each p's ranges stay in order), then put the results
-        # back in corpus order (every descriptor is distinct)
+        # one dipole checked once, the least): hand them out first (the sort
+        # is stable, so each p's ranges stay in order), so that the shards
+        # left for the last free workers are the cheap ones; then put the
+        # results back in corpus order (every descriptor is distinct)
         longest_first = sorted(shards, key=lambda shard: -shard[2])
         done = _fan_out(longest_first, workers)
         results = [done[shard] for shard in shards]

@@ -217,18 +217,113 @@ def test_benchmark_d4_shape_forks_once_at_two_workers(tmp_path, monkeypatch):
     _assert_two_workers_fork_once(tmp_path, monkeypatch, args)
 
 
-def test_fan_out_deals_in_snake_order(monkeypatch):
-    # seven shards over three workers: this process takes the first share
-    # and forks one child for each of the other two
-    monkeypatch.setattr(reports_module, "_battery_batch", lambda shard: (os.getpid(), shard))
+def _stamped_batches(monkeypatch, slow: tuple | None = None) -> None:
+    """Stand in a ``_battery_batch`` that returns (the pid that ran the
+    shard, the shard's place in that process's run order, the shard), and
+    sleeps 0.3 s on ``slow`` in this process."""
+    parent = os.getpid()
+    runs = []  # each child inherits it empty: this process forks before it runs
+
+    def stamped(shard):
+        if shard == slow and os.getpid() == parent:
+            time.sleep(0.3)
+        runs.append(shard)
+        return os.getpid(), len(runs) - 1, shard
+
+    monkeypatch.setattr(reports_module, "_battery_batch", stamped)
+
+
+def test_fan_out_worker_i_runs_shard_i_first(monkeypatch):
+    # seven shards over three workers: this process and two forked children
+    _stamped_batches(monkeypatch)
     shards = [("shard", k) for k in range(7)]
     done = reports_module._fan_out(shards, 3)
-    assert all(done[shard][1] == shard for shard in shards)
-    pids = [done[shard][0] for shard in shards]
-    assert pids[0] == os.getpid() and os.getpid() not in pids[1:3]
-    # dealt 0, 1, 2, 2, 1, 0, 0
-    assert pids == [pids[i] for i in (0, 1, 2, 2, 1, 0, 0)]
-    assert len(set(pids)) == 3
+    firsts = [done[shard] for shard in shards[:3]]
+    assert [run for _, run, _ in firsts] == [0, 0, 0]
+    pids = [pid for pid, _, _ in firsts]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+    assert {done[shard][0] for shard in shards} <= set(pids)
+    assert_no_child()
+
+
+def test_fan_out_free_worker_claims_the_later_shards(monkeypatch):
+    # this process is held up 0.3 s on shard 0: meanwhile the child, free
+    # after shard 1, claims every later shard, in list order
+    shards = [("shard", k) for k in range(10)]
+    _stamped_batches(monkeypatch, slow=shards[0])
+    done = reports_module._fan_out(shards, 2)
+    assert done[shards[0]][:2] == (os.getpid(), 0)
+    child = done[shards[1]][0]
+    assert child != os.getpid()
+    assert [done[shard][:2] for shard in shards[1:]] == [(child, k) for k in range(9)]
+    assert_no_child()
+
+
+@pytest.mark.parametrize("workers, count", [(2, 2), (3, 3), (3, 50), (4, 2000)])
+def test_fan_out_keys_every_shard_once(monkeypatch, workers, count):
+    # the last case races more workers than most machines have cores for
+    # the claims of 2,000 instant shards: a claim may be run twice, never lost
+    _stamped_batches(monkeypatch)
+    shards = [("shard", k) for k in range(count)]
+    done = reports_module._fan_out(shards, workers)
+    assert len(done) == count
+    assert all(done[shard][2] == shard for shard in shards)
+    assert len({pid for pid, _, _ in done.values()}) <= workers
+    assert_no_child()
+
+
+def test_worker_error_stops_the_claims(monkeypatch):
+    # a child that raises claims every shard left, so this process stops
+    # after the shard it is running instead of running all the others
+    parent = os.getpid()
+    ran = []
+
+    def batch(shard):
+        if os.getpid() != parent:
+            raise GemError("planted in a worker")
+        time.sleep(0.05)
+        ran.append(shard)
+        return shard
+
+    monkeypatch.setattr(reports_module, "_battery_batch", batch)
+    with pytest.raises(GemError, match="planted in a worker"):
+        reports_module._fan_out([("shard", k) for k in range(40)], 2)
+    assert len(ran) < 20
+    assert_no_child()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("outcome", ["success", "worker raises", "worker dies", "parent raises"])
+def test_fan_out_leaves_no_descriptor_open(monkeypatch, outcome):
+    # the result pipes are closed and the claim map holds none, however the
+    # fan-out ends
+    parent = os.getpid()
+
+    def batch(shard):
+        if os.getpid() == parent:
+            if outcome == "parent raises":
+                raise GemError("planted in the parent")
+        elif outcome == "worker raises":
+            raise GemError("planted in a worker")
+        elif outcome == "worker dies":
+            os._exit(3)
+        elif outcome == "parent raises":
+            time.sleep(60)
+        return shard
+
+    monkeypatch.setattr(reports_module, "_battery_batch", batch)
+    shards = [("shard", k) for k in range(5)]
+    before = _open_fds()
+    if outcome == "success":
+        assert reports_module._fan_out(shards, 3) == {shard: shard for shard in shards}
+    else:
+        error = ChildProcessError if outcome == "worker dies" else GemError
+        with pytest.raises(error):
+            reports_module._fan_out(shards, 3)
+    assert _open_fds() == before
     assert_no_child()
 
 
@@ -704,6 +799,45 @@ def test_pool_stack_loaded_by_no_command(tmp_path, dipole_file):
     assert loaded == [], "\n\n".join(_import_chain(proc.stderr, m) for m in loaded)
     assert fan_outs == [2]
     assert solo.read_bytes() == duo.read_bytes()
+
+
+# Runs in a fresh interpreter: one verify with 2 workers on a machine made to
+# show 2 CPUs.  Prints the modules of LAZY loaded at start and at the end, and
+# the workers each campaign fan-out got.
+_FAN_OUT_PROBE = """
+import json, os, sys
+
+LAZY = ("pickle", "signal")
+loaded_at_start = [m for m in LAZY if m in sys.modules]
+from gemcalc import reports
+from gemcalc.cli import main
+
+fan_outs = []
+fan_out = reports._fan_out
+
+def counted(shards, workers):
+    fan_outs.append(workers)
+    return fan_out(shards, workers)
+
+reports._fan_out = counted
+os.sched_getaffinity = lambda pid: {0, 1}
+os.environ["GEMCALC_THREADS"] = "2"
+assert main(sys.argv[1:] + ["--out", os.devnull]) == 0
+print(json.dumps([loaded_at_start, [m for m in LAZY if m in sys.modules], fan_outs]))
+"""
+
+
+def test_successful_fan_out_loads_neither_pickle_nor_signal():
+    # results cross the pipe as marshal data; pickle is only for a worker's
+    # exception, and signal only for killing a worker still running after an
+    # error.  The d = 4 benchmark shape: six shards over two workers
+    verify = ["verify", "--d", "4", "--mode", "random", "--p", "6",
+              "--count", "600", "--seed", "5"]
+    proc = _run_probe(_FAN_OUT_PROBE, *verify)
+    loaded_at_start, loaded, fan_outs = json.loads(proc.stdout)
+    assert loaded_at_start == []
+    assert loaded == [], "\n\n".join(_import_chain(proc.stderr, m) for m in loaded)
+    assert fan_outs == [2]
 
 
 # Runs in a fresh interpreter under -X importtime: an analyze, then a

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import sys
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -33,6 +34,7 @@ from gemcalc import (
 )
 from gemcalc import core as core_module
 from gemcalc import dim4 as dim4_module
+from gemcalc import reports as reports_module
 from gemcalc.embeddings import _bicolored_cycles, _reduced_degree
 from gemcalc.perms import cycle_pairs
 from gemcalc.reports import _class_indices, analysis_report, check_graph
@@ -615,6 +617,127 @@ def test_excess_pair_sum_is_the_half_order_identity():
         assert checks.get("excess_pair_sum") is (True if identity else None)
         outcomes.add(identity)
     assert outcomes == {False, True}
+
+
+def _pair_masks(d: int) -> list[int]:
+    return [mask for mask in range(2 ** (d + 1)) if mask.bit_count() == 2]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_degree_multiple_is_the_sign_of_the_vector_degree(d):
+    # each color pair lies in (d-1)! of the d!/2 cyclic permutations, so the
+    # twices of any vector sum to (d-1)! times the reduced degree of its own
+    # pair sum: the remainder is always 0, and
+    # degree_multiple_of_half_factorial holds exactly when that degree is not
+    # negative.  Where degree_formula_agreement holds it is the walk's
+    # reduced degree, which no gem has below 0, so the check is implied.
+    # 200 vectors with arbitrary pair counts around the bound, half of them
+    # a sum-keeping tamper of the true ones.
+    rng = random.Random(1941 + d)
+    g = corpus(d, 2, 1, seed=810 + d, connected_only=True)[0]
+    masks = _pair_masks(d)
+    walk_reduced = _reduced_degree(d, g.p, sum(map(len, _bicolored_cycles(g).values())))
+    assert walk_reduced >= 0
+    outcomes = set()
+    for k in range(200):
+        vec = [rng.randrange(g.p + 2) for _ in range(2 ** (d + 1))]
+        if k % 2:
+            for mask in masks:
+                vec[mask] = residue_vector(g)[mask]
+            a, b = rng.sample(masks, 2)
+            shift = rng.randrange(vec[b] + 1)
+            vec[a] += shift
+            vec[b] -= shift
+        h = _stand_in(g, vec)
+        reduced = _reduced_degree(d, g.p, _pair_sum(vec))
+        assert sum(genus_twices(h)) == factorial(d - 1) * reduced
+
+        checks = check_graph(h)[1]
+        assert checks["degree_multiple_of_half_factorial"] is (reduced >= 0)
+        assert checks["degree_formula_agreement"] is (reduced == walk_reduced)
+        outcomes.add(reduced >= 0)
+    assert outcomes == {False, True}
+
+
+def _bipartite_corpus(d: int) -> list[ColoredGraph]:
+    return [
+        g for p in (1, 2, 3)
+        for g in corpus(d, p, 2, seed=820 + 10 * d + p, connected_only=True, bipartite_only=True)
+    ]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_sum_keeping_tamper_breaks_bipartite_genera_integral(d):
+    # one unit moved from one pair count to another changes by one the twice
+    # genus of each permutation through exactly one of the two pairs, and two
+    # pairs that share a color have such a permutation (two disjoint pairs at
+    # d = 3 lie in the same two of the three): some genus of a bipartite gem
+    # turns half-integral, while the degree, which reads only the pair sum,
+    # still agrees with the walk
+    masks = _pair_masks(d)
+    tampers = 0
+    for g in _bipartite_corpus(d):
+        flags, checks = check_graph(g)
+        assert flags["bipartite"] and checks["bipartite_genera_integral"]
+        vec = residue_vector(g)
+        for up in masks:
+            for down in masks:
+                if up != down and up & down and vec[down]:
+                    tampered = list(vec)
+                    tampered[up] += 1
+                    tampered[down] -= 1
+                    checks = check_graph(_stand_in(g, tampered))[1]
+                    assert checks["degree_formula_agreement"] is True
+                    assert checks["bipartite_genera_integral"] is False
+                    tampers += 1
+    assert tampers > 100
+
+
+@pytest.mark.parametrize(
+    "flag, d, failing",
+    [
+        ("bipartite", 4, {"bipartite_degree_divisibility", "odd_reduced_forces_nonorientable"}),
+        ("bipartite", 6, {"bipartite_degree_divisibility"}),
+        ("singular_manifold", 4,
+         {"singular_degree_divisibility", "odd_reduced_forces_nonorientable"}),
+    ],
+)
+def test_one_more_cycle_on_both_sides_breaks_the_main_theorem(monkeypatch, flag, d, failing):
+    # one pair count raised by one, and one fake cycle of the same pair added
+    # to the walk: the reduced degree drops by one on both sides, so they
+    # still agree, but it is now odd on a bipartite or singular-manifold gem.
+    # The bipartite test reads the matchings alone; the singular test keeps
+    # reading the true walk (a fake cycle would make some 3-colored residue a
+    # non-sphere).  The other flag's test is made to answer False, so the
+    # checks fail on the one flag alone: the small singular gems are all
+    # bipartite, and some bipartite ones singular
+    spherical = dim4_module._spherical_triples
+    if flag == "bipartite":
+        monkeypatch.setattr(dim4_module, "_spherical_triples", lambda g, cycles: False)
+        gems = _bipartite_corpus(d)
+    else:
+        monkeypatch.setattr(
+            dim4_module, "_spherical_triples", lambda g, cycles: spherical(g, _bicolored_cycles(g))
+        )
+        gems = _singular_corpus()
+        monkeypatch.setattr(reports_module, "is_bipartite", lambda g: False)
+    tampers = 0
+    for g in gems:
+        assert check_graph(g)[0][flag]
+        vec = residue_vector(g)
+        for mask in _pair_masks(d):
+            pair = tuple(c for c in range(d + 1) if mask >> c & 1)
+            tampered = list(vec)
+            tampered[mask] += 1
+            walk = _bicolored_cycles(g)
+            walk[pair] = walk[pair] + walk[pair][:1]
+            monkeypatch.setattr(reports_module, "_bicolored_cycles", lambda h: walk)
+            flags, checks = check_graph(_stand_in(g, tampered))
+            assert [name for name in ("bipartite", "singular_manifold") if flags.get(name)] == [flag]
+            assert checks["degree_formula_agreement"] is True
+            assert failing <= _failed(checks)
+            tampers += 1
+    assert tampers >= 30
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6])
