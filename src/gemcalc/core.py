@@ -301,6 +301,12 @@ def is_connected(g: ColoredGraph) -> bool:
     return connected
 
 
+def _require_connected(g: ColoredGraph, what: str) -> None:
+    """Refuse a disconnected graph: ``what`` requires a connected one."""
+    if not is_connected(g):
+        raise GemError(f"{what} requires a connected graph")
+
+
 def is_bipartite(g: ColoredGraph) -> bool:
     """Breadth-first 2-coloring over all components of the underlying multigraph."""
     side = [0] * (g.order + 1)

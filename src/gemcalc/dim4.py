@@ -40,8 +40,8 @@ from .core import (
     GemError,
     InvariantViolation,
     _component_labels,
+    _require_connected,
     euler_characteristic_complex,
-    is_connected,
     residue_vector,
 )
 from .embeddings import _bicolored_cycles, _require_d, genus_twices
@@ -114,8 +114,8 @@ def _mask(colors) -> int:
 
 # Index tables over cyclic_permutations(4), read by every identity below.
 _PERMS = cyclic_permutations(4)
-_PARTNER = tuple(perm_index(4)[associated_permutation(eps)] for eps in _PERMS)
-_PARTNER_OF = itemgetter(*_PARTNER)  # the genera of the partners, in permutation order
+# the genera of the partners, in permutation order
+_PARTNER_OF = itemgetter(*(perm_index(4)[associated_permutation(eps)] for eps in _PERMS))
 _PAIRS = tuple((perm_index(4)[a], perm_index(4)[b]) for a, b in associated_pairs())
 _CONSECUTIVE3 = tuple(tuple(consecutive_triples(eps)) for eps in _PERMS)
 _SKIP3 = tuple(tuple(skip_triples(eps)) for eps in _PERMS)
@@ -197,29 +197,22 @@ def is_singular_4_manifold(g: ColoredGraph) -> bool:
     """True iff every 4-colored residue component represents a closed 3-manifold,
     that is, iff every 3-colored residue component is a sphere."""
     _require_d(g, 4)
-    if not is_connected(g):
-        raise GemError("singular-manifold recognition requires a connected graph")
+    _require_connected(g, "singular-manifold recognition")
     return _spherical_triples(g, _bicolored_cycles(g))
 
 
-# twice the Euler characteristic of a singular 4-manifold from one associated
-# pair: (rho_e + rho_e') - p + sum g_hat - 2, whichever pair is taken
-def _euler_twice_via_pair(hat_sum: int, twices: tuple[int, ...], i: int, p: int) -> int:
-    return twices[i] + twices[_PARTNER[i]] + 2 * (hat_sum - p - 2)
-
-
-def _euler_via_pair(vec: tuple[int, ...], twices: tuple[int, ...], i: int, p: int) -> int:
-    twice = _euler_twice_via_pair(_hat_sum(vec), twices, i, p)
+# the Euler characteristic of a singular 4-manifold from one associated pair
+# sum, whichever pair is taken: (rho_e + rho_e') - p + sum g_hat - 2
+def _euler_via_pair(vec: tuple[int, ...], pair_twice: int, p: int) -> int:
+    twice = pair_twice + 2 * (_hat_sum(vec) - p - 2)
     if twice % 2:
         raise InvariantViolation("non-integral Euler characteristic")
     return twice // 2
 
 
-# 2(rho_e' - rho_e) = sum g_{e_j e_{j+1}} - sum g_{e_j e_{j+2}} on every 5-colored
-# graph, and rho_e' - rho_e = consecutive minus skip triple residues on
-# singular-manifold graphs: each difference against one gap tuple
-def _differences_hold(twices: tuple[int, ...], gaps: tuple[int, ...], scale: int) -> bool:
-    return list(map(sub, _PARTNER_OF(twices), twices)) == [scale * gap for gap in gaps]
+def _partner_differences(twices: tuple[int, ...]) -> tuple[int, ...]:
+    """2(rho_e' - rho_e) for each permutation e, in permutation order."""
+    return tuple(map(sub, _PARTNER_OF(twices), twices))
 
 
 def _triple_relation(vec: tuple[int, ...], p: int) -> bool:
@@ -321,11 +314,16 @@ def classify_crystallization(
     """
     if g.p != profile.half_order:
         raise GemError("profile does not belong to this graph")
-    return _classify(profile, genus_twices(g), _pair_gaps(residue_vector(g)))
+    twices = genus_twices(g)
+    diffs = _partner_differences(twices)
+    return _classify(profile, twices, diffs, _pair_gaps(residue_vector(g)))
 
 
 def _classify(
-    profile: CrystallizationProfile, twices: tuple[int, ...], gaps: tuple[int, ...]
+    profile: CrystallizationProfile,
+    twices: tuple[int, ...],
+    diffs: tuple[int, ...],
+    gaps: tuple[int, ...],
 ) -> ClassificationResult:
     t = profile.t_triples
     witness = next(
@@ -333,9 +331,7 @@ def _classify(
         None,
     )
     stmt_witness = witness is not None
-    stmt_gap = any(
-        twices[j] - twices[i] == 2 * profile.q for i, j in enumerate(_PARTNER)
-    )
+    stmt_gap = 2 * profile.q in diffs
     stmt_genus = min(twices) == 2 * (2 * profile.euler + 5 * profile.m - 4)
     if not (stmt_gap == stmt_witness == stmt_genus):
         raise InvariantViolation(
@@ -360,7 +356,7 @@ def _classify(
     return ClassificationResult(kind=kind, witness=witness, satisfies_12rho=left)
 
 
-def _hat_degree_total(g: ColoredGraph, cycles: dict[tuple[int, int], list[int]]) -> int:
+def _hat_degree_total(g: ColoredGraph, cycle_total: int) -> int:
     """The component degrees of the five 4-colored residues, summed.
 
     At d = 3 a component's degree is its reduced degree 3 + 3p_c - f_c; the
@@ -370,13 +366,13 @@ def _hat_degree_total(g: ColoredGraph, cycles: dict[tuple[int, int], list[int]])
     the walk's cycle total S, and the five sums to 3 * (sum k + 5p - S).
     """
     k = sum([len(_component_labels(g, colors)[1]) for colors in _HAT_COLORS])
-    return 3 * (k + 5 * g.p - sum(map(len, cycles.values())))
+    return 3 * (k + 5 * g.p - cycle_total)
 
 
 def _residue_degree_holds(
-    g: ColoredGraph, cycles: dict[tuple[int, int], list[int]], hat_sum: int, omega_twice: int
+    g: ColoredGraph, cycle_total: int, hat_sum: int, omega_twice: int
 ) -> bool:
-    return omega_twice == 6 * (g.p + 4 - hat_sum) + 2 * _hat_degree_total(g, cycles)
+    return omega_twice == 6 * (g.p + 4 - hat_sum) + 2 * _hat_degree_total(g, cycle_total)
 
 
 def residue_degree_identity(g: ColoredGraph) -> bool:
@@ -387,11 +383,9 @@ def residue_degree_identity(g: ColoredGraph) -> bool:
     from its component count and its bicolored cycles).
     """
     _require_d(g, 4)
-    if not is_connected(g):
-        raise GemError("the residue-degree identity requires a connected graph")
-    return _residue_degree_holds(
-        g, _bicolored_cycles(g), _hat_sum(residue_vector(g)), sum(genus_twices(g))
-    )
+    _require_connected(g, "the residue-degree identity")
+    cycle_total = sum(map(len, _bicolored_cycles(g).values()))
+    return _residue_degree_holds(g, cycle_total, _hat_sum(residue_vector(g)), sum(genus_twices(g)))
 
 
 # --- the five-color part of the identity battery -----------------------------
@@ -401,57 +395,60 @@ def check_identities(
     g: ColoredGraph,
     twices: tuple[int, ...],
     cycles: dict[tuple[int, int], list[int]],
-    reduced: int,
+    cycle_total: int,
+    pair_twices: list[int],
     flags: dict,
     checks: dict,
 ) -> None:
     """Evaluate the five-color identities of one connected graph into the
     battery's ``flags`` and ``checks``.
 
-    ``twices`` is :func:`genus_twices` of the graph, and ``cycles`` and
-    ``reduced`` are the battery's one bicolored-cycle walk and the reduced
-    degree of its pair sum; no walk starts here.  ``flags`` already holds
-    ``bipartite`` and ``odd_reduced_degree``.  Each per-graph quantity is
-    read once: the pair gap tuple, read off the walk's cycle counts, serves
-    the bicolored difference, the minimal-degree criterion and the
-    classification, and the Euler characteristic serves the Euler
-    identities and the ledger.  The walk also serves every residue: the
-    singular test labels the ten 3-colored residues and stops at the first
-    non-sphere, and the residue-degree identity counts the components of
-    the five 4-colored ones.
+    ``twices`` is :func:`genus_twices` of the graph; ``cycles`` and
+    ``cycle_total`` are the battery's one bicolored-cycle walk and its cycle
+    total; ``pair_twices`` are its class sums, which at n = 5 are twice
+    rho_e + rho_e' for the pairs of ``_PAIRS``.  ``flags`` already holds
+    ``bipartite`` and ``odd_reduced_degree``, and ``checks``
+    ``class_genus_sum_constant``.  The pair sums, the partner differences,
+    the pair gaps (off the walk's cycle counts) and the hat counts are each
+    formed once, and read by every identity that needs them.  The walk also
+    serves every residue: the singular test labels the 3-colored residues,
+    stopping at the first non-sphere, and the residue-degree identity
+    counts the components of the five 4-colored ones.
     """
     vec = residue_vector(g)
     omega_twice = sum(twices)
     gaps = _pair_gaps(_cycle_counts(cycles))
-    hat_sum = _hat_sum(vec)
+    diffs = _partner_differences(twices)
+    hats = _HAT_COUNTS(vec)
+    hat_sum = sum(hats)
     singular = _spherical_triples(g, cycles)
     flags["singular_manifold"] = singular
 
-    pair_twices = [twices[a] + twices[b] for a, b in _PAIRS]
-    checks["pair_degree_identity"] = [6 * t for t in pair_twices] == [omega_twice] * len(_PAIRS)
-    checks["pair_sum_constant"] = pair_twices == [reduced] * len(_PAIRS)
-    checks["pair_difference_bicolored"] = _differences_hold(twices, gaps, 1)
+    checks["pair_degree_identity"] = [6 * t for t in pair_twices] == [omega_twice] * 6
+    # the same predicate: at n = 5 the partition classes are the pairs
+    checks["pair_sum_constant"] = checks["class_genus_sum_constant"]
+    # 2(rho_e' - rho_e) = sum g_{e_j e_{j+1}} - sum g_{e_j e_{j+2}} on every
+    # 5-colored graph
+    checks["pair_difference_bicolored"] = diffs == gaps
     left, right = _minimal_degree_sides(twices, gaps)
     checks["minimal_degree_biconditional"] = left == right
     if flags["odd_reduced_degree"]:
         checks["odd_reduced_forces_nonorientable"] = not flags["bipartite"] and not singular
-    checks["residue_degree_identity"] = _residue_degree_holds(g, cycles, hat_sum, omega_twice)
+    checks["residue_degree_identity"] = _residue_degree_holds(g, cycle_total, hat_sum, omega_twice)
     if not singular:
         return
 
-    checks["pair_difference_tricolored"] = _differences_hold(
-        twices, _gaps(vec, _TRIPLE_GAP_MASKS), 2
-    ) and _triple_relation(vec, g.p)
+    # rho_e' - rho_e = consecutive minus skip triple residues on
+    # singular-manifold graphs
+    tricolored = tuple([2 * gap for gap in _gaps(vec, _TRIPLE_GAP_MASKS)])
+    checks["pair_difference_tricolored"] = diffs == tricolored and _triple_relation(vec, g.p)
     chi = euler_characteristic_complex(g)
-    checks["euler_formula_agreement"] = all(
-        _euler_twice_via_pair(hat_sum, twices, a, g.p) == 2 * chi for a, _ in _PAIRS
-    )
-    if _HAT_COUNTS(vec) == (1, 1, 1, 1, 1):
-        _crystallization_checks(g, vec, twices, gaps, chi, flags, checks)
+    # from each pair: twice rho_e + rho_e' is 2 * (chi + p + 2 - sum g_hat)
+    checks["euler_formula_agreement"] = pair_twices == [2 * (chi + g.p + 2 - hat_sum)] * 6
+    if hats != (1, 1, 1, 1, 1):
+        return
 
-
-def _crystallization_checks(g, vec, twices, gaps, chi, flags, checks) -> None:
-    """Profile the graph with rank 0 asserted and check the excess identities."""
+    # a crystallization: profile it with rank 0 asserted, check the excesses
     try:
         profile = _ledger(g, vec, 0, chi)
     except GemError:
@@ -463,20 +460,17 @@ def _crystallization_checks(g, vec, twices, gaps, chi, flags, checks) -> None:
     base = 2 * profile.euler + 5 * profile.m - 4
 
     ok_diff = ok_offset = True
-    for i, partner in enumerate(_PARTNER):
+    for i, diff_twice in enumerate(diffs):
         skip_excess = sum(profile.t_triples[t] for t in _SKIP3[i])
-        diff_twice = twices[partner] - twices[i]
         if diff_twice != 2 * (q - 2 * skip_excess) or diff_twice > 2 * q:
             ok_diff = False
         if twices[i] != 2 * (base + skip_excess):
             ok_offset = False
     checks["excess_difference_identity"] = ok_diff
     checks["excess_genus_offset"] = ok_offset
-    checks["excess_pair_sum"] = all(
-        twices[a] + twices[b] == 2 * (2 * base + q) for a, b in _PAIRS
-    )
+    checks["excess_pair_sum"] = pair_twices == [2 * (2 * base + q)] * 6
     try:
-        _classify(profile, twices, gaps)
+        _classify(profile, twices, diffs, gaps)
         checks["classification_consistent"] = True
     except GemError:
         checks["classification_consistent"] = False

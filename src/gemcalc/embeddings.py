@@ -28,7 +28,7 @@ from math import factorial
 from typing import NamedTuple, Sequence
 
 from .core import (
-    ColoredGraph, GemError, InvariantViolation, _pair_vector, is_bipartite, is_connected,
+    ColoredGraph, GemError, InvariantViolation, _pair_vector, _require_connected, is_bipartite,
     residue_count,
 )
 from .perms import cycle_gathers, cycle_pairs
@@ -95,11 +95,6 @@ def _require_d(g: ColoredGraph, d: int) -> None:
         raise GemError(f"operation defined for {d + 1}-colored graphs, got d={g.d}")
 
 
-def _require_connected(g: ColoredGraph) -> None:
-    if not is_connected(g):
-        raise GemError("operation requires a connected graph")
-
-
 def _bicolored_cycles(g: ColoredGraph) -> dict[tuple[int, int], list[int]]:
     """One vertex (0-based) of every bicolored cycle, for each color pair r < s."""
     partners = [[w - 1 for w in mu] for mu in g.matchings]
@@ -128,7 +123,7 @@ def genus_twices(g: ColoredGraph) -> tuple[int, ...]:
     They are read off the residue vector when the graph holds one, and
     otherwise counted for the color pairs alone, never for larger sets.
     """
-    _require_connected(g)
+    _require_connected(g, "operation")
     vec = _pair_vector(g)
     base = 2 + (g.d - 1) * g.p
     return tuple([base - sum(gather(vec)) for gather in cycle_gathers(g.d)])
@@ -142,7 +137,7 @@ def regular_genus(g: ColoredGraph, eps: Sequence[int]) -> HalfInt:
     """
     if sorted(eps) != list(g.colors):
         raise GemError(f"{tuple(eps)} is not a permutation of the colors 0..{g.d}")
-    _require_connected(g)
+    _require_connected(g, "operation")
     s = sum(residue_count(g, pair) for pair in cycle_pairs(eps))
     # 2*rho = 2 - chi = 2 - s + (d-1)*p
     return HalfInt(2 - s + (g.d - 1) * g.p)
@@ -189,6 +184,5 @@ def surface_type(g: ColoredGraph) -> SurfaceType:
     """Orientability, Euler characteristic, and genus of a 3-colored graph's
     surface: its one regular embedding, whose genus is the graph's regular genus."""
     _require_d(g, 2)
-    if not is_connected(g):
-        raise GemError("surface type requires a connected graph")
+    _require_connected(g, "surface type")
     return _surface(is_bipartite(g), sum(map(len, _bicolored_cycles(g).values())), g.p)

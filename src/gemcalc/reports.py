@@ -20,15 +20,15 @@ from functools import lru_cache
 from itertools import combinations, islice
 from math import factorial
 from operator import itemgetter
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 from .core import (
     ColoredGraph,
     GemError,
+    _require_connected,
     check_dimension,
     euler_characteristic_complex,
     is_bipartite,
-    is_connected,
     residue_count,
     residue_vector,
     serialize_gem,
@@ -135,12 +135,12 @@ def check_graph(g: ColoredGraph) -> tuple[dict[str, bool], dict[str, bool]]:
         # these branches read the full residue vector: build it before the
         # genus side reads its pair counts, so they are counted once
         residue_vector(g)
-    return _check(g, genus_twices(g), _bicolored_cycles(g))
+    return _check(g, genus_twices(g), _bicolored_cycles(g))[:2]
 
 
 def _check(
     g: ColoredGraph, twices: tuple[int, ...], cycles: dict[tuple[int, int], list[int]]
-) -> tuple[dict, dict]:
+) -> tuple[dict, dict, list[int]]:
     d = g.d
     checks: dict[str, bool] = {}
     flags: dict[str, bool] = {}
@@ -162,12 +162,10 @@ def _check(
     if bipartite:
         checks["bipartite_genera_integral"] = all([t % 2 == 0 for t in twices])
 
-    gathers = _class_gathers(d)
-    if gathers:
+    class_sums = [sum(gather(twices)) for gather in _class_gathers(d)]
+    if class_sums:
         expected = reduced if d % 2 == 0 else 2 * reduced
-        checks["class_genus_sum_constant"] = all(
-            [sum(gather(twices)) == expected for gather in gathers]
-        )
+        checks["class_genus_sum_constant"] = class_sums == [expected] * len(class_sums)
 
     if d == 2:
         walk_euler = _surface(bipartite, pair_sum, g.p).euler
@@ -180,7 +178,7 @@ def _check(
         )
 
     if d == 4:
-        _dim4().check_identities(g, twices, cycles, reduced, flags, checks)
+        _dim4().check_identities(g, twices, cycles, pair_sum, class_sums, flags, checks)
 
     # the main theorem: (d-1)! divides the degree of bipartite and of
     # singular-manifold graphs in even d >= 4
@@ -190,7 +188,7 @@ def _check(
             checks["bipartite_degree_divisibility"] = divisible
         if flags.get("singular_manifold"):
             checks["singular_degree_divisibility"] = divisible
-    return flags, checks
+    return flags, checks, class_sums  # at d = 4, the associated-pair sums
 
 
 def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
@@ -200,15 +198,14 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
         _check_metadata(g, metadata)
     # the report reads the complements and chi: the full vector, built first
     residue_vector(g)
-    if not is_connected(g):
-        raise GemError("analysis requires a connected graph")
+    _require_connected(g, "analysis")
     d = g.d
     perms = cyclic_permutations(d)
     twices = genus_twices(g)
     least = min(twices)
 
     cycles = _bicolored_cycles(g)
-    flags, checks = _check(g, twices, cycles)
+    flags, checks, class_sums = _check(g, twices, cycles)
     report: dict = {
         "schema": REPORT_SCHEMA,
         "kind": "analysis",
@@ -251,19 +248,16 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
     if d == 4:
         dim4 = _dim4()
         singular = flags["singular_manifold"]
-        index = perm_index(4)
         block: dict = {
             "associated_pair_sums": {
-                f"{_perm_key(a)}|{_perm_key(b)}": str(
-                    HalfInt(twices[index[a]] + twices[index[b]])
-                )
-                for a, b in dim4.associated_pairs()
+                f"{_perm_key(a)}|{_perm_key(b)}": str(HalfInt(t))
+                for (a, b), t in zip(dim4.associated_pairs(), class_sums)
             },
             "singular_manifold": singular,
         }
         if singular:
             block["euler_by_pair_formula"] = dim4._euler_via_pair(
-                residue_vector(g), twices, index[dim4.associated_pairs()[0][0]], g.p
+                residue_vector(g), class_sums[0], g.p
             )
         if metadata is not None:
             block["crystallization"] = _metadata_block(g, metadata, twices)
@@ -289,7 +283,8 @@ def _check_metadata(g: ColoredGraph, metadata: dict) -> None:
 def _metadata_block(g: ColoredGraph, metadata: dict, twices: tuple[int, ...]) -> dict:
     dim4 = _dim4()
     profile = dim4.crystallization_profile(g, metadata["m"])
-    result = dim4._classify(profile, twices, dim4._pair_gaps(residue_vector(g)))
+    diffs = dim4._partner_differences(twices)
+    result = dim4._classify(profile, twices, diffs, dim4._pair_gaps(residue_vector(g)))
     return {
         "m": profile.m,
         "euler": profile.euler,
@@ -381,18 +376,32 @@ def _battery_batch(shard: tuple) -> tuple[int, dict, dict, dict, list]:
     return graphs, *tallies, earliest
 
 
-def _claimed_results(shards: list[tuple], claims, first: int) -> list[tuple]:
-    """One worker's ``(index, result)`` pairs: shard ``first``, then every
-    shard whose byte in ``claims`` it finds still 0 when it is free, which it
-    sets to 1 before it runs the shard."""
-    results = [(first, _battery_batch(shards[first]))]
+def _claimed_results(shards: list[tuple], claims, first: int) -> Iterator[tuple]:
+    """One worker's ``(index, result)`` pairs, each as its shard is run: shard
+    ``first``, then every shard whose byte in ``claims`` it finds still 0 when
+    it is free, which it sets to 1 before it runs the shard."""
+    yield first, _battery_batch(shards[first])
     k = first
     # the bytes before a worker's last claim are all set, and none is ever
     # cleared, so each search starts after it
     while (k := claims.find(b"\0", k + 1)) >= 0:
         claims[k] = 1
-        results.append((k, _battery_batch(shards[k])))
-    return results
+        yield k, _battery_batch(shards[k])
+
+
+def _child_results(pid: int, data: bytes, status: int) -> list:
+    """The ``(index, result)`` pairs a child piped back as ``data``; raises its
+    exception, or :class:`ChildProcessError` if it sent nothing."""
+    if not data:
+        raise ChildProcessError(
+            f"campaign worker {pid} ended without a result "
+            f"(exit status {os.waitstatus_to_exitcode(status)})"
+        )
+    payload = marshal.loads(data)
+    if isinstance(payload, bytes):
+        import pickle
+        raise pickle.loads(payload)
+    return payload
 
 
 def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:
@@ -411,10 +420,11 @@ def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:
 
     A child pipes back its ``(index, result)`` pairs as :mod:`marshal`
     data, or its exception pickled (the only path that loads
-    :mod:`pickle`), which is raised here once the others have stopped
-    claiming; one that ends with neither raises :class:`ChildProcessError`.  On any error the children still running
-    are killed, and all are reaped before this returns; the pipes and the
-    map are closed.
+    :mod:`pickle`), which is raised here; one that ends with neither raises
+    :class:`ChildProcessError`.  This process reads a child that has ended
+    as soon as it finishes its own shard, not after its last.  On any error
+    the children still running are killed, and all are reaped before this
+    returns; the pipes and the map are closed.
     """
     from mmap import mmap  # only a fan-out pays for it
 
@@ -432,7 +442,7 @@ def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:
                 try:
                     os.close(read_end)
                     try:
-                        data = marshal.dumps(_claimed_results(shards, claims, first))
+                        data = marshal.dumps(list(_claimed_results(shards, claims, first)))
                     except Exception as exc:
                         claims[:] = b"\1" * len(shards)  # no worker starts another
                         import pickle  # only a failing worker pays for it
@@ -444,21 +454,18 @@ def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:
                     os._exit(status)
             os.close(write_end)
             children[pid] = open(read_end, "rb")
-        done = _claimed_results(shards, claims, 0)
+        done = []
+        for result in _claimed_results(shards, claims, 0):
+            done.append(result)
+            for pid in list(children):
+                ended, status = os.waitpid(pid, os.WNOHANG)
+                if ended:
+                    with children.pop(pid) as pipe:
+                        done += _child_results(pid, pipe.read(), status)
         for pid in list(children):
             data = children[pid].read()
             children.pop(pid).close()
-            _, status = os.waitpid(pid, 0)
-            if not data:
-                raise ChildProcessError(
-                    f"campaign worker {pid} ended without a result "
-                    f"(exit status {os.waitstatus_to_exitcode(status)})"
-                )
-            payload = marshal.loads(data)
-            if isinstance(payload, bytes):
-                import pickle
-                raise pickle.loads(payload)
-            done += payload
+            done += _child_results(pid, data, os.waitpid(pid, 0)[1])
     finally:
         claims.close()
         if children:
@@ -483,14 +490,12 @@ def campaign_report(
     Workers are sent shard descriptors and build their own gems; the corpus
     order is deterministic and every violation carries its corpus index, so
     the report does not depend on sharding or the worker count.  This
-    process is one of the workers and forks the others (:func:`_fan_out`);
-    the workers never exceed the usable CPUs or the shard count, whatever
-    ``threads`` asks for, and the campaign runs in-process when the corpus
-    is one shard or the platform has no ``os.fork``.  The shards are handed
-    out largest half-order first, each worker taking the next one whenever
-    it is free.  A worker that dies without a result raises
-    :class:`ChildProcessError`.  The first few violating gems are embedded
-    verbatim.
+    process is one of the workers and forks the others, which run the
+    shards largest half-order first (:func:`_fan_out`); the workers never
+    exceed the usable CPUs or the shard count, whatever ``threads`` asks
+    for, and the campaign runs in-process when the corpus is one shard or
+    the platform has no ``os.fork``.  The first few violating gems are
+    embedded verbatim.
     """
     if threads is None:
         threads = worker_count()
@@ -505,11 +510,10 @@ def campaign_report(
     if workers > 1:
         if d == 4:
             _dim4()  # loaded before the fork, so that no worker compiles it again
-        # the largest half-orders cost the most per shard (the p = 1 shard,
-        # one dipole checked once, the least): hand them out first (the sort
-        # is stable, so each p's ranges stay in order), so that the shards
-        # left for the last free workers are the cheap ones; then put the
-        # results back in corpus order (every descriptor is distinct)
+        # the largest half-orders cost the most per shard: handed out first
+        # (the sort is stable, so each p's ranges stay in order), they leave
+        # the cheap ones for the last free workers; then the results go back
+        # in corpus order (every descriptor is distinct)
         longest_first = sorted(shards, key=lambda shard: -shard[2])
         done = _fan_out(longest_first, workers)
         results = [done[shard] for shard in shards]

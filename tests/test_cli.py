@@ -292,6 +292,26 @@ def test_worker_error_stops_the_claims(monkeypatch):
     assert_no_child()
 
 
+def test_dead_worker_reported_between_shards(monkeypatch):
+    # a child that dies on its first shard is found when this process polls
+    # after one of its own shards, not once it has run out of shards
+    parent = os.getpid()
+    ran = []
+
+    def batch(shard):
+        if os.getpid() != parent:
+            os._exit(3)
+        time.sleep(0.01)
+        ran.append(shard)
+        return shard
+
+    monkeypatch.setattr(reports_module, "_battery_batch", batch)
+    with pytest.raises(ChildProcessError, match=r"ended without a result \(exit status 3\)"):
+        reports_module._fan_out([("shard", k) for k in range(40)], 2)
+    assert len(ran) < 10
+    assert_no_child()
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 

@@ -414,6 +414,12 @@ def test_implied_checks_hold_for_any_vector():
     assert outcomes == {False, True}
 
 
+def test_class_indices_are_the_associated_pairs_in_order():
+    # the battery hands its class sums to the five-color identities as the
+    # associated-pair sums, which they read in _PAIRS order
+    assert _class_indices(4) == dim4_module._PAIRS
+
+
 _PAIR_MASKS = [mask for mask in range(32) if mask.bit_count() == 2]
 
 
@@ -902,7 +908,7 @@ def test_gap_table_and_hat_total_match_oracles():
         )
         nonzero.add(any(gaps))
         cycles = _bicolored_cycles(g)
-        assert _hat_degree_total(g, cycles) == sum(
+        assert _hat_degree_total(g, sum(map(len, cycles.values()))) == sum(
             _reduced_degree(3, p_c, f_c)
             for hat in combinations(g.colors, 4)
             for f_c, p_c in _component_faces(g, cycles, hat)

@@ -1,10 +1,12 @@
 """Source hygiene: no module of the package keeps an import it never uses,
-and no private module-level name goes unread.
+no private module-level name goes unread, and no function keeps a
+parameter its body never reads.
 
 A name that moves between modules tends to leave its import behind, and
 an unused import still costs its module at start-up.  A private helper or
 table that its last reader stopped using is dead code the package still
-compiles and builds.
+compiles and builds.  A parameter whose last reader moved away still makes
+every caller compute and pass its value.
 """
 
 from __future__ import annotations
@@ -122,4 +124,66 @@ def test_unread_private_name_detected():
     }
     assert _unread_private_names(trees) == [
         "a: _DEAD", "a: _ALSO_DEAD", "a: _walk", "a: _Unused"
+    ]
+
+
+def _unused_parameters(tree: ast.Module) -> list[str]:
+    """``qualified name: parameter`` for each parameter of a function in
+    ``tree`` that its body, nested functions included, never reads.  The
+    receiver of a method, ``self`` or ``cls``, is not a parameter here."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, prefix)
+                continue
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                args = child.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [arg for arg in (args.vararg, args.kwarg) if arg]
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list
+                )
+                if isinstance(node, ast.ClassDef) and not static:
+                    params = params[1:]
+                read = {
+                    n.id for stmt in child.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                found.extend(f"{name}: {arg.arg}" for arg in params if arg.arg not in read)
+            visit(child, name + ".")
+
+    visit(tree, "")
+    return found
+
+
+# the attribute protocol passes the value that ColoredGraph refuses to assign
+_PROTOCOL_PARAMETERS = {"core": ["ColoredGraph.__setattr__: value"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    found = _unused_parameters(ast.parse(path.read_text(), str(path)))
+    assert found == _PROTOCOL_PARAMETERS.get(path.stem, [])
+
+
+def test_unused_parameter_detected():
+    tree = ast.parse(
+        "def battery(g, twices, reduced, *rest, flags, **extra):\n"
+        "    flags['ok'] = g.p + sum(twices)\n"
+        "class Box:\n"
+        "    def get(self, key, default=None):\n"
+        "        def inner(n):\n"
+        "            return key\n"
+        "        return inner\n"
+        "    @staticmethod\n"
+        "    def made(size):\n"
+        "        return Box()\n"
+    )
+    assert _unused_parameters(tree) == [
+        "battery: reduced", "battery: rest", "battery: extra",
+        "Box.get: default", "Box.get.inner: n", "Box.made: size",
     ]
