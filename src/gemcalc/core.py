@@ -82,18 +82,37 @@ class ColoredGraph:
     :func:`residue_vector` and ``_connected`` caches :func:`is_connected`;
     neither takes part in equality, hashing, ``repr`` or pickling, which
     rebuilds (and so re-validates) the graph through the constructor.
+
+    A graph built by this constructor, by :func:`parse_gem` or by unpickling
+    is validated.  The gems the generator draws or enumerates are valid by
+    construction and skip that check (:meth:`_trusted`).
     """
 
     __slots__ = ("d", "order", "matchings", "_vector", "_connected")
 
     def __init__(self, d: int, order: int, matchings: tuple[tuple[int, ...], ...]) -> None:
+        self._fill(d, order, matchings)
+        self.__post_init__()
+
+    @classmethod
+    def _trusted(
+        cls, d: int, order: int, matchings: tuple[tuple[int, ...], ...]
+    ) -> ColoredGraph:
+        """A graph built without :meth:`__post_init__`, for the generator
+        alone, whose matchings are fixed-point-free involutions of 1..order
+        by construction."""
+        g = object.__new__(cls)
+        g._fill(d, order, matchings)
+        return g
+
+    def _fill(self, d: int, order: int, matchings: tuple[tuple[int, ...], ...]) -> None:
+        # both construction paths pass through here, validated or not
         set_ = object.__setattr__
         set_(self, "d", d)
         set_(self, "order", order)
         set_(self, "matchings", matchings)
         set_(self, "_vector", None)
         set_(self, "_connected", None)
-        self.__post_init__()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -293,10 +312,20 @@ def _component_labels(g: ColoredGraph, colors: Iterable[int]) -> tuple[list[int]
 
 
 def is_connected(g: ColoredGraph) -> bool:
-    """One label walk over all colors; the answer is kept on the graph."""
+    """Whether the walk over all colors from vertex 1 reaches every vertex;
+    the answer is kept on the graph."""
     connected = g._connected
     if connected is None:
-        connected = len(_component_labels(g, g.colors)[1]) == 1
+        mus = g.matchings
+        found = [1]
+        seen = {1}
+        for v in found:  # the list grows as it is read
+            for mu in mus:
+                w = mu[v - 1]
+                if w not in seen:
+                    seen.add(w)
+                    found.append(w)
+        connected = len(found) == g.order
         object.__setattr__(g, "_connected", connected)
     return connected
 

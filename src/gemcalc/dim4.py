@@ -223,10 +223,13 @@ def _triple_relation(vec: tuple[int, ...], p: int) -> bool:
     )
 
 
-# the minimal-degree criterion, both sides: the degree is twelve times the regular
-# genus, and the adjacent and skip pair sums agree for every permutation
-def _minimal_degree_sides(twices: tuple[int, ...], gaps: tuple[int, ...]) -> tuple[bool, bool]:
-    return sum(twices) == 12 * min(twices), not any(gaps)
+# the minimal-degree criterion, both sides, from twice the degree and twice
+# the regular genus: the degree is twelve times the regular genus, and the
+# adjacent and skip pair sums agree for every permutation
+def _minimal_degree_sides(
+    omega_twice: int, least: int, gaps: tuple[int, ...]
+) -> tuple[bool, bool]:
+    return omega_twice == 12 * least, not any(gaps)
 
 
 class CrystallizationProfile(NamedTuple):
@@ -315,16 +318,19 @@ def classify_crystallization(
     if g.p != profile.half_order:
         raise GemError("profile does not belong to this graph")
     twices = genus_twices(g)
-    diffs = _partner_differences(twices)
-    return _classify(profile, twices, diffs, _pair_gaps(residue_vector(g)))
+    least = min(twices)
+    sides = _minimal_degree_sides(sum(twices), least, _pair_gaps(residue_vector(g)))
+    return _classify(profile, least, _partner_differences(twices), sides)
 
 
 def _classify(
     profile: CrystallizationProfile,
-    twices: tuple[int, ...],
+    least: int,
     diffs: tuple[int, ...],
-    gaps: tuple[int, ...],
+    sides: tuple[bool, bool],
 ) -> ClassificationResult:
+    """The classification from twice the regular genus, the partner
+    differences and the two sides of the minimal-degree criterion."""
     t = profile.t_triples
     witness = next(
         (_PERMS[i] for i, tris in enumerate(_CONSECUTIVE3) if all(t[tri] == 0 for tri in tris)),
@@ -332,13 +338,13 @@ def _classify(
     )
     stmt_witness = witness is not None
     stmt_gap = 2 * profile.q in diffs
-    stmt_genus = min(twices) == 2 * (2 * profile.euler + 5 * profile.m - 4)
+    stmt_genus = least == 2 * (2 * profile.euler + 5 * profile.m - 4)
     if not (stmt_gap == stmt_witness == stmt_genus):
         raise InvariantViolation(
             "classification statements disagree "
             f"(gap={stmt_gap}, witness={stmt_witness}, genus={stmt_genus})"
         )
-    left, right = _minimal_degree_sides(twices, gaps)
+    left, right = sides
     if left != right:
         raise InvariantViolation("minimal-degree criterion sides disagree")
     if profile.q == 0:
@@ -394,6 +400,7 @@ def residue_degree_identity(g: ColoredGraph) -> bool:
 def check_identities(
     g: ColoredGraph,
     twices: tuple[int, ...],
+    omega_twice: int,
     cycles: dict[tuple[int, int], list[int]],
     cycle_total: int,
     pair_twices: list[int],
@@ -403,20 +410,23 @@ def check_identities(
     """Evaluate the five-color identities of one connected graph into the
     battery's ``flags`` and ``checks``.
 
-    ``twices`` is :func:`genus_twices` of the graph; ``cycles`` and
+    ``twices`` is :func:`genus_twices` of the graph and ``omega_twice``
+    their sum, twice the degree, as the battery formed it; ``cycles`` and
     ``cycle_total`` are the battery's one bicolored-cycle walk and its cycle
     total; ``pair_twices`` are its class sums, which at n = 5 are twice
     rho_e + rho_e' for the pairs of ``_PAIRS``.  ``flags`` already holds
     ``bipartite`` and ``odd_reduced_degree``, and ``checks``
     ``class_genus_sum_constant``.  The pair sums, the partner differences,
-    the pair gaps (off the walk's cycle counts) and the hat counts are each
-    formed once, and read by every identity that needs them.  The walk also
+    the pair gaps (off the walk's cycle counts), the hat counts and the
+    regular genus are each formed once, and read by every identity that
+    needs them; so are the two sides of the minimal-degree criterion, which
+    the classification reads again on a crystallization.  The walk also
     serves every residue: the singular test labels the 3-colored residues,
     stopping at the first non-sphere, and the residue-degree identity
     counts the components of the five 4-colored ones.
     """
     vec = residue_vector(g)
-    omega_twice = sum(twices)
+    least = min(twices)
     gaps = _pair_gaps(_cycle_counts(cycles))
     diffs = _partner_differences(twices)
     hats = _HAT_COUNTS(vec)
@@ -430,8 +440,8 @@ def check_identities(
     # 2(rho_e' - rho_e) = sum g_{e_j e_{j+1}} - sum g_{e_j e_{j+2}} on every
     # 5-colored graph
     checks["pair_difference_bicolored"] = diffs == gaps
-    left, right = _minimal_degree_sides(twices, gaps)
-    checks["minimal_degree_biconditional"] = left == right
+    sides = _minimal_degree_sides(omega_twice, least, gaps)
+    checks["minimal_degree_biconditional"] = sides[0] == sides[1]
     if flags["odd_reduced_degree"]:
         checks["odd_reduced_forces_nonorientable"] = not flags["bipartite"] and not singular
     checks["residue_degree_identity"] = _residue_degree_holds(g, cycle_total, hat_sum, omega_twice)
@@ -470,7 +480,7 @@ def check_identities(
     checks["excess_genus_offset"] = ok_offset
     checks["excess_pair_sum"] = pair_twices == [2 * (2 * base + q)] * 6
     try:
-        _classify(profile, twices, diffs, gaps)
+        _classify(profile, least, diffs, sides)
         checks["classification_consistent"] = True
     except GemError:
         checks["classification_consistent"] = False

@@ -228,7 +228,7 @@ def _random_stream(spec: GenSpec, lo: int = 0) -> Iterator[ColoredGraph]:
     for rng in _gem_streams(spec.seed, spec.p, lo, spec.count):
         for attempt in range(REJECTION_BUDGET):
             mats = tuple(_random_matching(rng, order) for _ in colors)
-            g = ColoredGraph(d=spec.d, order=order, matchings=mats)
+            g = ColoredGraph._trusted(spec.d, order, mats)
             if spec.connected_only and not is_connected(g):
                 continue
             if spec.bipartite_only and not is_bipartite(g):
@@ -315,7 +315,7 @@ def _gem_stream(
     mats = all_matchings(2 * p)
     base = mats[0]
     for rest in islice(_product_from(mats, d, lo), None if hi is None else hi - lo):
-        g = ColoredGraph(d=d, order=2 * p, matchings=(base,) + rest)
+        g = ColoredGraph._trusted(d, 2 * p, (base,) + rest)
         if connected_only and not is_connected(g):
             continue
         yield g

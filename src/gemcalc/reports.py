@@ -140,7 +140,10 @@ def check_graph(g: ColoredGraph) -> tuple[dict[str, bool], dict[str, bool]]:
 
 def _check(
     g: ColoredGraph, twices: tuple[int, ...], cycles: dict[tuple[int, int], list[int]]
-) -> tuple[dict, dict, list[int]]:
+) -> tuple[dict, dict, list[int], int, int]:
+    """:func:`check_graph`'s flags and checks, then the sums formed for them:
+    the class sums (at d = 4 the associated-pair sums), twice the degree and
+    the walk's cycle total."""
     d = g.d
     checks: dict[str, bool] = {}
     flags: dict[str, bool] = {}
@@ -178,7 +181,9 @@ def _check(
         )
 
     if d == 4:
-        _dim4().check_identities(g, twices, cycles, pair_sum, class_sums, flags, checks)
+        _dim4().check_identities(
+            g, twices, omega_twice, cycles, pair_sum, class_sums, flags, checks
+        )
 
     # the main theorem: (d-1)! divides the degree of bipartite and of
     # singular-manifold graphs in even d >= 4
@@ -188,7 +193,7 @@ def _check(
             checks["bipartite_degree_divisibility"] = divisible
         if flags.get("singular_manifold"):
             checks["singular_degree_divisibility"] = divisible
-    return flags, checks, class_sums  # at d = 4, the associated-pair sums
+    return flags, checks, class_sums, omega_twice, pair_sum
 
 
 def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
@@ -204,8 +209,7 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
     twices = genus_twices(g)
     least = min(twices)
 
-    cycles = _bicolored_cycles(g)
-    flags, checks, class_sums = _check(g, twices, cycles)
+    flags, checks, class_sums, omega_twice, pair_sum = _check(g, twices, _bicolored_cycles(g))
     report: dict = {
         "schema": REPORT_SCHEMA,
         "kind": "analysis",
@@ -232,14 +236,14 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
             "value": str(HalfInt(least)),
             "minimizers": [_perm_key(eps) for eps, t in zip(perms, twices) if t == least],
         },
-        "gurau_degree": str(HalfInt(sum(twices))),
+        "gurau_degree": str(HalfInt(omega_twice)),
         "checks": checks,
         "violations": sorted(name for name, ok in checks.items() if not ok),
     }
     if d >= 3:
-        report["reduced_degree"] = sum(twices) // factorial(d - 1)
+        report["reduced_degree"] = omega_twice // factorial(d - 1)
     if d == 2:
-        st = _surface(flags["bipartite"], sum(map(len, cycles.values())), g.p)
+        st = _surface(flags["bipartite"], pair_sum, g.p)
         report["surface"] = {
             "orientable": st.orientable,
             "euler": st.euler,
@@ -260,7 +264,7 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
                 residue_vector(g), class_sums[0], g.p
             )
         if metadata is not None:
-            block["crystallization"] = _metadata_block(g, metadata, twices)
+            block["crystallization"] = _metadata_block(g, metadata, twices, omega_twice, least)
         report["dim4"] = block
     return report
 
@@ -280,11 +284,13 @@ def _check_metadata(g: ColoredGraph, metadata: dict) -> None:
         )
 
 
-def _metadata_block(g: ColoredGraph, metadata: dict, twices: tuple[int, ...]) -> dict:
+def _metadata_block(
+    g: ColoredGraph, metadata: dict, twices: tuple[int, ...], omega_twice: int, least: int
+) -> dict:
     dim4 = _dim4()
     profile = dim4.crystallization_profile(g, metadata["m"])
-    diffs = dim4._partner_differences(twices)
-    result = dim4._classify(profile, twices, diffs, dim4._pair_gaps(residue_vector(g)))
+    sides = dim4._minimal_degree_sides(omega_twice, least, dim4._pair_gaps(residue_vector(g)))
+    result = dim4._classify(profile, least, dim4._partner_differences(twices), sides)
     return {
         "m": profile.m,
         "euler": profile.euler,

@@ -51,6 +51,22 @@ def non_closed_d3() -> ColoredGraph:
 
 
 @pytest.fixture
+def built_graphs(monkeypatch) -> list[ColoredGraph]:
+    """Every graph built while the test runs.  The validating constructor and
+    the generator's unvalidated path both set the fields through
+    ``ColoredGraph._fill``, so one patch counts either."""
+    built: list[ColoredGraph] = []
+    fill = ColoredGraph._fill
+
+    def counting(self, d, order, matchings):
+        built.append(self)
+        fill(self, d, order, matchings)
+
+    monkeypatch.setattr(ColoredGraph, "_fill", counting)
+    return built
+
+
+@pytest.fixture
 def serial_fan_out(monkeypatch) -> list[int]:
     """Stands in for ``reports._fan_out``: records the worker count of each
     call and runs the shards in-process, in the order it is given them."""

@@ -460,15 +460,9 @@ class RecordingFanOut:
 
 
 @pytest.fixture
-def recording_fan_out(monkeypatch) -> RecordingFanOut:
+def recording_fan_out(monkeypatch, built_graphs) -> RecordingFanOut:
     recorder = RecordingFanOut()
-    post_init = ColoredGraph.__post_init__
-
-    def counting(self):
-        recorder.built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(ColoredGraph, "__post_init__", counting)
+    recorder.built = built_graphs
     monkeypatch.setattr(reports_module, "_fan_out", recorder)
     _two_cpus(monkeypatch)
     return recorder
@@ -711,22 +705,14 @@ def test_generate_memory_does_not_hold_the_corpus(tmp_path, capsys):
     ids=["verify-count", "verify-order", "generate-order", "generate-count"],
 )
 def test_oversized_random_corpus_refused_before_generation(
-    tmp_path, monkeypatch, capsys, argv, bound
+    tmp_path, built_graphs, capsys, argv, bound
 ):
-    built = []
-    post_init = ColoredGraph.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(ColoredGraph, "__post_init__", counting)
     out = tmp_path / "corpus"
     if argv[0] == "generate":
         argv = argv + ["--out", str(out)]
     assert main(argv) == 2
     assert f"random corpus bound exceeded: {bound}" in capsys.readouterr().err
-    assert built == []
+    assert built_graphs == []
     assert not out.exists()
 
 
@@ -934,17 +920,9 @@ def test_dim4_loaded_only_where_its_battery_runs(tmp_path, rp2_gem, d, workers):
 
 
 @pytest.mark.parametrize("d", [4, 6])
-def test_search_odd_max_p_bounded_before_any_gem(monkeypatch, capsys, d):
+def test_search_odd_max_p_bounded_before_any_gem(built_graphs, capsys, d):
     # the largest random tail, 5,000 gems of half-order max_p, must fit the
     # random corpus bound, checked before the first (exhaustive) half-order
-    built = []
-    post_init = ColoredGraph.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(ColoredGraph, "__post_init__", counting)
     top = ENUMERATION_BUDGET // (2 * (d + 1))
     for max_p in (top + 1, 10_000_000):
         assert main(["search-odd", "--d", str(d), "--max-p", str(max_p)]) == 2
@@ -954,7 +932,7 @@ def test_search_odd_max_p_bounded_before_any_gem(monkeypatch, capsys, d):
             f"error: random corpus bound exceeded: (d+1)*2p = {(d + 1) * 2 * max_p} "
             f"matching entries > {ENUMERATION_BUDGET} for d={d}, p={max_p}\n"
         )
-    assert built == []
+    assert built_graphs == []
     generator_module._check_sample_bound(d, top, generator_module._SEARCH_COUNT)
 
 
@@ -988,18 +966,10 @@ def test_generate_refuses_dimension_beyond_permutation_budget(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("d, p", [(3, 5), (4, 4)])
-def test_over_budget_exhaustive_campaign_refused_before_generation(monkeypatch, capsys, d, p):
-    built = []
-    post_init = ColoredGraph.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(ColoredGraph, "__post_init__", counting)
+def test_over_budget_exhaustive_campaign_refused_before_generation(built_graphs, capsys, d, p):
     assert main(["verify", "--d", str(d), "--mode", "exhaustive", "--p", str(p)]) == 2
     assert "enumeration bound exceeded" in capsys.readouterr().err
-    assert built == []
+    assert built_graphs == []
 
 
 def test_verify_violation_exit_code(tmp_path, monkeypatch, capsys):

@@ -130,6 +130,27 @@ def test_constructor_names_the_first_fault_in_color_major_order():
     assert str(refused.value) == "color 0: loop forbidden at vertex 3"
 
 
+@pytest.mark.parametrize(
+    "second",
+    [(2, 1), (2, 1, 4.0, 3), (True, 1, 4, 3), (2, 1, 5, 3), (0, 1, 4, 3), (2, 1, 3, 4),
+     (2, 3, 4, 1)],
+    ids=["length", "float", "bool", "above", "below", "loop", "involution"],
+)
+def test_unpickled_and_parsed_graphs_are_validated(second):
+    # a graph that skipped validation does not survive a pickle round trip,
+    # nor its document a parse: each is refused as the constructor refuses it
+    with pytest.raises(GemError) as direct:
+        ColoredGraph(d=2, order=4, matchings=(M_A, second, M_A))
+    unchecked = ColoredGraph._trusted(2, 4, (M_A, second, M_A))
+    with pytest.raises(GemError) as unpickled:
+        pickle.loads(pickle.dumps(unchecked))
+    assert str(unpickled.value) == str(direct.value)
+    if all(type(w) is int for w in second):
+        with pytest.raises(GemError) as parsed:
+            parse_gem(serialize_gem(unchecked))
+        assert str(parsed.value) == str(direct.value)
+
+
 def test_residue_counts_dipole(dipole4):
     assert residue_count(dipole4, (0, 1)) == 1
     assert residue_count(dipole4, ()) == 2

@@ -471,8 +471,9 @@ def test_sum_keeping_tamper_breaks_minimal_degree_biconditional():
     assert found is not None
     h, checks = found
     assert checks["degree_formula_agreement"] is True
+    twices = genus_twices(h)
     left, right = dim4_module._minimal_degree_sides(
-        genus_twices(h), _pair_gaps(dim4_module._cycle_counts(_bicolored_cycles(h)))
+        sum(twices), min(twices), _pair_gaps(dim4_module._cycle_counts(_bicolored_cycles(h)))
     )
     assert left != right
 
@@ -959,24 +960,17 @@ def test_d4_battery_reads_each_residue_fact_once(monkeypatch, g4, odd_degree_wit
     assert branches == {(False, False), (True, False), (True, True)}
 
 
-def test_d4_battery_builds_no_graphs(monkeypatch, g4, odd_degree_witness):
+def test_d4_battery_builds_no_graphs(built_graphs, g4, odd_degree_witness):
     graphs = [g4, odd_degree_witness]
     graphs += [g for p in range(1, 7) for g in corpus(4, p, 20, seed=600 + p, connected_only=True)]
     for g in graphs:
         residue_vector(g)
-    built = []
-    post_init = ColoredGraph.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(ColoredGraph, "__post_init__", counting)
+    built_graphs.clear()
     branches = set()
     for g in graphs:
         flags, _ = check_graph(g)
         branches.add((flags["singular_manifold"], "crystallization_profile" in flags))
-    assert built == []
+    assert built_graphs == []
     assert branches == {(False, False), (True, False), (True, True)}
 
 

@@ -371,12 +371,45 @@ def test_relabeling_leaves_invariants_alone():
 
 
 def test_emitted_graphs_are_valid():
-    # construction validates; surviving construction is the contract
+    # drawn gems skip the constructor's validation: check the involutions here
     for g in random_gem(GenSpec(d=5, p=3, count=10, seed=6)):
         for mu in g.matchings:
             for v in range(1, g.order + 1):
                 assert mu[mu[v - 1] - 1] == v
                 assert mu[v - 1] != v
+
+
+# each filter with the half-orders at which it accepts a gem quickly
+_FILTERS = [
+    ({}, range(1, 9)),
+    ({"connected_only": True}, range(1, 9)),
+    ({"bipartite_only": True}, range(1, 5)),
+    ({"non_bipartite_only": True}, range(2, 9)),
+]
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("kw, half_orders", _FILTERS, ids=["all", "connected", "bipartite",
+                                                          "non-bipartite"])
+def test_drawn_gems_equal_their_validated_rebuild(d, kw, half_orders):
+    # the generator builds its gems without validation; each must be the
+    # graph the validating constructor builds from the same fields
+    for p in half_orders:
+        for seed in (0, 7, 2**63 + 5):
+            for g in _random_stream(GenSpec(d, p, 4, seed, **kw)):
+                assert g._vector is None
+                assert g._connected is (True if kw.get("connected_only") else None)
+                h = ColoredGraph(g.d, g.order, g.matchings)
+                assert h == g and hash(h) == hash(g)
+
+
+@pytest.mark.parametrize("d, max_p", [(3, 3), (4, 2)])
+def test_enumerated_gems_equal_their_validated_rebuild(d, max_p):
+    for p in range(1, max_p + 1):
+        for g in enumerate_gems(d, p):
+            assert g._vector is None and g._connected is None
+            h = ColoredGraph(g.d, g.order, g.matchings)
+            assert h == g and hash(h) == hash(g)
 
 
 def test_genspec_repr_unchanged():

@@ -1,12 +1,15 @@
 """Source hygiene: no module of the package keeps an import it never uses,
-no private module-level name goes unread, and no function keeps a
-parameter its body never reads.
+no private module-level name goes unread, no function keeps a parameter
+its body never reads, and no module but the generator builds a graph
+without validation.
 
 A name that moves between modules tends to leave its import behind, and
 an unused import still costs its module at start-up.  A private helper or
 table that its last reader stopped using is dead code the package still
 compiles and builds.  A parameter whose last reader moved away still makes
-every caller compute and pass its value.
+every caller compute and pass its value.  ``ColoredGraph._trusted`` skips
+the constructor's checks because the generator's matchings are valid by
+construction; a caller that passed it user data would let a malformed gem in.
 """
 
 from __future__ import annotations
@@ -187,3 +190,39 @@ def test_unused_parameter_detected():
         "battery: reduced", "battery: rest", "battery: extra",
         "Box.get: default", "Box.get.inner: n", "Box.made: size",
     ]
+
+
+# the one module whose graphs are valid by construction
+_TRUSTED_BUILDERS = {"generator"}
+
+
+def _unvalidated_builds(trees: dict[str, ast.Module]) -> list[str]:
+    """``module: line`` for each read of ``_trusted``, the unvalidated
+    construction path, outside the modules allowed to take it."""
+    return [
+        f"{module}: line {node.lineno}"
+        for module, tree in trees.items()
+        if module not in _TRUSTED_BUILDERS
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_trusted"
+    ]
+
+
+def test_only_the_generator_builds_without_validation():
+    assert callable(gemcalc.ColoredGraph._trusted)
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in MODULES}
+    assert _unvalidated_builds(trees) == []
+
+
+def test_unvalidated_build_detected():
+    trees = {
+        "generator": ast.parse("g = ColoredGraph._trusted(2, 2, m)\n"),
+        "reports": ast.parse(
+            "from .core import ColoredGraph\n"
+            "def f(m):\n"
+            "    make = ColoredGraph._trusted\n"
+            "    return make(2, 2, m)\n"
+        ),
+        "cli": ast.parse("g = core.ColoredGraph._trusted(2, 2, m)\n"),
+    }
+    assert _unvalidated_builds(trees) == ["reports: line 3", "cli: line 1"]
