@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import GemError, InvariantViolation, is_bipartite, parse_gem, serialize_gem
+from .core import GemError, InvariantViolation, parse_gem, serialize_gem
 from .cycle_decomp import partition_even, partition_odd, walecki_decomposition
 from .embeddings import reduced_g_degree
 from .generator import GenSpec, _random_stream, search_odd_reduced
@@ -132,18 +132,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(serialize_gem(g) + "\n")
         files.append(name)
-    manifest = {
-        "schema": REPORT_SCHEMA,
-        "kind": "corpus",
-        "d": args.d,
-        "p": args.p,
-        "count": args.count,
-        "seed": args.seed,
-        "connected_only": args.connected,
-        "bipartite_only": args.bipartite,
-        "non_bipartite_only": args.nonbipartite,
-        "files": files,
-    }
+    manifest = {"schema": REPORT_SCHEMA, "kind": "corpus", **spec._asdict(), "files": files}
     with open(out_dir / "manifest.json", "w") as fh:
         # the bytes of report_json, encoded piece by piece, never held whole
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -153,8 +142,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_search_odd(args: argparse.Namespace) -> int:
-    from .dim4 import is_singular_4_manifold  # imported here: verify --d 3 never loads dim4
-
     try:
         witness = search_odd_reduced(args.d, args.max_p)
     except InvariantViolation as exc:
@@ -177,10 +164,11 @@ def cmd_search_odd(args: argparse.Namespace) -> int:
         "max_p": args.max_p,
     }
     if witness is not None:
+        # the search refuses a bipartite witness, and at d = 4 a singular one
         doc.update(
             reduced_degree=reduced_g_degree(witness),
-            bipartite=is_bipartite(witness),
-            singular_manifold=is_singular_4_manifold(witness) if args.d == 4 else None,
+            bipartite=False,
+            singular_manifold=False if args.d == 4 else None,
             gem=json.loads(serialize_gem(witness)),
         )
     _emit(doc, "json", args.out)

@@ -77,8 +77,8 @@ def check_dimension(d: int) -> None:
 class ColoredGraph:
     """Immutable (d+1)-edge-colored graph given by one involution per color.
 
-    Top-level gems have ``d >= 2``; any ``d >= 0`` is accepted, so that a
-    residue can be built as a graph of its own.  ``_vector`` caches
+    Top-level gems have ``d >= 2``; any d up to ``MAX_DIMENSION`` is
+    accepted, so that a residue can be a graph of its own.  ``_vector`` caches
     :func:`residue_vector` and ``_connected`` caches :func:`is_connected`;
     neither takes part in equality, hashing, ``repr`` or pickling, which
     rebuilds (and so re-validates) the graph through the constructor.
@@ -138,6 +138,7 @@ class ColoredGraph:
         # exact ints only: a bool is an int, but would serialize as true/false
         if type(self.d) is not int or self.d < 0:
             raise GemError(f"dimension must be a non-negative integer, got {self.d!r}")
+        check_dimension(self.d)
         if type(self.order) is not int or self.order <= 0 or self.order % 2:
             raise GemError(f"vertex count must be a positive even number, got {self.order}")
         if len(self.matchings) != self.d + 1:

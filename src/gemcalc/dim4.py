@@ -1,7 +1,8 @@
 """Four- and five-colored graphs: closed 3-manifold and singular-manifold
-recognition, associated permutations, Euler-characteristic identities, and
-crystallization profiles.  The surface of a three-colored graph, its one
-regular embedding, lives with the genera in ``embeddings``.
+recognition, associated permutations, Euler-characteristic identities,
+crystallization profiles, and the five-color block of an analysis report.
+The surface of a three-colored graph, its one regular embedding, lives with
+the genera in ``embeddings``.
 
 With five colors every cyclic permutation e has an associated partner
 e' = (e_0, e_2, e_4, e_1, e_3); the edges of e and e' jointly exhaust the
@@ -16,16 +17,14 @@ recognition and the component side of the residue-degree identity are the
 exception: one walk over the graph's bicolored cycles (in the battery, the
 walk it hands to ``check_identities``) keeps a vertex of each cycle, and a
 label walk over the matchings numbers the components of each residue.
-The battery reads the adjacent-minus-skip pair sums of the twelve
-permutations off that walk once per graph, as one gap tuple.
 Singular-manifold recognition labels the 3-colored residues and counts
 each cycle as a face of its component; the residue-degree identity counts
 the components of the five 4-colored residues, whose cycles are three times
-the walk's (each color pair lies in three of them).  No side
-therefore collapses into an algebraic consequence of the vector it is
-checked against.  Manifold recognition labels only 3-colored residues:
-each 3-colored residue of a 4-colored residue component is a 3-colored
-residue of the whole graph.
+the walk's (each color pair lies in three of them).  No side therefore
+collapses into an algebraic consequence of the vector it is checked
+against.  Manifold recognition labels only 3-colored residues: each
+3-colored residue of a 4-colored residue component is a 3-colored residue
+of the whole graph.
 """
 
 from __future__ import annotations
@@ -44,12 +43,20 @@ from .core import (
     euler_characteristic_complex,
     residue_vector,
 )
-from .embeddings import _bicolored_cycles, _require_d, genus_twices
-from .perms import CyclicPerm, canonical_perm, cycle_masks, cyclic_permutations, perm_index
+from .embeddings import HalfInt, _bicolored_cycles, _require_d, genus_twices
+from .perms import (
+    CyclicPerm,
+    _perm_key,
+    canonical_perm,
+    cycle_masks,
+    cyclic_permutations,
+    perm_index,
+)
 
 __all__ = [
     "ClassificationResult",
     "CrystallizationProfile",
+    "analysis_block",
     "associated_pairs",
     "associated_permutation",
     "check_identities",
@@ -201,15 +208,6 @@ def is_singular_4_manifold(g: ColoredGraph) -> bool:
     return _spherical_triples(g, _bicolored_cycles(g))
 
 
-# the Euler characteristic of a singular 4-manifold from one associated pair
-# sum, whichever pair is taken: (rho_e + rho_e') - p + sum g_hat - 2
-def _euler_via_pair(vec: tuple[int, ...], pair_twice: int, p: int) -> int:
-    twice = pair_twice + 2 * (_hat_sum(vec) - p - 2)
-    if twice % 2:
-        raise InvariantViolation("non-integral Euler characteristic")
-    return twice // 2
-
-
 def _partner_differences(twices: tuple[int, ...]) -> tuple[int, ...]:
     """2(rho_e' - rho_e) for each permutation e, in permutation order."""
     return tuple(map(sub, _PARTNER_OF(twices), twices))
@@ -317,7 +315,14 @@ def classify_crystallization(
     """
     if g.p != profile.half_order:
         raise GemError("profile does not belong to this graph")
-    twices = genus_twices(g)
+    return _classify_twices(profile, g, genus_twices(g))
+
+
+def _classify_twices(
+    profile: CrystallizationProfile, g: ColoredGraph, twices: tuple[int, ...]
+) -> ClassificationResult:
+    """The classification of the profiled graph from its genus twices, with
+    the pair gaps read off its residue vector."""
     least = min(twices)
     sides = _minimal_degree_sides(sum(twices), least, _pair_gaps(residue_vector(g)))
     return _classify(profile, least, _partner_differences(twices), sides)
@@ -417,13 +422,11 @@ def check_identities(
     rho_e + rho_e' for the pairs of ``_PAIRS``.  ``flags`` already holds
     ``bipartite`` and ``odd_reduced_degree``, and ``checks``
     ``class_genus_sum_constant``.  The pair sums, the partner differences,
-    the pair gaps (off the walk's cycle counts), the hat counts and the
-    regular genus are each formed once, and read by every identity that
-    needs them; so are the two sides of the minimal-degree criterion, which
-    the classification reads again on a crystallization.  The walk also
-    serves every residue: the singular test labels the 3-colored residues,
-    stopping at the first non-sphere, and the residue-degree identity
-    counts the components of the five 4-colored ones.
+    the pair gaps (the twelve adjacent-minus-skip pair sums, off the walk's
+    cycle counts), the hat counts and the regular genus are each formed
+    once, and read by every identity that needs them; so are the two sides
+    of the minimal-degree criterion, which the classification reads again
+    on a crystallization.
     """
     vec = residue_vector(g)
     least = min(twices)
@@ -501,3 +504,47 @@ def check_identities(
         if not (8 + lo - 10 * m - q <= 4 * chi <= 8 + lo - 10 * m):
             ok_bounds = False
     checks["euler_bounds"] = ok_bounds
+
+
+# --- the five-color block of the analysis report -----------------------------
+
+
+def analysis_block(
+    g: ColoredGraph,
+    twices: tuple[int, ...],
+    pair_twices: list[int],
+    singular: bool,
+    m: int | None,
+) -> dict:
+    """The five-color block of a connected graph's analysis report, from its
+    genus twices and the battery's pair sums and singular flag (see
+    :func:`check_identities`); with rank metadata ``m``, it holds the
+    crystallization profile and its classification."""
+    block: dict = {
+        "associated_pair_sums": {
+            f"{_perm_key(a)}|{_perm_key(b)}": str(HalfInt(t))
+            for (a, b), t in zip(associated_pairs(), pair_twices)
+        },
+        "singular_manifold": singular,
+    }
+    if singular:
+        # (rho_e + rho_e') - p + sum g_hat - 2, whichever pair is taken
+        twice = pair_twices[0] + 2 * (_hat_sum(residue_vector(g)) - g.p - 2)
+        if twice % 2:
+            raise InvariantViolation("non-integral Euler characteristic")
+        block["euler_by_pair_formula"] = twice // 2
+    if m is not None:
+        profile = crystallization_profile(g, m)
+        result = _classify_twices(profile, g, twices)
+        excess = {_perm_key(t): v for t, v in sorted(profile.t_triples.items()) if v}
+        block["crystallization"] = {
+            "m": profile.m,
+            "euler": profile.euler,
+            "q": profile.q,
+            "minimal_half_order": profile.p_bar,
+            "triple_excess": excess,
+            "kind": result.kind,
+            "witness": _perm_key(result.witness) if result.witness else None,
+            "satisfies_12rho": result.satisfies_12rho,
+        }
+    return block

@@ -291,6 +291,7 @@ def enumerate_gems(d: int, p: int, connected_only: bool = False) -> Iterator[Col
     """
     if d < 2:
         raise GemError(f"enumeration needs d >= 2, got {d}")
+    check_dimension(d)
     if p < 1:
         raise GemError(f"enumeration needs p >= 1, got {p}")
     _budgeted_size(d, p)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import GemError
 
@@ -38,6 +38,11 @@ def canonical_perm(seq: Sequence[int]) -> CyclicPerm:
     if d >= 1 and rot[1] > rot[-1]:
         rot = (0,) + tuple(reversed(rot[1:]))
     return rot
+
+
+def _perm_key(eps: Iterable[int]) -> str:
+    """A permutation, pair or triple as a report key: its colors joined by commas."""
+    return ",".join(str(c) for c in eps)
 
 
 @lru_cache(maxsize=None)

@@ -2,12 +2,10 @@
 
 Every theorem-shaped statement the library exposes is evaluated per graph
 as a named boolean check; campaign reports aggregate evaluation and
-violation counts, embedding the first counterexample gems verbatim.  A
-campaign shard longer than the number of labelled gems it draws from must
-repeat a gem, and checks each distinct gem once; every repeat is still
-counted, and embedded, as its own gem.  All reports serialize
-deterministically (sorted keys, integers and exact half-integer strings
-only), so a repeated run with the same seed is byte-identical.
+violation counts, embedding the first counterexample gems verbatim.  The
+five-color block of an analysis report is built by ``dim4``.  All reports
+serialize deterministically (sorted keys, integers and exact half-integer
+strings only), so a repeated run with the same seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations, islice
 from math import factorial
 from operator import itemgetter
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator
 
 from .core import (
     ColoredGraph,
@@ -48,7 +46,7 @@ from .embeddings import (
     genus_twices,
 )
 from .generator import campaign_corpus, campaign_gems, enumeration_size
-from .perms import cyclic_permutations, perm_index
+from .perms import _perm_key, cyclic_permutations, perm_index
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -80,10 +78,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _perm_key(eps: Iterable[int]) -> str:
-    return ",".join(str(c) for c in eps)
 
 
 @lru_cache(maxsize=None)
@@ -221,10 +215,7 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
             "bipartite": flags["bipartite"],
         },
         "residues": {
-            "pairs": {
-                _perm_key(pr): residue_count(g, pr)
-                for pr in combinations(g.colors, 2)
-            },
+            "pairs": {_perm_key(pr): residue_count(g, pr) for pr in combinations(g.colors, 2)},
             "complements": {
                 str(i): residue_count(g, [x for x in g.colors if x != i])
                 for i in g.colors
@@ -250,22 +241,9 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
             "genus": str(st.genus),
         }
     if d == 4:
-        dim4 = _dim4()
+        m = None if metadata is None else metadata["m"]
         singular = flags["singular_manifold"]
-        block: dict = {
-            "associated_pair_sums": {
-                f"{_perm_key(a)}|{_perm_key(b)}": str(HalfInt(t))
-                for (a, b), t in zip(dim4.associated_pairs(), class_sums)
-            },
-            "singular_manifold": singular,
-        }
-        if singular:
-            block["euler_by_pair_formula"] = dim4._euler_via_pair(
-                residue_vector(g), class_sums[0], g.p
-            )
-        if metadata is not None:
-            block["crystallization"] = _metadata_block(g, metadata, twices, omega_twice, least)
-        report["dim4"] = block
+        report["dim4"] = _dim4().analysis_block(g, twices, class_sums, singular, m)
     return report
 
 
@@ -278,31 +256,10 @@ def _check_metadata(g: ColoredGraph, metadata: dict) -> None:
     m = metadata["m"]
     if not isinstance(m, int) or isinstance(m, bool):
         raise GemError("metadata field 'm' must be an integer")
+    if m < 0:
+        raise GemError(f"rank metadata must be non-negative, got {m}")
     if metadata.get("closed_manifold_asserted") is not True:
-        raise GemError(
-            "crystallization metadata requires closed_manifold_asserted: true"
-        )
-
-
-def _metadata_block(
-    g: ColoredGraph, metadata: dict, twices: tuple[int, ...], omega_twice: int, least: int
-) -> dict:
-    dim4 = _dim4()
-    profile = dim4.crystallization_profile(g, metadata["m"])
-    sides = dim4._minimal_degree_sides(omega_twice, least, dim4._pair_gaps(residue_vector(g)))
-    result = dim4._classify(profile, least, dim4._partner_differences(twices), sides)
-    return {
-        "m": profile.m,
-        "euler": profile.euler,
-        "q": profile.q,
-        "minimal_half_order": profile.p_bar,
-        "triple_excess": {
-            _perm_key(t): v for t, v in sorted(profile.t_triples.items()) if v
-        },
-        "kind": result.kind,
-        "witness": _perm_key(result.witness) if result.witness else None,
-        "satisfies_12rho": result.satisfies_12rho,
-    }
+        raise GemError("crystallization metadata requires closed_manifold_asserted: true")
 
 
 # --- campaigns ---------------------------------------------------------------
@@ -340,10 +297,10 @@ def _battery_batch(shard: tuple) -> tuple[int, dict, dict, dict, list]:
 
     A shard with more gems than there are labelled gems of its half-order,
     (2p-1)!!^(d+1), must repeat one (pigeonhole): such a shard checks each
-    distinct gem once and reuses its shape for every repeat, so the memo
-    holds at most that many gems (one at p = 1, 81 at d = 3, p = 2).  A
-    repeat still counts as its own gem, under its own index.  Exhaustive
-    shards, which hold each gem once, never reach the bound.
+    distinct gem once and reuses its shape for every repeat, which still
+    counts, and is embedded, as its own gem under its own index.  So the
+    memo holds at most that many gems (one at p = 1, 81 at d = 3, p = 2);
+    exhaustive shards, which hold each gem once, never reach the bound.
     """
     _, d, p, lo, hi, _ = shard
     gems = campaign_gems(*shard)
@@ -493,15 +450,12 @@ def campaign_report(
 ) -> dict:
     """Run the identity battery over a corpus and aggregate the outcome.
 
-    Workers are sent shard descriptors and build their own gems; the corpus
-    order is deterministic and every violation carries its corpus index, so
-    the report does not depend on sharding or the worker count.  This
-    process is one of the workers and forks the others, which run the
-    shards largest half-order first (:func:`_fan_out`); the workers never
-    exceed the usable CPUs or the shard count, whatever ``threads`` asks
-    for, and the campaign runs in-process when the corpus is one shard or
-    the platform has no ``os.fork``.  The first few violating gems are
-    embedded verbatim.
+    Workers (:func:`_fan_out`) are sent shard descriptors and build their
+    own gems; every violation carries its corpus index, so the report does
+    not depend on sharding or the worker count.  The workers never exceed
+    the usable CPUs or the shard count, whatever ``threads`` asks for, and
+    the campaign runs in-process when the corpus is one shard or the
+    platform has no ``os.fork``.
     """
     if threads is None:
         threads = worker_count()

@@ -89,7 +89,13 @@ def test_analyze_metadata_requires_boolean_assertion(dipole_file, tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "metadata", [{"m": "x", "closed_manifold_asserted": True}, {"m": 0}, []]
+    "metadata",
+    [
+        {"m": "x", "closed_manifold_asserted": True},
+        {"m": 0},
+        [],
+        {"m": -1, "closed_manifold_asserted": True},
+    ],
 )
 def test_analysis_checks_metadata_before_the_battery(monkeypatch, metadata):
     runs = []
@@ -103,6 +109,15 @@ def test_analysis_checks_metadata_before_the_battery(monkeypatch, metadata):
     with pytest.raises(GemError):
         reports_module.analysis_report(dipole(4), metadata)
     assert runs == []
+
+
+def test_analyze_refuses_negative_rank(dipole_file, tmp_path, capsys):
+    meta = tmp_path / "meta.json"
+    meta.write_text(json.dumps({"m": -1, "closed_manifold_asserted": True}))
+    assert main(["analyze", str(dipole_file), "--metadata", str(meta)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "rank metadata must be non-negative, got -1" in err
 
 
 def test_analyze_metadata_refused_below_five_colors(tmp_path, monkeypatch, capsys):
@@ -948,7 +963,8 @@ def test_dimension_beyond_permutation_budget_refused(tmp_path, capsys):
 
     cached = cyclic_permutations.cache_info().currsize
     path = tmp_path / "dipole12.json"
-    path.write_text(serialize_gem(ColoredGraph(d=12, order=2, matchings=((2, 1),) * 13)))
+    # written as a document: the library refuses to build a d = 12 graph
+    path.write_text(json.dumps({"d": 12, "vertices": 2, "matchings": [[2, 1]] * 13}))
     assert main(["analyze", str(path)]) == 2
     assert "d=12 has d!/2 = 239500800" in capsys.readouterr().err
     rc = main(["verify", "--d", "12", "--mode", "random", "--p", "1", "--count", "1"])

@@ -70,6 +70,14 @@ def test_parse_refuses_dimension_beyond_permutation_budget():
     assert parse_gem(dipole_doc(9)).d == 9
 
 
+def test_constructor_refuses_dimension_beyond_permutation_budget():
+    # a graph that analyze would refuse is not built either: the battery
+    # would walk its 10!/2 permutations
+    with pytest.raises(GemError, match=r"d=10 has d!/2 = 1814400"):
+        ColoredGraph(d=10, order=2, matchings=((2, 1),) * 11)
+    assert ColoredGraph(d=9, order=2, matchings=((2, 1),) * 10).d == 9
+
+
 def test_parse_g4_document(g4):
     doc = {
         "d": 4,

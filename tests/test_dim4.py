@@ -418,6 +418,7 @@ def test_class_indices_are_the_associated_pairs_in_order():
     # the battery hands its class sums to the five-color identities as the
     # associated-pair sums, which they read in _PAIRS order
     assert _class_indices(4) == dim4_module._PAIRS
+    assert _class_indices(4) == ((0, 9), (1, 8), (2, 7), (3, 11), (4, 6), (5, 10))
 
 
 _PAIR_MASKS = [mask for mask in range(32) if mask.bit_count() == 2]

@@ -440,3 +440,13 @@ def test_genspec_refuses_dimension_beyond_permutation_budget():
     with pytest.raises(GemError, match="d=10 has d!/2 = 1814400"):
         GenSpec(d=10, p=1, count=1, seed=0)
     assert len(random_gem(GenSpec(d=9, p=1, count=1, seed=0))) == 1
+
+
+def test_dipole_and_enumeration_refuse_dimension_beyond_permutation_budget():
+    # refused at the call, before any gem of the stream is built
+    with pytest.raises(GemError, match="d=10 has d!/2 = 1814400"):
+        dipole(10)
+    with pytest.raises(GemError, match="d=10 has d!/2 = 1814400"):
+        enumerate_gems(10, 1)
+    assert dipole(9).d == 9
+    assert [g.d for g in enumerate_gems(9, 1)] == [9]

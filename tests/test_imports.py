@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package keeps an import it never uses,
 no private module-level name goes unread, no function keeps a parameter
-its body never reads, and no module but the generator builds a graph
-without validation.
+its body never reads, no module but the generator builds a graph without
+validation, and ``reports`` reads no private name of ``dim4``.
 
 A name that moves between modules tends to leave its import behind, and
 an unused import still costs its module at start-up.  A private helper or
@@ -10,6 +10,9 @@ compiles and builds.  A parameter whose last reader moved away still makes
 every caller compute and pass its value.  ``ColoredGraph._trusted`` skips
 the constructor's checks because the generator's matchings are valid by
 construction; a caller that passed it user data would let a malformed gem in.
+``dim4`` builds the five-color block of an analysis report itself, so a
+private helper of it that ``reports`` reads again is an identity derived
+twice.
 """
 
 from __future__ import annotations
@@ -226,3 +229,45 @@ def test_unvalidated_build_detected():
         "cli": ast.parse("g = core.ColoredGraph._trusted(2, 2, m)\n"),
     }
     assert _unvalidated_builds(trees) == ["reports: line 3", "cli: line 1"]
+
+
+def _private_reads(tree: ast.Module, module: str) -> list[str]:
+    """``line: name`` for each private name of the sibling ``module`` that
+    ``tree`` reads: imported from it, or taken as an attribute of an
+    expression that names it (``module.x``, ``_module().x``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == module:
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and module in {
+            name.strip("_") for name in _reads(node.value)
+        }:
+            names = [node.attr]
+        else:
+            continue
+        found += [
+            (node.lineno, name)
+            for name in names
+            if name.startswith("_") and not name.startswith("__")
+        ]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_reports_reads_no_private_name_of_dim4():
+    path = Path(gemcalc.__file__).parent / "reports.py"
+    assert _private_reads(ast.parse(path.read_text(), str(path)), "dim4") == []
+
+
+def test_private_read_detected():
+    tree = ast.parse(
+        "from .dim4 import _classify, analysis_block\n"
+        "from . import dim4\n"
+        "def f(g):\n"
+        "    sides = _dim4()._minimal_degree_sides(g)\n"
+        "    block = _dim4().analysis_block(g)\n"
+        "    d4 = dim4\n"
+        "    return dim4._pair_gaps(g), d4.__name__, _check(g)._euler_via_pair\n"
+    )
+    assert _private_reads(tree, "dim4") == [
+        "line 1: _classify", "line 4: _minimal_degree_sides", "line 7: _pair_gaps"
+    ]
