@@ -25,6 +25,7 @@ from .reports import (
     REPORT_SCHEMA,
     analysis_report,
     campaign_report,
+    check_metadata,
     render_text,
     report_json,
 )
@@ -40,14 +41,22 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read_utf8(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GemError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
-    g = parse_gem(Path(args.path).read_text())
+    g = parse_gem(_read_utf8(args.path))
     metadata = None
     if args.metadata:
         try:
-            metadata = json.loads(Path(args.metadata).read_text())
-        except json.JSONDecodeError as exc:
+            metadata = json.loads(_read_utf8(args.metadata))
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise GemError(f"malformed metadata file: {exc}") from None
+        check_metadata(g, metadata)  # a file holding null is refused, not absent
     report = analysis_report(g, metadata)
     _emit(report, args.format, args.out)
     if report["violations"]:

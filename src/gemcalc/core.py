@@ -389,13 +389,13 @@ def serialize_gem(g: ColoredGraph) -> str:
 def parse_gem(text: str) -> ColoredGraph:
     """Parse and validate a gem document.
 
-    Raises :class:`GemError` for malformed JSON, wrong field types, a wrong
-    color count, an odd vertex count, loops, or non-involutive matchings,
-    naming the offending color or vertex.
+    Raises :class:`GemError` for malformed or too deeply nested JSON, wrong
+    field types, a wrong color count, an odd vertex count, loops, or
+    non-involutive matchings, naming the offending color or vertex.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GemError(f"malformed gem document: {exc}") from None
     if not isinstance(doc, dict):
         raise GemError("gem document must be a JSON object")

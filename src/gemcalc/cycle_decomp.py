@@ -119,6 +119,17 @@ def walecki_decomposition(n: int) -> DecompositionClass:
     return cls
 
 
+def _validated_partition(
+    n: int, multiplicity: int, classes: list[tuple[CyclicPerm, ...]], name: str
+) -> PermPartition:
+    """The partition with these classes of cycles, each class of the given
+    multiplicity; an invalid one is an invariant violation named ``name``."""
+    part = PermPartition(n, tuple(DecompositionClass(n, multiplicity, c) for c in classes))
+    if not validate_partition(part):
+        raise InvariantViolation(f"{name} invalid for n={n}")
+    return part
+
+
 @lru_cache(maxsize=None)
 def partition_odd(n: int) -> PermPartition:
     """Partition of all Hamiltonian cycles of K_n into (n-2)! decompositions.
@@ -141,16 +152,7 @@ def partition_odd(n: int) -> PermPartition:
     classes = set()
     for sigma in permutations(range(n)):
         classes.add(tuple(sorted(canonical_perm([sigma[v] for v in cyc]) for cyc in base)))
-    part = PermPartition(
-        n=n,
-        classes=tuple(
-            DecompositionClass(n=n, multiplicity=1, cycles=cls)
-            for cls in sorted(classes)
-        ),
-    )
-    if not validate_partition(part):
-        raise InvariantViolation(f"orbit partition invalid for n={n}")
-    return part
+    return _validated_partition(n, 1, sorted(classes), "orbit partition")
 
 
 @lru_cache(maxsize=None)
@@ -216,15 +218,5 @@ def partition_even(n: int) -> PermPartition:
     classes = solve()
     if classes is None:
         raise InvariantViolation(f"no even partition found for n={n}")
-    part = PermPartition(
-        n=n,
-        classes=tuple(
-            DecompositionClass(
-                n=n, multiplicity=2, cycles=tuple(sorted(cycles[j] for j in cls))
-            )
-            for cls in classes
-        ),
-    )
-    if not validate_partition(part):
-        raise InvariantViolation(f"even partition invalid for n={n}")
-    return part
+    classes = [tuple(sorted(cycles[j] for j in cls)) for cls in classes]
+    return _validated_partition(n, 2, classes, "even partition")

@@ -8,7 +8,10 @@ With five colors every cyclic permutation e has an associated partner
 e' = (e_0, e_2, e_4, e_1, e_3); the edges of e and e' jointly exhaust the
 ten color pairs, the degree equals six times the genus sum of any such
 pair, and the six pairs are exactly the classes of the (unique) odd
-partition for n = 5.
+partition for n = 5.  The adjacent pairs of e' are the skip pairs
+(e_j, e_{j+2}) of e, and its consecutive triples the skip triples
+(e_i, e_{i+2}, e_{i+4}) of e, so every skip quantity is read through the
+partner table.
 
 Every identity reads its residue counts from the graph's residue vector
 and its genera as integer "twice" values (see ``genus_twices``), through
@@ -48,7 +51,7 @@ from .perms import (
     CyclicPerm,
     _perm_key,
     canonical_perm,
-    cycle_masks,
+    cycle_gathers,
     cyclic_permutations,
     perm_index,
 )
@@ -66,7 +69,6 @@ __all__ = [
     "is_closed_3_manifold",
     "is_singular_4_manifold",
     "residue_degree_identity",
-    "skip_triples",
 ]
 
 SEMI_SIMPLE = "semi_simple"
@@ -106,15 +108,6 @@ def consecutive_triples(eps: CyclicPerm) -> list[tuple[int, int, int]]:
     ]
 
 
-def skip_triples(eps: CyclicPerm) -> list[tuple[int, int, int]]:
-    """Sorted triples (e_i, e_{i+2}, e_{i+4}); together with the consecutive
-    triples these exhaust all ten color triples."""
-    return [
-        tuple(sorted((eps[i], eps[(i + 2) % 5], eps[(i + 4) % 5])))
-        for i in range(5)
-    ]
-
-
 def _mask(colors) -> int:
     return sum(1 << c for c in colors)
 
@@ -125,12 +118,9 @@ _PERMS = cyclic_permutations(4)
 _PARTNER_OF = itemgetter(*(perm_index(4)[associated_permutation(eps)] for eps in _PERMS))
 _PAIRS = tuple((perm_index(4)[a], perm_index(4)[b]) for a, b in associated_pairs())
 _CONSECUTIVE3 = tuple(tuple(consecutive_triples(eps)) for eps in _PERMS)
-_SKIP3 = tuple(tuple(skip_triples(eps)) for eps in _PERMS)
-# per permutation, five masks counted plus and then five counted minus: the
-# pairs (e_j, e_{j+1}) against (e_j, e_{j+2}), and the consecutive triples
-# against the skip triples
-_PAIR_GAP_MASKS = tuple(a + s for a, s in zip(cycle_masks(4, 1), cycle_masks(4, 2)))
-_TRIPLE_GAP_MASKS = tuple(tuple(map(_mask, c + s)) for c, s in zip(_CONSECUTIVE3, _SKIP3))
+# per permutation, the counts of its consecutive triples; the skip triples of
+# e are the consecutive triples of its partner
+_TRIPLE_GATHERS = tuple(itemgetter(*map(_mask, tris)) for tris in _CONSECUTIVE3)
 _TRIPLE_MASK = {t: _mask(t) for t in combinations(range(5), 3)}
 _TRIPLE_PAIRS = tuple(  # (rst, rs, rt, st) masks of the ten triples
     (m,) + tuple(_mask(pr) for pr in combinations(t, 2)) for t, m in _TRIPLE_MASK.items()
@@ -144,19 +134,17 @@ def _hat_sum(vec: tuple[int, ...]) -> int:
     return sum(_HAT_COUNTS(vec))
 
 
-def _gaps(vec: Sequence[int], masks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Per permutation, the counts under its first five masks minus those under
-    its last five."""
-    return tuple([
-        vec[a] + vec[b] + vec[c] + vec[d] + vec[e] - vec[f] - vec[g] - vec[h] - vec[i] - vec[j]
-        for a, b, c, d, e, f, g, h, i, j in masks
-    ])
+def _partner_gaps(vec: Sequence[int], gathers: tuple[itemgetter, ...]) -> tuple[int, ...]:
+    """Per permutation, the sum of the counts its gather reads off a
+    mask-indexed vector, minus its partner's sum."""
+    sums = [sum(gather(vec)) for gather in gathers]
+    return tuple(map(sub, sums, _PARTNER_OF(sums)))
 
 
 def _pair_gaps(vec: Sequence[int]) -> tuple[int, ...]:
-    """sum g_{e_j e_{j+1}} - sum g_{e_j e_{j+2}} for each permutation e, from
-    the pair counts of a mask-indexed vector."""
-    return _gaps(vec, _PAIR_GAP_MASKS)
+    """sum g_{e_j e_{j+1}} - sum g_{e_j e_{j+2}} for each permutation e: the
+    skip pairs of e are the adjacent pairs of its partner."""
+    return _partner_gaps(vec, cycle_gathers(4))
 
 
 def _cycle_counts(cycles: dict[tuple[int, int], list[int]]) -> list[int]:
@@ -453,7 +441,7 @@ def check_identities(
 
     # rho_e' - rho_e = consecutive minus skip triple residues on
     # singular-manifold graphs
-    tricolored = tuple([2 * gap for gap in _gaps(vec, _TRIPLE_GAP_MASKS)])
+    tricolored = tuple([2 * gap for gap in _partner_gaps(vec, _TRIPLE_GATHERS)])
     checks["pair_difference_tricolored"] = diffs == tricolored and _triple_relation(vec, g.p)
     chi = euler_characteristic_complex(g)
     # from each pair: twice rho_e + rho_e' is 2 * (chi + p + 2 - sum g_hat)
@@ -472,12 +460,14 @@ def check_identities(
     q = profile.q
     base = 2 * profile.euler + 5 * profile.m - 4
 
+    # the skip-triple excess of e is its partner's consecutive-triple excess
+    t = profile.t_triples
+    skip_excesses = _PARTNER_OF([sum(t[tri] for tri in tris) for tris in _CONSECUTIVE3])
     ok_diff = ok_offset = True
-    for i, diff_twice in enumerate(diffs):
-        skip_excess = sum(profile.t_triples[t] for t in _SKIP3[i])
+    for diff_twice, twice, skip_excess in zip(diffs, twices, skip_excesses):
         if diff_twice != 2 * (q - 2 * skip_excess) or diff_twice > 2 * q:
             ok_diff = False
-        if twices[i] != 2 * (base + skip_excess):
+        if twice != 2 * (base + skip_excess):
             ok_offset = False
     checks["excess_difference_identity"] = ok_diff
     checks["excess_genus_offset"] = ok_offset

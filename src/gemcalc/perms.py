@@ -20,7 +20,6 @@ __all__ = [
     "CyclicPerm",
     "canonical_perm",
     "cycle_gathers",
-    "cycle_masks",
     "cycle_pairs",
     "cyclic_permutations",
     "perm_index",
@@ -57,14 +56,9 @@ def cyclic_permutations(d: int) -> tuple[CyclicPerm, ...]:
     )
 
 
-def cycle_pairs(eps: Sequence[int], step: int = 1) -> list[tuple[int, int]]:
-    """Unordered pairs (eps_j, eps_{j+step}) for j over the cyclic index set."""
-    n = len(eps)
-    out = []
-    for j in range(n):
-        a, b = eps[j], eps[(j + step) % n]
-        out.append((a, b) if a < b else (b, a))
-    return out
+def cycle_pairs(eps: Sequence[int]) -> list[tuple[int, int]]:
+    """Unordered pairs (eps_j, eps_{j+1}) for j over the cyclic index set."""
+    return [(a, b) if a < b else (b, a) for a, b in zip(eps, (*eps[1:], eps[0]))]
 
 
 @lru_cache(maxsize=None)
@@ -74,21 +68,11 @@ def perm_index(d: int) -> dict[CyclicPerm, int]:
 
 
 @lru_cache(maxsize=None)
-def cycle_masks(d: int, step: int = 1) -> tuple[tuple[int, ...], ...]:
-    """Color-pair bitmasks of :func:`cycle_pairs`, per canonical permutation.
-
-    Entry i lists ``(1 << a) | (1 << b)`` for the pairs of the i-th
-    permutation, ready to index a residue vector.
-    """
+def cycle_gathers(d: int) -> tuple[itemgetter, ...]:
+    """One ``itemgetter`` per canonical permutation: applied to a residue
+    vector, it returns the pair counts of that permutation's d + 1 adjacent
+    pairs (:func:`cycle_pairs`) as a tuple."""
     return tuple(
-        tuple((1 << a) | (1 << b) for a, b in cycle_pairs(eps, step))
+        itemgetter(*((1 << a) | (1 << b) for a, b in cycle_pairs(eps)))
         for eps in cyclic_permutations(d)
     )
-
-
-@lru_cache(maxsize=None)
-def cycle_gathers(d: int) -> tuple[itemgetter, ...]:
-    """One ``itemgetter`` per entry of :func:`cycle_masks` (step 1): applied
-    to a residue vector, it returns the pair counts of that permutation's
-    d + 1 adjacent pairs as a tuple."""
-    return tuple(itemgetter(*masks) for masks in cycle_masks(d))

@@ -53,6 +53,7 @@ __all__ = [
     "analysis_report",
     "campaign_report",
     "check_graph",
+    "check_metadata",
     "render_text",
     "report_json",
     "worker_count",
@@ -194,7 +195,7 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
     """Full single-graph report; requires a connected graph, and crystallization
     metadata only with five colors."""
     if metadata is not None:
-        _check_metadata(g, metadata)
+        check_metadata(g, metadata)
     # the report reads the complements and chi: the full vector, built first
     residue_vector(g)
     _require_connected(g, "analysis")
@@ -247,7 +248,7 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
     return report
 
 
-def _check_metadata(g: ColoredGraph, metadata: dict) -> None:
+def check_metadata(g: ColoredGraph, metadata: dict) -> None:
     """Refuse crystallization metadata before any report work starts."""
     if g.d != 4:
         raise GemError(f"crystallization metadata needs a 5-colored graph (d = 4), got d={g.d}")

@@ -128,11 +128,40 @@ def test_analyze_metadata_refused_below_five_colors(tmp_path, monkeypatch, capsy
     gem = tmp_path / "dipole3.json"
     gem.write_text(serialize_gem(dipole(3)))
     meta = tmp_path / "meta.json"
-    meta.write_text(json.dumps({"nonsense": 1}))
-    assert main(["analyze", str(gem), "--metadata", str(meta)]) == 2
+    # a file holding JSON null is metadata too, not its absence
+    for metadata in ({"nonsense": 1}, None):
+        meta.write_text(json.dumps(metadata))
+        assert main(["analyze", str(gem), "--metadata", str(meta)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "5-colored" in err and "d=3" in err
+
+
+@pytest.mark.parametrize(
+    "gem_bytes, meta_bytes, message",
+    [
+        (b"\xff\xfe", None, "gem.json is not UTF-8 text"),
+        (None, b"\xff\xfe", "meta.json is not UTF-8 text"),
+        (None, b"[" * 100000, "malformed metadata file: maximum recursion depth"),
+        (b"[" * 100000, None, "malformed gem document: maximum recursion depth"),
+        (None, b"null", "crystallization metadata must be an object with field 'm'"),
+    ],
+    ids=["gem-not-utf8", "metadata-not-utf8", "metadata-nested", "gem-nested", "metadata-null"],
+)
+def test_analyze_bad_input_file_exits_2(tmp_path, capsys, gem_bytes, meta_bytes, message):
+    # exit 1 means a violated identity: an unreadable file, or metadata that
+    # is JSON null rather than absent, is bad input
+    gem = tmp_path / "gem.json"
+    gem.write_bytes(gem_bytes or serialize_gem(dipole(4)).encode())
+    argv = ["analyze", str(gem)]
+    if meta_bytes is not None:
+        meta = tmp_path / "meta.json"
+        meta.write_bytes(meta_bytes)
+        argv += ["--metadata", str(meta)]
+    assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "5-colored" in err and "d=3" in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_analyze_malformed(tmp_path, capsys):

@@ -103,6 +103,7 @@ def test_parse_g4_document(g4):
         ('{"d": 2, "vertices": 3, "matchings": [[2,1,3],[2,1,3],[2,1,3]]}', "even"),
         ('{"d": 2, "vertices": 4, "matchings": [[2,1,4,3],[2,1,4,3],[3,4,2,1]]}', "not an involution"),
         ('{"d": 2, "vertices": 4, "matchings": [[2,1,4,3],[2,1,4,3],[2.0,1,4,3]]}', "integers"),
+        pytest.param("[" * 100000, "malformed", id="deeply-nested"),
     ],
 )
 def test_parse_rejections(doc, message):

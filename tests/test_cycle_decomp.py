@@ -120,6 +120,19 @@ def test_partition_even_n6():
     assert validate_partition(part)
 
 
+@pytest.mark.parametrize(
+    "maker, n, message",
+    [
+        (partition_odd, 5, "orbit partition invalid for n=5"),
+        (partition_even, 4, "even partition invalid for n=4"),
+    ],
+)
+def test_partitions_validate_what_they_build(monkeypatch, maker, n, message):
+    monkeypatch.setattr(cycle_decomp, "validate_partition", lambda part: False)
+    with pytest.raises(InvariantViolation, match=message):
+        maker.__wrapped__(n)
+
+
 def test_partition_bounds():
     with pytest.raises(GemError, match="supported"):
         partition_odd(9)

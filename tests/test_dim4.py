@@ -45,7 +45,7 @@ from gemcalc.dim4 import (
     _component_faces,
     _hat_degree_total,
     _pair_gaps,
-    skip_triples,
+    consecutive_triples,
 )
 
 from conftest import M_A, M_B, M_C, corpus, oracle_components, oracle_faces, oracle_residues
@@ -68,6 +68,20 @@ def test_association_covers_all_pairs():
         partner = associated_permutation(eps)
         union = sorted(cycle_pairs(eps) + cycle_pairs(partner))
         assert union == sorted(combinations(range(5), 2))
+
+
+def test_partner_reads_the_skip_pairs_and_skip_triples():
+    # the adjacent pairs of e' are the skip pairs (e_j, e_{j+2}) of e, and its
+    # consecutive triples are the skip triples (e_i, e_{i+2}, e_{i+4}) of e
+    for eps in cyclic_permutations(4):
+        partner = associated_permutation(eps)
+        skip_pairs = {tuple(sorted((eps[j], eps[(j + 2) % 5]))) for j in range(5)}
+        skip_triples = {
+            tuple(sorted((eps[i], eps[(i + 2) % 5], eps[(i + 4) % 5]))) for i in range(5)
+        }
+        assert sorted(cycle_pairs(partner)) == sorted(skip_pairs)
+        assert sorted(consecutive_triples(partner)) == sorted(skip_triples)
+        assert len(skip_triples) == 5 and not skip_triples & set(consecutive_triples(eps))
 
 
 def test_associated_pairs_partition():
@@ -231,7 +245,8 @@ def test_profile_genus_offsets(g4):
     profile = crystallization_profile(g4, 0)
     base = 2 * profile.euler + 5 * profile.m - 4
     for eps in cyclic_permutations(4):
-        excess = sum(profile.t_triples[t] for t in skip_triples(eps))
+        skip = consecutive_triples(associated_permutation(eps))
+        excess = sum(profile.t_triples[t] for t in skip)
         assert regular_genus(g4, eps) == base + excess
 
 
@@ -360,6 +375,24 @@ def test_tampered_triple_count_breaks_tricolored_difference(g4):
     assert flags["singular_manifold"]
     assert checks["pair_difference_tricolored"] is False
     assert checks["residue_degree_identity"]
+
+
+def test_uniform_triple_shift_breaks_only_the_triple_relation(g4):
+    # one more component on every triple residue keeps each consecutive-minus-
+    # skip gap (five triples counted each way), so the partner differences
+    # still match; the 2g_rst relation alone fails the tricolored check
+    vec = list(residue_vector(g4))
+    for mask in range(32):
+        if mask.bit_count() == 3:
+            vec[mask] += 1
+    gathers = dim4_module._TRIPLE_GATHERS
+    assert dim4_module._partner_gaps(vec, gathers) == dim4_module._partner_gaps(
+        residue_vector(g4), gathers
+    )
+    flags, checks = check_graph(_stand_in(g4, vec))
+    assert flags["singular_manifold"]
+    assert checks["degree_formula_agreement"] and checks["pair_difference_bicolored"]
+    assert checks["pair_difference_tricolored"] is False
 
 
 def _stand_in(g: ColoredGraph, vec: list[int]) -> ColoredGraph:
@@ -782,6 +815,36 @@ def test_tampered_pair_count_is_reported_not_raised(d, g4):
         assert expected <= {name for name, ok in checks.items() if not ok}
 
 
+@pytest.mark.parametrize("cycles, bipartite", [(2, False), (1, True)])
+def test_extra_cycles_on_both_sides_break_one_surface_clause(
+    monkeypatch, rp2_gem, cycles, bipartite
+):
+    # extra cycles of one pair, added to the vector and the walk alike, keep
+    # the walk's Euler characteristic equal to the vector's and 2w = 2 - chi:
+    # two on the projective plane give chi = 3 > 2, and one on a bipartite
+    # torus an odd chi on a bipartite gem, each the one failing clause (the
+    # torus's odd genus twice fails bipartite_genera_integral as well)
+    if bipartite:
+        tori = corpus(2, 3, 40, seed=950, connected_only=True, bipartite_only=True)
+        g = next(h for h in tori if euler_characteristic_complex(h) == 0)
+    else:
+        g = rp2_gem
+    assert all(check_graph(g)[1].values())
+    vec = list(residue_vector(g))
+    vec[0b011] += cycles
+    walk = _bicolored_cycles(g)
+    walk[(0, 1)] = walk[(0, 1)] + walk[(0, 1)][:1] * cycles
+    monkeypatch.setattr(reports_module, "_bicolored_cycles", lambda h: walk)
+    h = _stand_in(g, vec)
+    chi = euler_characteristic_complex(h)
+    assert chi == (1 if bipartite else 3) and sum(genus_twices(h)) == 2 - chi
+    flags, checks = check_graph(h)
+    assert flags["bipartite"] is bipartite
+    assert _failed(checks) == {"surface_classification"} | (
+        {"bipartite_genera_integral"} if bipartite else set()
+    )
+
+
 def test_tampered_pair_only_count_breaks_degree_formula(monkeypatch):
     # at d = 3 the genus side counts the pairs alone, never the full vector:
     # a corrupted pair count there disagrees with the bicolored-cycle walk
@@ -904,8 +967,8 @@ def test_gap_table_and_hat_total_match_oracles():
         faces = {pair: oracle_faces(g, *pair) for pair in combinations(g.colors, 2)}
         gaps = _pair_gaps(residue_vector(g))
         assert gaps == tuple(
-            sum(faces[pair] for pair in cycle_pairs(eps, 1))
-            - sum(faces[pair] for pair in cycle_pairs(eps, 2))
+            sum(faces[pair] for pair in cycle_pairs(eps))
+            - sum(faces[pair] for pair in cycle_pairs(associated_permutation(eps)))
             for eps in cyclic_permutations(4)
         )
         nonzero.add(any(gaps))
@@ -924,14 +987,13 @@ def test_d4_battery_reads_each_residue_fact_once(monkeypatch, g4, odd_degree_wit
     graphs = [g for p in range(1, 7) for g in corpus(4, p, 20, seed=600 + p, connected_only=True)]
     graphs += [g4, odd_degree_witness]
     pair_gap_builds, labelled, faced = [], [], []
-    gaps, labels, component_faces = (
-        dim4_module._gaps, dim4_module._component_labels, dim4_module._component_faces
+    pair_gaps, labels, component_faces = (
+        dim4_module._pair_gaps, dim4_module._component_labels, dim4_module._component_faces
     )
 
-    def counting_gaps(vec, masks):
-        if masks is dim4_module._PAIR_GAP_MASKS:
-            pair_gap_builds.append(vec)
-        return gaps(vec, masks)
+    def counting_gaps(vec):
+        pair_gap_builds.append(vec)
+        return pair_gaps(vec)
 
     def counting_labels(g, colors):
         labelled.append(tuple(colors))
@@ -941,7 +1003,7 @@ def test_d4_battery_reads_each_residue_fact_once(monkeypatch, g4, odd_degree_wit
         faced.append(tuple(colors))
         return component_faces(g, cycles, colors)
 
-    monkeypatch.setattr(dim4_module, "_gaps", counting_gaps)
+    monkeypatch.setattr(dim4_module, "_pair_gaps", counting_gaps)
     monkeypatch.setattr(dim4_module, "_component_labels", counting_labels)
     monkeypatch.setattr(dim4_module, "_component_faces", counting_faces)
     branches = set()
