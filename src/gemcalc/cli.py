@@ -57,7 +57,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except (json.JSONDecodeError, RecursionError) as exc:
             raise GemError(f"malformed metadata file: {exc}") from None
         check_metadata(g, metadata)  # a file holding null is refused, not absent
-    report = analysis_report(g, metadata)
+    try:
+        report = analysis_report(g, metadata)
+    except InvariantViolation as exc:
+        # the gem the violation was found on is the input file, kept as it was
+        print(f"error: {exc}", file=sys.stderr)
+        print(f"counterexample gem preserved in {args.path}", file=sys.stderr)
+        return 1
     _emit(report, args.format, args.out)
     if report["violations"]:
         print(

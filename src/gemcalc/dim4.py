@@ -414,7 +414,9 @@ def check_identities(
     cycle counts), the hat counts and the regular genus are each formed
     once, and read by every identity that needs them; so are the two sides
     of the minimal-degree criterion, which the classification reads again
-    on a crystallization.
+    on a crystallization.  There every excess check is one comparison, read
+    at the rank 0 that the ledger accepted: no excess is negative, and
+    p = 3 chi - 5 + q.
     """
     vec = residue_vector(g)
     least = min(twices)
@@ -457,20 +459,15 @@ def check_identities(
         return
     checks["crystallization_profile_consistent"] = True
     flags["crystallization_profile"] = True
-    q = profile.q
-    base = 2 * profile.euler + 5 * profile.m - 4
+    q, p = profile.q, g.p
+    base = 2 * chi - 4  # 2 chi + 5m - 4 at the asserted rank 0
 
-    # the skip-triple excess of e is its partner's consecutive-triple excess
+    # the skip-triple excess of e is its partner's consecutive-triple excess;
+    # the ledger refused every negative excess, so no difference exceeds 2q
     t = profile.t_triples
     skip_excesses = _PARTNER_OF([sum(t[tri] for tri in tris) for tris in _CONSECUTIVE3])
-    ok_diff = ok_offset = True
-    for diff_twice, twice, skip_excess in zip(diffs, twices, skip_excesses):
-        if diff_twice != 2 * (q - 2 * skip_excess) or diff_twice > 2 * q:
-            ok_diff = False
-        if twice != 2 * (base + skip_excess):
-            ok_offset = False
-    checks["excess_difference_identity"] = ok_diff
-    checks["excess_genus_offset"] = ok_offset
+    checks["excess_difference_identity"] = diffs == tuple([2 * (q - 2 * s) for s in skip_excesses])
+    checks["excess_genus_offset"] = twices == tuple([2 * (base + s) for s in skip_excesses])
     checks["excess_pair_sum"] = pair_twices == [2 * (2 * base + q)] * 6
     try:
         _classify(profile, least, diffs, sides)
@@ -478,22 +475,13 @@ def check_identities(
     except GemError:
         checks["classification_consistent"] = False
 
-    chi, m, p = profile.euler, profile.m, g.p
-    ok_bounds = True
-    for a, b in _PAIRS:
-        lo, hi = sorted((twices[a], twices[b]))
-        # chi between 2*rho - p + 3 for the two genera of the pair
-        if not (lo - p + 3 <= chi <= hi - p + 3):
-            ok_bounds = False
-        # quarter-resolution chain, scaled by 4
-        if not (8 + lo - 10 * m - q <= 4 * chi <= 8 + hi - 10 * m - q):
-            ok_bounds = False
-        # single-genus chains on the smaller genus of the pair
-        if not (lo - p + 3 <= chi <= lo - p + q + 3):
-            ok_bounds = False
-        if not (8 + lo - 10 * m - q <= 4 * chi <= 8 + lo - 10 * m):
-            ok_bounds = False
-    checks["euler_bounds"] = ok_bounds
+    # chi between 2 rho - p + 3 for both genera of each pair, and at most
+    # 2 rho - p + q + 3 for the smaller; with p = 3 chi - 5 + q the
+    # quarter-resolution and single-genus chains are these bounds rearranged
+    checks["euler_bounds"] = all(
+        lo - p + 3 <= chi <= min(hi, lo + q) - p + 3
+        for lo, hi in (sorted((twices[a], twices[b])) for a, b in _PAIRS)
+    )
 
 
 # --- the five-color block of the analysis report -----------------------------

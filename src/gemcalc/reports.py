@@ -283,18 +283,19 @@ def _shards(d: int, mode: str, max_p: int, count: int, seed: int) -> list[tuple]
     return shards
 
 
-def _battery_batch(shard: tuple) -> tuple[int, dict, dict, dict, list]:
+def _battery_batch(shard: tuple) -> tuple[dict, list]:
     """Worker: build one shard's gems and run the battery over them.
 
-    Returns the shard's graph count, its true flags, evaluated checks and
-    violated checks by name (plain dicts of counts), and its earliest
+    Returns the shard's outcome shapes with their gem counts (a plain dict,
+    whose counts sum to the shard's graph count), and its earliest
     violations as (shard-local index, check, serialized gem): enough of them
     to fill the report's embedded counterexamples, so a violating shard
     holds no more.  Every value is a built-in that :mod:`marshal` carries.
 
     Each gem is counted once, under its shape: the names of its true flags,
-    of its evaluated checks and of its failed checks.  A shard holds few
-    shapes, and they are expanded into the three name counts once, at its end.
+    of its evaluated checks and of its failed checks.  A campaign holds few
+    shapes, and :func:`campaign_report` expands them into the three name
+    counts once, after its merge.
 
     A shard with more gems than there are labelled gems of its half-order,
     (2p-1)!!^(d+1), must repeat one (pigeonhole): such a shard checks each
@@ -332,12 +333,7 @@ def _battery_batch(shard: tuple) -> tuple[int, dict, dict, dict, list]:
                 text = serialize_gem(g)
                 earliest += [(graphs, name, text) for name in failed]
             graphs += 1
-    tallies: tuple[dict, dict, dict] = ({}, {}, {})
-    for shape, n in shapes.items():
-        for tally, names in zip(tallies, shape):
-            for name in names:
-                tally[name] = tally.get(name, 0) + n
-    return graphs, *tallies, earliest
+    return dict(shapes), earliest
 
 
 def _claimed_results(shards: list[tuple], claims, first: int) -> Iterator[tuple]:
@@ -482,17 +478,18 @@ def campaign_report(
         results = map(_battery_batch, shards)
 
     graphs = 0
-    flagged: Counter = Counter()
-    evaluated: Counter = Counter()
-    violated: Counter = Counter()
+    shapes: Counter = Counter()
     violations: list[tuple[int, str, str]] = []
-    for shard_graphs, shard_flagged, shard_evaluated, shard_violated, earliest in results:
-        flagged += shard_flagged
-        evaluated += shard_evaluated
-        violated += shard_violated
+    for shard_shapes, earliest in results:
+        shapes.update(shard_shapes)
         violations += [(graphs + i, name, text) for i, name, text in earliest]
-        graphs += shard_graphs
+        graphs += sum(shard_shapes.values())
     violations.sort()
+    flagged, evaluated, violated = tallies = (Counter(), Counter(), Counter())
+    for shape, n in shapes.items():
+        for tally, names in zip(tallies, shape):
+            for name in names:
+                tally[name] += n
     return {
         "schema": REPORT_SCHEMA,
         "kind": "campaign",

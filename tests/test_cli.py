@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from gemcalc import parse_gem, serialize_gem
+from gemcalc import cli as cli_module
 from gemcalc.cli import main
 from gemcalc import generator as generator_module
 from gemcalc import reports as reports_module
@@ -179,6 +180,29 @@ def test_analyze_disconnected(tmp_path, capsys):
     )
     assert main(["analyze", str(path)]) == 2
     assert "connected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_analyze_invariant_violation_names_the_input_gem(
+    g4_file, tmp_path, monkeypatch, capsys, to_file
+):
+    # the gem an analysis breaks on is its input file: the error names it,
+    # leaves it as it was, and writes no report
+    def broken(g, metadata=None):
+        raise InvariantViolation("planted in the analysis", g)
+
+    monkeypatch.setattr(cli_module, "analysis_report", broken)
+    before = g4_file.read_bytes()
+    report = tmp_path / "report.json"
+    argv = ["analyze", str(g4_file)] + (["--out", str(report)] if to_file else [])
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: internal invariant violation: planted in the analysis\n"
+        f"counterexample gem preserved in {g4_file}\n",
+    )
+    assert g4_file.read_bytes() == before
+    assert not report.exists()
 
 
 def test_analyze_text_format(g4_file, capsys):
@@ -630,11 +654,11 @@ def test_random_shard_memory_does_not_grow_with_its_size():
         for n in (125, 1000):
             tracemalloc.start()
             try:
-                graphs, *_ = reports_module._battery_batch(("random", 2, p, 0, n, 2))
+                shapes, _ = reports_module._battery_batch(("random", 2, p, 0, n, 2))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert graphs == n
+            assert sum(shapes.values()) == n
         assert peaks[1] < 2 * peaks[0]
 
 
@@ -663,19 +687,19 @@ def test_violating_campaign_memory_does_not_grow_with_its_size(monkeypatch):
 
 
 def _tally_gem_by_gem(shard: tuple, check) -> tuple:
-    """What ``_battery_batch`` returns for ``shard``, counted gem by gem."""
-    flagged, evaluated, violated = Counter(), Counter(), Counter()
+    """What ``_battery_batch`` returns for ``shard``, counted gem by gem,
+    followed by the shard's graph count and its violated checks by name."""
+    shapes, violated = Counter(), Counter()
     earliest = []
     gems = list(generator_module.campaign_gems(*shard))
     for index, g in enumerate(gems):
         flags, checks = check(g)
-        flagged.update(name for name, value in flags.items() if value)
-        evaluated.update(checks.keys())
-        failed = [name for name, ok in checks.items() if not ok]
+        failed = tuple(name for name, ok in checks.items() if not ok)
+        shapes[tuple(name for name, value in flags.items() if value), tuple(checks), failed] += 1
         violated.update(failed)
         if failed and len(earliest) < reports_module.MAX_EMBEDDED_COUNTEREXAMPLES:
             earliest += [(index, name, serialize_gem(g)) for name in failed]
-    return len(gems), flagged, evaluated, violated, earliest
+    return dict(shapes), earliest, len(gems), violated
 
 
 # a d = 4 shard mix: five copies of the one p = 1 gem (checked once, through
@@ -686,9 +710,10 @@ _D4_SHARDS = [("random", 4, 1, 0, 5, 11)] + [("random", 4, p, 0, 40, 11 + p) for
 def test_shape_tally_matches_a_gem_by_gem_count():
     kinds = Counter()
     for shard in _D4_SHARDS:
-        expected = _tally_gem_by_gem(shard, reports_module.check_graph)
-        assert reports_module._battery_batch(shard) == expected
-        kinds.update(expected[1])
+        shapes, earliest, graphs, _ = _tally_gem_by_gem(shard, reports_module.check_graph)
+        assert reports_module._battery_batch(shard) == (shapes, earliest)
+        assert sum(shapes.values()) == graphs
+        kinds.update(name for flags, _, _ in shapes for name in flags)
     assert kinds["singular_manifold"] and kinds["crystallization_profile"] and kinds["bipartite"]
 
 
@@ -707,9 +732,8 @@ def test_shape_tally_counts_violations_gem_by_gem(monkeypatch):
     monkeypatch.setattr(reports_module, "check_graph", sabotaged)
     both = 0
     for shard in _D4_SHARDS:
-        expected = _tally_gem_by_gem(shard, sabotaged)
-        assert reports_module._battery_batch(shard) == expected
-        *_, violated, earliest = expected
+        shapes, earliest, _, violated = _tally_gem_by_gem(shard, sabotaged)
+        assert reports_module._battery_batch(shard) == (shapes, earliest)
         assert 0 < sum(violated.values()) and len(earliest) >= 5
         both += len(violated) == 2
     assert both

@@ -660,6 +660,90 @@ def test_excess_pair_sum_is_the_half_order_identity():
     assert outcomes == {False, True}
 
 
+def test_euler_bounds_are_the_four_chains_at_rank_0():
+    # the paper bounds chi by four chains on an associated pair's genus
+    # twices lo <= hi; euler_bounds runs only once the ledger has accepted
+    # p = 3 chi - 5 + q at rank 0.  There the quarter-resolution chain
+    # 8 + lo - q <= 4 chi <= 8 + hi - q is the first chain multiplied by 4,
+    # the second single-genus chain is the first, and the single-genus lower
+    # bound is the first chain's: the four chains hold exactly when
+    # lo - p + 3 <= chi <= min(hi, lo + q) - p + 3 does.  20,000 arbitrary
+    # (lo <= hi, chi, q), most of them within a few units of a bound.
+    rng = random.Random(1951)
+    outcomes = set()
+    for k in range(20000):
+        chi, q, m = rng.randrange(-12, 13), rng.randrange(10), 0
+        p = 3 * chi + 5 * (2 * m - 1) + q
+        # 4 chi - 8 + q is the twice at which chi meets both of its bounds
+        lo = 4 * chi - 8 + q + rng.randrange(-q - 4, 5) if k % 4 else rng.randrange(-60, 61)
+        hi = lo + rng.randrange(q + 6)
+        chains = (
+            lo - p + 3 <= chi <= hi - p + 3
+            and 8 + lo - 10 * m - q <= 4 * chi <= 8 + hi - 10 * m - q
+            and lo - p + 3 <= chi <= lo - p + q + 3
+            and 8 + lo - 10 * m - q <= 4 * chi <= 8 + lo - 10 * m
+        )
+        assert chains is (lo - p + 3 <= chi <= min(hi, lo + q) - p + 3)
+        outcomes.add(chains)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize(
+    "dlo, dhi, holds",  # the pair's twices lo <= hi, as offsets from x below
+    [
+        (0, 0, True),  # lo - p + 3 = chi = hi - p + 3
+        (-1, 0, True),  # chi = lo + q - p + 3
+        (0, 5, True),
+        (1, 1, False),  # chi below lo - p + 3 by one
+        (-1, -1, False),  # chi above hi - p + 3 by one
+        (-2, 0, False),  # chi above lo + q - p + 3 by one
+    ],
+)
+def test_euler_bounds_hold_up_to_each_bound_and_not_past_it(g4, dlo, dhi, holds):
+    # g4 is a crystallization with q = 1; x = 4 chi - 8 + q is the twice at
+    # which chi meets its bounds, so they read x - q <= lo <= x <= hi.  One
+    # associated pair's genus twices, handed to the battery as (x + dlo,
+    # x + dhi) in either order, meet each bound exactly or miss it by one
+    chi, q = euler_characteristic_complex(g4), crystallization_profile(g4, 0).q
+    assert q == 1
+    x = 4 * chi - 8 + q
+    (a, b), cycles = dim4_module._PAIRS[0], _bicolored_cycles(g4)
+    for pair in ((x + dlo, x + dhi), (x + dhi, x + dlo)):
+        twices = list(genus_twices(g4))
+        twices[a], twices[b] = pair
+        flags = {"bipartite": False, "odd_reduced_degree": False}
+        checks = {"class_genus_sum_constant": True}
+        dim4_module.check_identities(
+            g4, tuple(twices), sum(twices), cycles, sum(map(len, cycles.values())),
+            [twices[i] + twices[j] for i, j in dim4_module._PAIRS], flags, checks,
+        )
+        assert flags["crystallization_profile"]
+        assert checks["euler_bounds"] is holds
+
+
+def test_difference_at_most_2q_follows_from_nonnegative_excesses():
+    # the paper also bounds each partner difference by 2q, which
+    # excess_difference_identity does not test apart: a difference equal to
+    # 2(q - 2s) is at most 2q whenever the skip-triple excess s is not
+    # negative, and the ledger refuses every negative t_jkl before the check
+    # runs.  Only a negative excess breaks the bound.  1,000 arbitrary excess
+    # tables, half of them non-negative.
+    rng = random.Random(1961)
+    triples = list(combinations(range(5), 3))
+    caught = set()
+    for k in range(1000):
+        t = {tri: rng.randrange(-2 if k % 2 else 0, 4) for tri in triples}
+        q = sum(t.values())
+        skips = dim4_module._PARTNER_OF(
+            [sum(t[tri] for tri in tris) for tris in dim4_module._CONSECUTIVE3]
+        )
+        above = any(2 * (q - 2 * s) > 2 * q for s in skips)
+        if min(t.values()) >= 0:
+            assert not above
+        caught.add(above)
+    assert caught == {False, True}
+
+
 def _pair_masks(d: int) -> list[int]:
     return [mask for mask in range(2 ** (d + 1)) if mask.bit_count() == 2]
 
