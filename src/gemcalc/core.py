@@ -319,12 +319,13 @@ def is_connected(g: ColoredGraph) -> bool:
     if connected is None:
         mus = g.matchings
         found = [1]
-        seen = {1}
+        seen = [False] * (g.order + 1)
+        seen[1] = True
         for v in found:  # the list grows as it is read
             for mu in mus:
                 w = mu[v - 1]
-                if w not in seen:
-                    seen.add(w)
+                if not seen[w]:
+                    seen[w] = True
                     found.append(w)
         connected = len(found) == g.order
         object.__setattr__(g, "_connected", connected)

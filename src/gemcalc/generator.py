@@ -9,6 +9,14 @@ Pseudorandom Number Generators", OOPSLA 2014), so any range of a corpus can
 be drawn without the gems before it.  A matching is drawn by direct
 pairing: p - 1 unbiased bounded draws per matching of 2p vertices.
 
+SplitMix64 is counter-based: output k from state s is the finalizer of
+s + (k + 1)·gamma mod 2**64.  So a gem candidate's (d+1)(p-1) outputs are
+finalized together, in one wide integer with a 128-bit lane per output, and
+unpacked through a little-endian ``struct`` layout, so they do not depend on
+the platform.  A pass holds at most 64 lanes; when a rejected output or that
+cap uses a pass up, the next starts from the state after the outputs taken.
+The stream states of up to 64 gems are finalized in one pass the same way.
+
 Campaign corpora are sized here, an oversized one refused before any gem
 exists (``campaign_corpus``), and drawn here, any range of one half-order's
 stream at a time (``campaign_gems``).
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, islice, product
+from struct import Struct
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -53,6 +62,8 @@ _TWO64 = 1 << 64
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# the most 64-bit outputs finalized in one lane-packed pass
+_LANE_CAP = 64
 
 # per-sample rejection ceiling before a filter is declared infeasible
 REJECTION_BUDGET = 100_000
@@ -85,9 +96,10 @@ class SplitMix64:
         return z
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased by rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, bound), unbiased by rejection; ``bound``
+        is at most 2**64, the number of outputs."""
+        if not 0 < bound <= _TWO64:
+            raise ValueError("bound must be in 1..2**64")
         limit = _TWO64 - _TWO64 % bound
         while True:
             r = self.next64()
@@ -163,56 +175,99 @@ def _draw_limits(order: int) -> tuple[tuple[int, int], ...]:
     return tuple((bound, _TWO64 - _TWO64 % bound) for bound in range(order - 1, 1, -2))
 
 
-def _random_matching(rng: SplitMix64, order: int) -> tuple[int, ...]:
-    """A uniform perfect matching of 1..order, as its involution array.
+@lru_cache(maxsize=_LANE_CAP)
+def _lanes(n: int) -> tuple[int, int, int, Struct]:
+    """The constants of an n-lane pass: the integer with 1 in each 128-bit
+    lane, the mask of each lane's low 64 bits, the ramp whose lane k holds
+    (k + 1)·gamma mod 2**64, and the little-endian layout of the lanes."""
+    shifts = range(0, 128 * n, 128)
+    one = sum(1 << s for s in shifts)
+    ramp = sum((k * _GAMMA & _MASK64) << s for k, s in enumerate(shifts, 1))
+    return one, one * _MASK64, ramp, Struct("<" + "Q8x" * n)
+
+
+def _finalized(z: int, mask: int, layout: Struct) -> tuple[int, ...]:
+    """The SplitMix64 finalizer applied to every lane of ``z`` at once.
+
+    Each lane holds a 64-bit value in its low half.  A right shift carries a
+    lane's neighbour into its high half, which the mask clears before each
+    multiplication, so no product reaches the next lane.
+    """
+    z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+    z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+    return layout.unpack((z ^ (z >> 31)).to_bytes(layout.size, "little"))
+
+
+def _batches(state: int, count: int) -> Iterator[tuple[int, ...]]:
+    """The SplitMix64 outputs from ``state`` on, one pass at a time: the
+    first ``count`` in passes of up to 64 lanes, then one output a pass."""
+    while True:
+        n = min(count, _LANE_CAP) if count > 0 else 1
+        one, mask, ramp, layout = _lanes(n)
+        yield _finalized((state * one + ramp) & mask, mask, layout)
+        state = (state + n * _GAMMA) & _MASK64
+        count -= n
+
+
+def _matchings(
+    state: int, colors: int, order: int
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``colors`` uniform perfect matchings of 1..order, as involution
+    arrays, drawn from the SplitMix64 state ``state``; and the state after
+    them.
 
     The last free vertex is paired with a uniformly drawn other free vertex
     until two are left, which pair with each other: p - 1 draws for
     order 2p, with 2p - 1, 2p - 3, ..., 3 outcomes, so each of the (2p-1)!!
     matchings is drawn with the same probability.  Each draw is
-    ``rng.below(bound)``, written out on a local copy of the state, which is
-    stored back once at the end.
+    ``SplitMix64.below(bound)``: the outputs are taken in order, and one at
+    or past its limit is rejected and the next taken instead.
     """
-    free = list(range(1, order + 1))
-    mu = [0] * order
-    state = rng.state
-    for bound, limit in _draw_limits(order):
-        while True:
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            z ^= z >> 31
-            if z < limit:
-                break
-        a = free.pop()
-        b = free.pop(z % bound)
+    limits = _draw_limits(order)
+    draws = colors * len(limits)
+    outputs = chain.from_iterable(_batches(state, draws))
+    mats = []
+    for _ in range(colors):
+        free = list(range(1, order + 1))
+        mu = [0] * order
+        for (bound, limit), z in zip(limits, outputs):
+            while z >= limit:
+                draws += 1
+                z = next(outputs)
+            a = free.pop()
+            b = free.pop(z % bound)
+            mu[a - 1] = b
+            mu[b - 1] = a
+        a, b = free
         mu[a - 1] = b
         mu[b - 1] = a
-    rng.state = state
-    a, b = free
-    mu[a - 1] = b
-    mu[b - 1] = a
-    return tuple(mu)
+        mats.append(tuple(mu))
+    return tuple(mats), (state + draws * _GAMMA) & _MASK64
 
 
-def _gem_streams(seed: int, p: int, lo: int, hi: int) -> Iterator[SplitMix64]:
-    """The streams that draw gems ``lo`` to ``hi - 1`` of the corpus (seed, p).
+def _stream_seeds(seed: int, p: int, lo: int, hi: int) -> Iterator[int]:
+    """The stream states that draw gems ``lo`` to ``hi - 1`` of the corpus
+    (seed, p).
 
     With f(z) the SplitMix64 output function, the finalizer applied to
     z + 0x9E3779B97F4A7C15 mod 2**64 (the first ``next64`` of
     ``SplitMix64(z)``, see ``_first64``), gem i's stream starts from
-    f(f(f(seed) ^ p) ^ i).
+    f(f(f(seed) ^ p) ^ i).  The states of up to 64 gems are finalized in
+    one pass.
     """
     key = _first64(_first64(seed) ^ p)
-    for i in range(lo, hi):
-        yield SplitMix64(_first64(key ^ i))
+    for start in range(lo, hi, _LANE_CAP):
+        stop = min(start + _LANE_CAP, hi)
+        one, mask, _, layout = _lanes(stop - start)
+        z = int.from_bytes(layout.pack(*[key ^ i for i in range(start, stop)]), "little")
+        yield from _finalized((z + _GAMMA * one) & mask, mask, layout)
 
 
 def random_gem(spec: GenSpec) -> list[ColoredGraph]:
     """Draw ``spec.count`` gems with independent uniform matchings per color.
 
     Gem i is drawn from its own SplitMix64 stream, seeded from
-    (spec.seed, spec.p, i) (see ``_gem_streams``), so it does not depend on
+    (spec.seed, spec.p, i) (see ``_stream_seeds``), so it does not depend on
     the gems before it.  Filters act by rejection, each rejected candidate
     replaced by the next one from the same gem's stream; exceeding the
     per-sample rejection budget is reported as an infeasible filter.
@@ -224,10 +279,10 @@ def _random_stream(spec: GenSpec, lo: int = 0) -> Iterator[ColoredGraph]:
     """Gems ``lo`` to ``spec.count - 1`` of :func:`random_gem`, drawn one at a
     time as they are taken."""
     order = 2 * spec.p
-    colors = range(spec.d + 1)
-    for rng in _gem_streams(spec.seed, spec.p, lo, spec.count):
+    colors = spec.d + 1
+    for state in _stream_seeds(spec.seed, spec.p, lo, spec.count):
         for attempt in range(REJECTION_BUDGET):
-            mats = tuple(_random_matching(rng, order) for _ in colors)
+            mats, state = _matchings(state, colors, order)
             g = ColoredGraph._trusted(spec.d, order, mats)
             if spec.connected_only and not is_connected(g):
                 continue

@@ -721,6 +721,36 @@ def test_euler_bounds_hold_up_to_each_bound_and_not_past_it(g4, dlo, dhi, holds)
         assert checks["euler_bounds"] is holds
 
 
+def test_euler_bounds_fail_only_where_excess_genus_offset_fails():
+    # excess_genus_offset pins each genus twice to 2(2 chi - 4 + s), s the
+    # skip-triple excess of its permutation; an associated pair's two
+    # excesses are not negative and sum to q, so the smaller is at most q / 2
+    # and the larger at least q / 2, and with p = 3 chi - 5 + q that puts chi
+    # inside both Euler bounds.  So no genus twices fail euler_bounds alone.
+    # 600 seeded tuples on drawn crystallizations, each the true twices with
+    # one or two entries moved by up to 6, every fifth left as it is.
+    rng = random.Random(1971)
+    crystals = [g for g in _singular_corpus() if "crystallization_profile" in check_graph(g)[0]]
+    outcomes = set()
+    for k in range(600):
+        g = crystals[k % len(crystals)]
+        twices = list(genus_twices(g))
+        if k % 5:
+            for i in rng.sample(range(len(twices)), rng.randrange(1, 3)):
+                twices[i] += rng.choice([-1, 1]) * rng.randrange(1, 7)
+        cycles = _bicolored_cycles(g)
+        flags = {"bipartite": False, "odd_reduced_degree": False}
+        checks = {"class_genus_sum_constant": True}
+        dim4_module.check_identities(
+            g, tuple(twices), sum(twices), cycles, sum(map(len, cycles.values())),
+            [twices[i] + twices[j] for i, j in dim4_module._PAIRS], flags, checks,
+        )
+        assert flags["crystallization_profile"]
+        assert checks["euler_bounds"] or not checks["excess_genus_offset"]
+        outcomes.add((checks["euler_bounds"], checks["excess_genus_offset"]))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
 def test_difference_at_most_2q_follows_from_nonnegative_excesses():
     # the paper also bounds each partner difference by 2q, which
     # excess_difference_identity does not test apart: a difference equal to

@@ -30,9 +30,9 @@ from gemcalc import (
 )
 from gemcalc.generator import (
     _gem_stream,
-    _gem_streams,
-    _random_matching,
+    _matchings,
     _random_stream,
+    _stream_seeds,
     all_matchings,
     enumeration_size,
 )
@@ -78,6 +78,15 @@ def test_splitmix_below_bounds():
     assert len(set(values)) == 10
 
 
+def test_splitmix_below_refuses_bounds_past_two_to_the_64():
+    # past 2**64 the largest multiple of the bound up to 2**64 is 0, and no
+    # output lies below it
+    assert SplitMix64(1).below(2**64) == SplitMix64(1).next64()
+    for bound in (0, -1, 2**64 + 1, 2**65):
+        with pytest.raises(ValueError):
+            SplitMix64(1).below(bound)
+
+
 def _output(z: int) -> int:
     # the SplitMix64 output function, written out: the finalizer of z + gamma
     z = (z + 0x9E3779B97F4A7C15) % 2**64
@@ -88,7 +97,7 @@ def _output(z: int) -> int:
 
 def test_gem_streams_start_where_documented():
     for seed, p in ((0, 1), (12345, 8), (-1, 3)):
-        states = [rng.state for rng in _gem_streams(seed, p, 3, 7)]
+        states = list(_stream_seeds(seed, p, 3, 7))
         key = _output(_output(seed % 2**64) ^ p)
         assert states == [_output(key ^ i) for i in range(3, 7)]
 
@@ -123,7 +132,21 @@ def test_each_gem_has_its_own_stream(spec):
     assert list(_random_stream(spec, 5)) == gems[5:]
 
 
+def test_random_stream_starts_anywhere_in_a_pass_of_stream_seeds():
+    # the stream states are finalized 64 gems a pass, counted from lo
+    spec = GenSpec(d=3, p=2, count=150, seed=31)
+    gems = random_gem(spec)
+    for lo in (1, 63, 65, 100, 149):
+        assert list(_random_stream(spec, lo)) == gems[lo:]
+
+
 _GAMMA = 0x9E3779B97F4A7C15
+
+
+def _one_matching(rng: SplitMix64, order: int) -> tuple[int, ...]:
+    # one matching of the lane-packed draw, its state stored back in rng
+    (mu,), rng.state = _matchings(rng.state, 1, order)
+    return mu
 
 
 def _draws(before: int, after: int) -> int:
@@ -139,7 +162,7 @@ def test_matching_draw_takes_p_minus_one_bounded_draws():
     for p in range(1, 9):
         for _ in range(20):
             before = rng.state
-            mu = _random_matching(rng, 2 * p)
+            mu = _one_matching(rng, 2 * p)
             assert _draws(before, rng.state) == p - 1
             assert sorted(mu) == list(range(1, 2 * p + 1))
             assert all(mu[w - 1] == v != w for v, w in enumerate(mu, 1))
@@ -164,7 +187,7 @@ def test_matching_draw_equals_the_below_reference():
         for order in range(2, 41, 2):
             rng, ref = SplitMix64(seed + order), SplitMix64(seed + order)
             for _ in range(3):
-                assert _random_matching(rng, order) == _reference_matching(ref, order)
+                assert _one_matching(rng, order) == _reference_matching(ref, order)
                 assert rng.state == ref.state
 
 
@@ -194,17 +217,42 @@ def test_matching_draw_rejects_outputs_past_the_last_full_multiple():
     assert SplitMix64(state).next64() == top
     for order in range(4, 41, 2):
         rng, ref = SplitMix64(state), SplitMix64(state)
-        mu = _random_matching(rng, order)
+        mu = _one_matching(rng, order)
         assert mu == _reference_matching(ref, order)
         assert rng.state == ref.state
         assert _draws(state, rng.state) == order // 2  # p - 1 draws and one rejected
+
+
+def test_candidate_spanning_several_passes_equals_the_below_reference():
+    # d = 9, p = 40: 10 matchings of 39 draws, 390 outputs in 7 passes
+    for seed in (0, 17, 2**63 + 5, 2**64 - 1):
+        mats, state = _matchings(seed, 10, 80)
+        ref = SplitMix64(seed)
+        for mu in mats:
+            assert mu == _reference_matching(ref, 80)
+        assert state == ref.state
+
+
+@pytest.mark.parametrize("colors, order", [(4, 16), (10, 80)])
+def test_rejected_output_anywhere_in_a_pass(colors, order):
+    # 2**64 - 1 planted at the first, a middle and the last lane of the
+    # first pass, and at the first lane of the second where there is one
+    draws = colors * (order // 2 - 1)
+    first = min(draws, 64)
+    for lane in sorted({0, first // 2, first - 1, min(64, draws - 1)}):
+        state = (_state_before(2**64 - 1) - lane * _GAMMA) % 2**64
+        mats, after = _matchings(state, colors, order)
+        ref = SplitMix64(state)
+        assert mats == tuple(_reference_matching(ref, order) for _ in range(colors))
+        assert after == ref.state
+        assert _draws(state, after) == draws + 1
 
 
 def test_matching_draw_is_uniform_at_order_six():
     # 15 matchings: a count is binomial with mean 2,000 and sd 43, so the
     # +-10% band is 4.6 sd wide on either side
     rng = SplitMix64(2024)
-    counts = Counter(_random_matching(rng, 6) for _ in range(30_000))
+    counts = Counter(_one_matching(rng, 6) for _ in range(30_000))
     assert set(counts) == set(all_matchings(6))
     assert all(1800 <= n <= 2200 for n in counts.values())
 

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 import pytest
 
-from gemcalc import GenSpec, dipole, parse_gem, random_gem, reports
+from gemcalc import GenSpec, dipole, parse_gem, random_gem, reports, serialize_gem
 from gemcalc.cli import main
 from gemcalc.reports import analysis_report, campaign_report, report_json
 
@@ -30,6 +30,9 @@ def _digest(report: dict) -> str:
     return hashlib.sha256(report_json(report).encode()).hexdigest()
 
 
+# shaped like the d = 3 benchmark corpus: p up to 8, 4000 gems
+BENCHMARK_SHAPED = (3, "random", 8, 4000, 16)
+
 CAMPAIGNS = {
     # (d, mode, max_p, count, seed): sha256 of report_json
     (2, "random", 6, 1500, 11): "bfb882d0177c5f878d51b81c7335d283f311d377821f08c718fa2fab15ad41b6",
@@ -37,6 +40,7 @@ CAMPAIGNS = {
     (4, "random", 6, 1200, 13): "a635b82aaf65c54b1bcddf8dd11228a335252151ffeb73a5c542d67d55099e16",
     (5, "random", 4, 240, 14): "a87b71957e06a77ffb9b866774b60a1b4c657379b26225c71788d44fe97dc2d6",
     (6, "random", 3, 40, 15): "8fcf3fdf8c2532fcdf76bfdb2cb9ddf2ab0b5fe570a045b8d9b905da8ed6f188",
+    BENCHMARK_SHAPED: "edefe97cd0f0892c01c033cda20ad0a8b3d3a3c452c91715e4d0599e30912ea5",
     (4, "exhaustive", 2, 0, 0): "dc2d6ff7b7435239796a3d46179c0fdda9f9b411f0b56043cbeaa78fc1815e8c",
 }
 
@@ -69,7 +73,13 @@ DECOMPOSITIONS = {
 }
 
 
-@pytest.mark.parametrize("params", list(CAMPAIGNS), ids=lambda p: f"d{p[0]}-{p[1]}")
+def _campaign_id(params: tuple, mode: bool = True) -> str:
+    if params == BENCHMARK_SHAPED:
+        return "d3-benchmark"
+    return f"d{params[0]}-{params[1]}" if mode else f"d{params[0]}"
+
+
+@pytest.mark.parametrize("params", list(CAMPAIGNS), ids=_campaign_id)
 def test_campaign_report_bytes_pinned(params):
     d, mode, max_p, count, seed = params
     report = campaign_report(d, mode, max_p, count, seed, threads=1)
@@ -82,7 +92,7 @@ RANDOM_CAMPAIGNS = [params for params in CAMPAIGNS if params[1] == "random"]
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("batch_size", [2000, 16, 1])
-@pytest.mark.parametrize("params", RANDOM_CAMPAIGNS, ids=lambda p: f"d{p[0]}")
+@pytest.mark.parametrize("params", RANDOM_CAMPAIGNS, ids=lambda p: _campaign_id(p, mode=False))
 def test_random_campaign_bytes_do_not_depend_on_gem_ranges(
     monkeypatch, serial_fan_out, params, batch_size, workers
 ):
@@ -96,6 +106,17 @@ def test_random_campaign_bytes_do_not_depend_on_gem_ranges(
     shards = reports._shards(*params)
     assert serial_fan_out == ([2] if workers == 2 and len(shards) > 1 else [])
     assert _digest(report) == CAMPAIGNS[params]
+
+
+# sha256 of the serialized gems of random_gem(GenSpec(d=9, p=40, count=3,
+# seed=17)), one per line: 390 draws per candidate, more than one 64-lane batch
+LARGE_GEMS = "3d28c829b26d2cd6522a2e09d43636e22573c359dc1c99a40631c57d2197ddc8"
+
+
+def test_large_random_gems_pinned():
+    gems = random_gem(GenSpec(d=9, p=40, count=3, seed=17))
+    text = "\n".join(serialize_gem(g) for g in gems)
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_GEMS
 
 
 def _labelled_gems(d: int, p: int) -> int:
