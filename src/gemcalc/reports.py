@@ -75,10 +75,27 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def _usable_cpus() -> int:
+def _affinity() -> list[int]:
+    """This process's scheduler affinity in CPU order; empty where the
+    platform has no affinity calls, and then nothing is pinned."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return sorted(os.sched_getaffinity(0))
+    return []
+
+
+def _usable_cpus() -> int:
+    return len(_affinity()) or os.cpu_count() or 1
+
+
+def _pin(cpus: list[int], worker: int | None = None) -> None:
+    """Bind this process to CPU ``cpus[worker % len(cpus)]``, or back to all
+    of ``cpus`` if ``worker`` is None.  A binding the kernel refuses leaves
+    the process where it is: placement never changes a result."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus if worker is None else [cpus[worker % len(cpus)]])
+        except OSError:
+            pass
 
 
 @lru_cache(maxsize=None)
@@ -385,9 +402,18 @@ def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:
     as soon as it finishes its own shard, not after its last.  On any error
     the children still running are killed, and all are reaped before this
     returns; the pipes and the map are closed.
+
+    Worker i is pinned to the i-th CPU of this process's scheduler affinity,
+    modulo its size, so no two workers share a CPU while there are enough:
+    left to the kernel, a forked child may stay on its parent's CPU for the
+    whole campaign.  Each child pins itself right after ``fork``, and this
+    process after the forks.  A pin the kernel refuses leaves that worker
+    where it was, and this process's own affinity is restored before this
+    returns or raises.
     """
     from mmap import mmap  # only a fan-out pays for it
 
+    cpus = _affinity()
     claims = mmap(-1, len(shards))  # all 0; anonymous, so no descriptor
     claims[:workers] = b"\1" * workers  # worker i's first shard is shard i
     children: dict[int, BinaryIO] = {}  # pid: the read end of its pipe
@@ -400,6 +426,7 @@ def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:
             if pid == 0:
                 status = 1
                 try:
+                    _pin(cpus, first)
                     os.close(read_end)
                     try:
                         data = marshal.dumps(list(_claimed_results(shards, claims, first)))
@@ -414,6 +441,7 @@ def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:
                     os._exit(status)
             os.close(write_end)
             children[pid] = open(read_end, "rb")
+        _pin(cpus, 0)
         done = []
         for result in _claimed_results(shards, claims, 0):
             done.append(result)
@@ -427,6 +455,7 @@ def _fan_out(shards: list[tuple], workers: int) -> dict[tuple, tuple]:
             children.pop(pid).close()
             done += _child_results(pid, data, os.waitpid(pid, 0)[1])
     finally:
+        _pin(cpus)
         claims.close()
         if children:
             import signal  # only an error with a child still running pays for it

@@ -1,4 +1,5 @@
-"""Shared fixtures, a fake campaign fan-out and independent oracles.
+"""Shared fixtures, a fake campaign fan-out, a per-phase time limit and
+independent oracles.
 
 The oracles deliberately use different computational routes than the
 library: breadth-first walks instead of union-find for components,
@@ -9,6 +10,7 @@ part assignment for bipartiteness.
 from __future__ import annotations
 
 import os
+import signal
 from itertools import combinations
 
 import pytest
@@ -94,6 +96,59 @@ def no_child_left():
     """A test that leaves a child process behind fails."""
     yield
     assert_no_child()
+
+
+@pytest.fixture(autouse=True)
+def affinity_kept():
+    """A test that leaves this process pinned to other CPUs fails (a campaign
+    fan-out pins its workers, and must give this process its set back)."""
+    if not hasattr(os, "sched_getaffinity"):
+        yield
+        return
+    affinity = os.sched_getaffinity(0)
+    yield
+    left = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, affinity)  # so that the next test starts unpinned
+    assert left == affinity, f"this process was left pinned to CPUs {sorted(left)}"
+
+
+PHASE_TIME_LIMIT_S = 60
+
+
+def _over_time(signum, frame) -> None:
+    pytest.fail(f"the test ran past the {PHASE_TIME_LIMIT_S} s limit of one phase "
+                "(setup, call or teardown) set in tests/conftest.py")
+
+
+def _bounded_phase():
+    """Run one phase of a test under a real-time alarm that fails it after
+    ``PHASE_TIME_LIMIT_S``, so that a loop which stops advancing fails
+    instead of hanging the suite.  A forked child does not inherit the
+    timer.  The phases are wrapped rather than the test bodies, since a
+    module-scoped fixture (a drawn corpus) is set up before any
+    function-scoped one."""
+    previous = signal.signal(signal.SIGALRM, _over_time)
+    signal.setitimer(signal.ITIMER_REAL, PHASE_TIME_LIMIT_S)
+    try:
+        return (yield)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_setup(item):
+    return (yield from _bounded_phase())
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    return (yield from _bounded_phase())
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_teardown(item, nextitem):
+    return (yield from _bounded_phase())
 
 
 def corpus(d: int, p: int, count: int, seed: int, **kw) -> list[ColoredGraph]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pickle
@@ -233,11 +234,30 @@ def test_verify_random_reproducible(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def _two_cpus(monkeypatch) -> None:
-    # the fan-out is capped by the usable CPUs: show two on any machine
-    monkeypatch.setattr(
-        reports_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
-    )
+def _two_cpus(monkeypatch, refuse_pins: bool = False) -> list[list[int]]:
+    """Show the fan-out two usable CPUs, {0, 1}, on any machine, and return
+    the pins this process asks for from now on.  A pin within {0, 1} sets
+    the affinity that is read back, and any other pin is refused as the
+    kernel refuses it, so the fake stays consistent on a one-CPU host; with
+    ``refuse_pins`` every pin is refused."""
+    bound = {0, 1}
+    parent = os.getpid()
+    pins: list[list[int]] = []
+
+    def getaffinity(pid):
+        return set(bound)
+
+    def setaffinity(pid, cpus):
+        if os.getpid() == parent:
+            pins.append(sorted(cpus))
+        if refuse_pins or not set(cpus) <= {0, 1}:
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+        bound.clear()
+        bound.update(cpus)
+
+    monkeypatch.setattr(reports_module.os, "sched_getaffinity", getaffinity, raising=False)
+    monkeypatch.setattr(reports_module.os, "sched_setaffinity", setaffinity, raising=False)
+    return pins
 
 
 def _counted_forks(monkeypatch) -> list[int]:
@@ -253,18 +273,22 @@ def _counted_forks(monkeypatch) -> list[int]:
     return forks
 
 
-def _assert_two_workers_fork_once(tmp_path, monkeypatch, args) -> None:
-    """One worker forks nothing, two fork once, and the reports are equal."""
-    _two_cpus(monkeypatch)
+def _assert_two_workers_fork_once(tmp_path, monkeypatch, args, refuse_pins=False) -> None:
+    """One worker forks and pins nothing, two fork once, and the reports are
+    equal.  This process pins itself to CPU 0 and then back to both, whether
+    or not the pins are refused."""
+    pins = _two_cpus(monkeypatch, refuse_pins)
     forks = _counted_forks(monkeypatch)
     solo, duo = tmp_path / "solo.json", tmp_path / "duo.json"
     monkeypatch.setenv("GEMCALC_THREADS", "1")
     assert main(args + ["--out", str(solo)]) == 0
-    assert forks == []
+    assert forks == [] and pins == []
     monkeypatch.setenv("GEMCALC_THREADS", "2")
     assert main(args + ["--out", str(duo)]) == 0
     # this process is one of the two workers: it forked the other once
     assert forks == [os.getpid()]
+    assert pins == [[0], [0, 1]]
+    assert reports_module.os.sched_getaffinity(0) == {0, 1}
     assert solo.read_bytes() == duo.read_bytes()
     assert_no_child()
 
@@ -327,6 +351,25 @@ def test_fan_out_free_worker_claims_the_later_shards(monkeypatch):
     assert_no_child()
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_fan_out_pins_worker_i_to_the_ith_cpu(monkeypatch, workers):
+    # worker i runs every shard it claims on the i-th CPU of this process's
+    # affinity, modulo its size (on a one-CPU host all share that CPU), and
+    # this process is worker 0; its own affinity is restored afterwards
+    cpus = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(
+        reports_module, "_battery_batch",
+        lambda shard: (os.getpid(), sorted(os.sched_getaffinity(0))),
+    )
+    shards = [("shard", k) for k in range(4 * workers)]
+    done = reports_module._fan_out(shards, workers)
+    worker_of = {done[shards[i]][0]: i for i in range(workers)}
+    assert len(worker_of) == workers and worker_of[os.getpid()] == 0
+    assert all(placed == [cpus[worker_of[pid] % len(cpus)]] for pid, placed in done.values())
+    assert sorted(os.sched_getaffinity(0)) == cpus
+    assert_no_child()
+
+
 @pytest.mark.parametrize("workers, count", [(2, 2), (3, 3), (3, 50), (4, 2000)])
 def test_fan_out_keys_every_shard_once(monkeypatch, workers, count):
     # the last case races more workers than most machines have cores for
@@ -354,9 +397,11 @@ def test_worker_error_stops_the_claims(monkeypatch):
         return shard
 
     monkeypatch.setattr(reports_module, "_battery_batch", batch)
+    affinity = os.sched_getaffinity(0)
     with pytest.raises(GemError, match="planted in a worker"):
         reports_module._fan_out([("shard", k) for k in range(40)], 2)
     assert len(ran) < 20
+    assert os.sched_getaffinity(0) == affinity  # this process's pin undone
     assert_no_child()
 
 
@@ -374,9 +419,11 @@ def test_dead_worker_reported_between_shards(monkeypatch):
         return shard
 
     monkeypatch.setattr(reports_module, "_battery_batch", batch)
+    affinity = os.sched_getaffinity(0)
     with pytest.raises(ChildProcessError, match=r"ended without a result \(exit status 3\)"):
         reports_module._fan_out([("shard", k) for k in range(40)], 2)
     assert len(ran) < 10
+    assert os.sched_getaffinity(0) == affinity  # this process's pin undone
     assert_no_child()
 
 
@@ -405,6 +452,7 @@ def test_fan_out_leaves_no_descriptor_open(monkeypatch, outcome):
     monkeypatch.setattr(reports_module, "_battery_batch", batch)
     shards = [("shard", k) for k in range(5)]
     before = _open_fds()
+    affinity = os.sched_getaffinity(0)
     if outcome == "success":
         assert reports_module._fan_out(shards, 3) == {shard: shard for shard in shards}
     else:
@@ -412,6 +460,7 @@ def test_fan_out_leaves_no_descriptor_open(monkeypatch, outcome):
         with pytest.raises(error):
             reports_module._fan_out(shards, 3)
     assert _open_fds() == before
+    assert os.sched_getaffinity(0) == affinity
     assert_no_child()
 
 
@@ -419,6 +468,13 @@ def test_fan_out_leaves_no_descriptor_open(monkeypatch, outcome):
 # the p = 1 one by the child it forks
 _FAN_OUT_VERIFY = ["verify", "--d", "3", "--mode", "random", "--p", "2",
                    "--count", "2400", "--seed", "5"]
+
+
+def test_refused_pin_changes_nothing_visible(tmp_path, monkeypatch):
+    # a kernel that refuses every pin leaves each worker where it is: the
+    # two-worker report is the one-worker report, and no OSError escapes
+    # to be read as bad input (exit 2)
+    _assert_two_workers_fork_once(tmp_path, monkeypatch, _FAN_OUT_VERIFY, refuse_pins=True)
 
 
 @pytest.mark.parametrize("error, code", [(InvariantViolation, 1), (GemError, 2)])
