@@ -16,7 +16,6 @@ Colors appear in ascending order, vertices run 1..2p, and no floats occur.
 from __future__ import annotations
 
 import json
-from collections import deque
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
@@ -213,7 +212,8 @@ def _build_vector(
     n = len(matchings)
     if size is None:
         size = n
-    edges = [[(v, w - 1) for v, w in enumerate(mu) if v < w - 1] for mu in matchings]
+    # color 0 is no subset's top color, so its edges are never read
+    edges = [()] + [[(v, w - 1) for v, w in enumerate(mu) if v < w - 1] for mu in matchings[1:]]
     counts: list[int | None] = [None] * (1 << n)
     counts[0] = order
     extended = 1 << (n - 1)
@@ -339,20 +339,20 @@ def _require_connected(g: ColoredGraph, what: str) -> None:
 
 
 def is_bipartite(g: ColoredGraph) -> bool:
-    """Breadth-first 2-coloring over all components of the underlying multigraph."""
+    """Breadth-first 2-coloring over all components of the underlying
+    multigraph, by one walk per component."""
     side = [0] * (g.order + 1)
     for start in range(1, g.order + 1):
         if side[start]:
             continue
         side[start] = 1
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
+        found = [start]
+        for v in found:  # the list grows as it is read
             for mu in g.matchings:
                 w = mu[v - 1]
                 if side[w] == 0:
                     side[w] = -side[v]
-                    queue.append(w)
+                    found.append(w)
                 elif side[w] == side[v]:
                     return False
     return True

@@ -19,15 +19,18 @@ index tables built once.  The battery's pair gaps, singular-manifold
 recognition and the component side of the residue-degree identity are the
 exception: one walk over the graph's bicolored cycles (in the battery, the
 walk it hands to ``check_identities``) keeps a vertex of each cycle, and a
-label walk over the matchings numbers the components of each residue.
-Singular-manifold recognition labels the 3-colored residues and counts
-each cycle as a face of its component; the residue-degree identity counts
-the components of the five 4-colored residues, whose cycles are three times
-the walk's (each color pair lies in three of them).  No side therefore
-collapses into an algebraic consequence of the vector it is checked
-against.  Manifold recognition labels only 3-colored residues: each
-3-colored residue of a 4-colored residue component is a 3-colored residue
-of the whole graph.
+label walk over the matchings numbers the components of a residue.  A
+residue that holds a color pair whose walk is one cycle through every
+vertex is connected, since adding colors splits no component: its one
+component holds all its pairs' cycles and has half-order p, and it is not
+labelled.  Singular-manifold recognition counts each cycle of a 3-colored
+residue as a face of its component; the residue-degree identity counts the
+components of the five 4-colored residues, whose cycles are three times
+the walk's (each color pair lies in three of them).  That evidence comes
+from the walk alone, never from the vector, so no side collapses into an
+algebraic consequence of the vector it is checked against.  Manifold
+recognition reads only 3-colored residues: each 3-colored residue of a
+4-colored residue component is a 3-colored residue of the whole graph.
 """
 
 from __future__ import annotations
@@ -112,6 +115,13 @@ def _mask(colors) -> int:
     return sum(1 << c for c in colors)
 
 
+def _pair_gather(colors: tuple[int, ...]) -> itemgetter:
+    """Gathers the entries of the color pairs within ``colors`` off a
+    mask-indexed list: the residue vector, or the walk's cycle counts
+    (:func:`_cycle_counts`)."""
+    return itemgetter(*map(_mask, combinations(colors, 2)))
+
+
 # Index tables over cyclic_permutations(4), read by every identity below.
 _PERMS = cyclic_permutations(4)
 # the genera of the partners, in permutation order
@@ -122,12 +132,14 @@ _CONSECUTIVE3 = tuple(tuple(consecutive_triples(eps)) for eps in _PERMS)
 # e are the consecutive triples of its partner
 _TRIPLE_GATHERS = tuple(itemgetter(*map(_mask, tris)) for tris in _CONSECUTIVE3)
 _TRIPLE_MASK = {t: _mask(t) for t in combinations(range(5), 3)}
-_TRIPLE_PAIRS = tuple(  # (rst, rs, rt, st) masks of the ten triples
-    (m,) + tuple(_mask(pr) for pr in combinations(t, 2)) for t, m in _TRIPLE_MASK.items()
-)
+# per triple of the colors at d = 3 and at d = 4, its colors and its pairs' gather
+_TRIPLE_PAIRS = {
+    d: tuple((t, _pair_gather(t)) for t in combinations(range(d + 1), 3)) for d in (3, 4)
+}
 _HAT_COLORS = tuple(tuple(c for c in range(5) if c != i) for i in range(5))  # all but i
 _HATS = tuple(map(_mask, _HAT_COLORS))
 _HAT_COUNTS = itemgetter(*_HATS)
+_HAT_PAIRS = tuple(map(_pair_gather, _HAT_COLORS))
 
 
 def _hat_sum(vec: tuple[int, ...]) -> int:
@@ -149,7 +161,8 @@ def _pair_gaps(vec: Sequence[int]) -> tuple[int, ...]:
 
 def _cycle_counts(cycles: dict[tuple[int, int], list[int]]) -> list[int]:
     """The walk's cycle count of each color pair, at the pair's mask of a
-    32-entry list; the other entries are 0 and never read."""
+    32-entry list; the other entries are 0, so the list sums to the walk's
+    cycle total."""
     counts = [0] * 32
     for (r, s), reps in cycles.items():
         counts[1 << r | 1 << s] = len(reps)
@@ -172,12 +185,21 @@ def _component_faces(
 
 def _spherical_triples(g: ColoredGraph, cycles: dict[tuple[int, int], list[int]]) -> bool:
     """True iff every component of every 3-colored residue is a sphere
-    (Euler characteristic faces - p_c = 2)."""
-    return all(
-        faces - p_c == 2
-        for triple in combinations(g.colors, 3)
-        for faces, p_c in _component_faces(g, cycles, triple)
-    )
+    (Euler characteristic faces - p_c = 2).
+
+    A residue with a one-cycle pair is connected, so its one component holds
+    all its pairs' cycles and has half-order p; only the other residues are
+    labelled."""
+    counts = _cycle_counts(cycles)
+    p = g.p
+    for triple, gather in _TRIPLE_PAIRS[g.d]:
+        faces = gather(counts)
+        if 1 in faces:
+            if sum(faces) - p != 2:
+                return False
+        elif not all(f - p_c == 2 for f, p_c in _component_faces(g, cycles, triple)):
+            return False
+    return True
 
 
 @lru_cache(maxsize=4096)
@@ -204,8 +226,7 @@ def _partner_differences(twices: tuple[int, ...]) -> tuple[int, ...]:
 def _triple_relation(vec: tuple[int, ...], p: int) -> bool:
     # 2 g_{rst} = g_{rs} + g_{rt} + g_{st} - p on all ten triples
     return all(
-        2 * vec[rst] == vec[rs] + vec[rt] + vec[st] - p
-        for rst, rs, rt, st in _TRIPLE_PAIRS
+        2 * vec[_TRIPLE_MASK[t]] == sum(gather(vec)) - p for t, gather in _TRIPLE_PAIRS[4]
     )
 
 
@@ -355,23 +376,29 @@ def _classify(
     return ClassificationResult(kind=kind, witness=witness, satisfies_12rho=left)
 
 
-def _hat_degree_total(g: ColoredGraph, cycle_total: int) -> int:
-    """The component degrees of the five 4-colored residues, summed.
+def _hat_degree_total(g: ColoredGraph, counts: list[int]) -> int:
+    """The component degrees of the five 4-colored residues, summed, from the
+    walk's cycle counts (:func:`_cycle_counts`).
 
     At d = 3 a component's degree is its reduced degree 3 + 3p_c - f_c; the
-    k components of a residue cover all p, so its sum is 3k + 3p - F, with k
-    counted by a label walk and F the residue's bicolored cycles.  Each color
-    pair lies in three of the five residues, so their F add up to three times
-    the walk's cycle total S, and the five sums to 3 * (sum k + 5p - S).
+    k components of a residue cover all p, so its sum is 3k + 3p - F, with F
+    the residue's bicolored cycles.  k is 1 where one of the residue's pairs
+    is a single cycle through every vertex, and is counted by a label walk
+    elsewhere.  Each color pair lies in three of the five residues, so their
+    F add up to three times the walk's cycle total S, and the five sums to
+    3 * (sum k + 5p - S).
     """
-    k = sum([len(_component_labels(g, colors)[1]) for colors in _HAT_COLORS])
-    return 3 * (k + 5 * g.p - cycle_total)
+    k = sum([
+        1 if 1 in gather(counts) else len(_component_labels(g, colors)[1])
+        for colors, gather in zip(_HAT_COLORS, _HAT_PAIRS)
+    ])
+    return 3 * (k + 5 * g.p - sum(counts))
 
 
 def _residue_degree_holds(
-    g: ColoredGraph, cycle_total: int, hat_sum: int, omega_twice: int
+    g: ColoredGraph, counts: list[int], hat_sum: int, omega_twice: int
 ) -> bool:
-    return omega_twice == 6 * (g.p + 4 - hat_sum) + 2 * _hat_degree_total(g, cycle_total)
+    return omega_twice == 6 * (g.p + 4 - hat_sum) + 2 * _hat_degree_total(g, counts)
 
 
 def residue_degree_identity(g: ColoredGraph) -> bool:
@@ -383,8 +410,8 @@ def residue_degree_identity(g: ColoredGraph) -> bool:
     """
     _require_d(g, 4)
     _require_connected(g, "the residue-degree identity")
-    cycle_total = sum(map(len, _bicolored_cycles(g).values()))
-    return _residue_degree_holds(g, cycle_total, _hat_sum(residue_vector(g)), sum(genus_twices(g)))
+    counts = _cycle_counts(_bicolored_cycles(g))
+    return _residue_degree_holds(g, counts, _hat_sum(residue_vector(g)), sum(genus_twices(g)))
 
 
 # --- the five-color part of the identity battery -----------------------------
@@ -395,7 +422,6 @@ def check_identities(
     twices: tuple[int, ...],
     omega_twice: int,
     cycles: dict[tuple[int, int], list[int]],
-    cycle_total: int,
     pair_twices: list[int],
     flags: dict,
     checks: dict,
@@ -404,23 +430,23 @@ def check_identities(
     battery's ``flags`` and ``checks``.
 
     ``twices`` is :func:`genus_twices` of the graph and ``omega_twice``
-    their sum, twice the degree, as the battery formed it; ``cycles`` and
-    ``cycle_total`` are the battery's one bicolored-cycle walk and its cycle
-    total; ``pair_twices`` are its class sums, which at n = 5 are twice
-    rho_e + rho_e' for the pairs of ``_PAIRS``.  ``flags`` already holds
-    ``bipartite`` and ``odd_reduced_degree``, and ``checks``
-    ``class_genus_sum_constant``.  The pair sums, the partner differences,
-    the pair gaps (the twelve adjacent-minus-skip pair sums, off the walk's
-    cycle counts), the hat counts and the regular genus are each formed
-    once, and read by every identity that needs them; so are the two sides
-    of the minimal-degree criterion, which the classification reads again
-    on a crystallization.  There every excess check is one comparison, read
-    at the rank 0 that the ledger accepted: no excess is negative, and
-    p = 3 chi - 5 + q.
+    their sum, twice the degree, as the battery formed it; ``cycles`` is
+    the battery's one bicolored-cycle walk; ``pair_twices`` are its class
+    sums, which at n = 5 are twice rho_e + rho_e' for the pairs of
+    ``_PAIRS``.  ``flags`` already holds ``bipartite`` and
+    ``odd_reduced_degree``, and ``checks`` ``class_genus_sum_constant``.
+    The pair sums, the partner differences, the pair gaps (the twelve
+    adjacent-minus-skip pair sums, off the walk's cycle counts), the hat
+    counts and the regular genus are each formed once, and read by every
+    identity that needs them; so are the two sides of the minimal-degree
+    criterion, which the classification reads again on a crystallization.
+    There every excess check is one comparison, read at the rank 0 that the
+    ledger accepted: no excess is negative, and p = 3 chi - 5 + q.
     """
     vec = residue_vector(g)
     least = min(twices)
-    gaps = _pair_gaps(_cycle_counts(cycles))
+    counts = _cycle_counts(cycles)
+    gaps = _pair_gaps(counts)
     diffs = _partner_differences(twices)
     hats = _HAT_COUNTS(vec)
     hat_sum = sum(hats)
@@ -437,7 +463,7 @@ def check_identities(
     checks["minimal_degree_biconditional"] = sides[0] == sides[1]
     if flags["odd_reduced_degree"]:
         checks["odd_reduced_forces_nonorientable"] = not flags["bipartite"] and not singular
-    checks["residue_degree_identity"] = _residue_degree_holds(g, cycle_total, hat_sum, omega_twice)
+    checks["residue_degree_identity"] = _residue_degree_holds(g, counts, hat_sum, omega_twice)
     if not singular:
         return
 

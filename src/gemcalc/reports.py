@@ -193,9 +193,7 @@ def _check(
         )
 
     if d == 4:
-        _dim4().check_identities(
-            g, twices, omega_twice, cycles, pair_sum, class_sums, flags, checks
-        )
+        _dim4().check_identities(g, twices, omega_twice, cycles, class_sums, flags, checks)
 
     # the main theorem: (d-1)! divides the degree of bipartite and of
     # singular-manifold graphs in even d >= 4

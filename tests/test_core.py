@@ -279,6 +279,24 @@ def test_bipartite_matches_oracle():
         assert is_bipartite(g) == oracle_bipartite(g)
 
 
+def test_bipartite_walks_every_component(dipole4, g4, odd_degree_witness):
+    # a graph is bipartite iff each component is: the odd component is found
+    # whether it holds vertex 1 or not
+    def union(g, h):
+        return ColoredGraph(d=g.d, order=g.order + h.order, matchings=tuple(
+            a + tuple(w + g.order for w in b) for a, b in zip(g.matchings, h.matchings)
+        ))
+
+    assert is_bipartite(union(dipole4, g4))
+    assert not is_bipartite(odd_degree_witness)
+    assert not is_bipartite(union(g4, odd_degree_witness))
+    assert not is_bipartite(union(odd_degree_witness, dipole4))
+    disconnected = [g for g in corpus(2, 4, 200, seed=102) if not is_connected(g)]
+    outcomes = [is_bipartite(g) for g in disconnected]
+    assert outcomes == [oracle_bipartite(g) for g in disconnected]
+    assert set(outcomes) == {True, False}
+
+
 def test_connectivity(dipole4, g4):
     assert is_connected(dipole4)
     assert is_connected(g4)

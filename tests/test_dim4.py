@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 from math import factorial
 
@@ -43,8 +44,10 @@ from gemcalc.dim4 import (
     SEMI_SIMPLE,
     WEAK_SEMI_SIMPLE,
     _component_faces,
+    _cycle_counts,
     _hat_degree_total,
     _pair_gaps,
+    _spherical_triples,
     consecutive_triples,
 )
 
@@ -714,7 +717,7 @@ def test_euler_bounds_hold_up_to_each_bound_and_not_past_it(g4, dlo, dhi, holds)
         flags = {"bipartite": False, "odd_reduced_degree": False}
         checks = {"class_genus_sum_constant": True}
         dim4_module.check_identities(
-            g4, tuple(twices), sum(twices), cycles, sum(map(len, cycles.values())),
+            g4, tuple(twices), sum(twices), cycles,
             [twices[i] + twices[j] for i, j in dim4_module._PAIRS], flags, checks,
         )
         assert flags["crystallization_profile"]
@@ -742,7 +745,7 @@ def test_euler_bounds_fail_only_where_excess_genus_offset_fails():
         flags = {"bipartite": False, "odd_reduced_degree": False}
         checks = {"class_genus_sum_constant": True}
         dim4_module.check_identities(
-            g, tuple(twices), sum(twices), cycles, sum(map(len, cycles.values())),
+            g, tuple(twices), sum(twices), cycles,
             [twices[i] + twices[j] for i, j in dim4_module._PAIRS], flags, checks,
         )
         assert flags["crystallization_profile"]
@@ -1073,7 +1076,8 @@ def test_label_walk_matches_extracted_residues():
 
 def test_gap_table_and_hat_total_match_oracles():
     # each gap is the adjacent-pair faces minus the skip-pair faces, walked
-    # edge by edge; the count-only hat total is the per-component degree sum
+    # edge by edge; the count-only hat total, which labels only the hats with
+    # no one-cycle pair, is the per-component degree sum of the walk over all
     nonzero = set()
     for g in _label_walk_corpus():
         if g.d != 4:
@@ -1087,7 +1091,7 @@ def test_gap_table_and_hat_total_match_oracles():
         )
         nonzero.add(any(gaps))
         cycles = _bicolored_cycles(g)
-        assert _hat_degree_total(g, sum(map(len, cycles.values()))) == sum(
+        assert _hat_degree_total(g, _cycle_counts(cycles)) == sum(
             _reduced_degree(3, p_c, f_c)
             for hat in combinations(g.colors, 4)
             for f_c, p_c in _component_faces(g, cycles, hat)
@@ -1095,9 +1099,73 @@ def test_gap_table_and_hat_total_match_oracles():
     assert nonzero == {True, False}
 
 
+def _one_cycle_pair(cycles: dict, colors: tuple[int, ...]) -> bool:
+    """Whether some color pair of the residue is one bicolored cycle."""
+    return any(len(cycles[pair]) == 1 for pair in combinations(colors, 2))
+
+
+def test_one_cycle_pair_proves_its_residues_connected():
+    # a pair that is one cycle through every vertex keeps every vertex in one
+    # component of each residue holding that pair, and adding colors splits
+    # none: the residue is one component with all its pairs' cycles and
+    # half-order p.  The triple test that skips the label walk there agrees
+    # with the walk over every triple (the hat total is held to it in
+    # test_gap_table_and_hat_total_match_oracles, over the same corpus)
+    graphs = _label_walk_corpus() + [g for p in (1, 2) for g in enumerate_gems(3, p)]
+    seen = set()
+    for g in graphs:
+        cycles = _bicolored_cycles(g)
+        for h in range(3, g.d + 1):  # the triples, and at d = 4 the hats
+            for colors in combinations(g.colors, h):
+                proved = _one_cycle_pair(cycles, colors)
+                seen.add((h, proved))
+                if proved:
+                    faces = sum(len(cycles[pair]) for pair in combinations(colors, 2))
+                    assert [
+                        (sum(oracle_faces(c, r, s) for r, s in combinations(c.colors, 2)), c.p)
+                        for c in oracle_residues(g, colors)
+                    ] == [(faces, g.p)]
+        assert _spherical_triples(g, cycles) == all(
+            faces - p_c == 2
+            for triple in combinations(g.colors, 3)
+            for faces, p_c in _component_faces(g, cycles, triple)
+        )
+    assert seen == {(h, proved) for h in (3, 4) for proved in (True, False)}
+
+
+def test_split_label_walk_fails_where_no_pair_is_one_cycle(monkeypatch):
+    # a singular gem whose hat {0, 1, 3, 4} and its four triples have no
+    # one-cycle pair (colors 0, 1, 3 and 4 are one matching): the battery
+    # labels them, so a label walk that splits one component off fails the
+    # residue-degree identity and makes a sphere triple a non-sphere
+    g = ColoredGraph(d=4, order=4, matchings=(M_B, M_B, M_A, M_B, M_B))
+    cycles = _bicolored_cycles(g)
+    assert [hat for hat in combinations(range(5), 4) if not _one_cycle_pair(cycles, hat)] == [
+        (0, 1, 3, 4)
+    ]
+    flags, checks = check_graph(g)
+    assert flags["singular_manifold"] and all(checks.values())
+    labels = dim4_module._component_labels
+
+    def splitting(h, colors):
+        # the last vertex of component 0 becomes a component of its own
+        label, sizes = labels(h, colors)
+        v = max(v for v, k in enumerate(label) if k == 0)
+        label[v] = len(sizes)
+        sizes[0] -= 1
+        sizes.append(1)
+        return label, sizes
+
+    monkeypatch.setattr(dim4_module, "_component_labels", splitting)
+    flags, checks = check_graph(ColoredGraph(d=4, order=4, matchings=g.matchings))
+    assert checks["residue_degree_identity"] is False
+    assert flags["singular_manifold"] is False
+
+
 def test_d4_battery_reads_each_residue_fact_once(monkeypatch, g4, odd_degree_witness):
-    # per gem: one pair gap tuple, one label walk per hat and at most one per
-    # triple, and faces attributed per component on the triples alone
+    # per gem: one pair gap tuple, and one label walk per residue with no
+    # one-cycle pair, every hat and at most each triple, with faces
+    # attributed per component on the triples alone
     graphs = [g for p in range(1, 7) for g in corpus(4, p, 20, seed=600 + p, connected_only=True)]
     graphs += [g4, odd_degree_witness]
     pair_gap_builds, labelled, faced = [], [], []
@@ -1120,21 +1188,27 @@ def test_d4_battery_reads_each_residue_fact_once(monkeypatch, g4, odd_degree_wit
     monkeypatch.setattr(dim4_module, "_pair_gaps", counting_gaps)
     monkeypatch.setattr(dim4_module, "_component_labels", counting_labels)
     monkeypatch.setattr(dim4_module, "_component_faces", counting_faces)
-    branches = set()
+    branches, walked = set(), Counter()
     for g in graphs:
         pair_gap_builds.clear()
         labelled.clear()
         faced.clear()
         flags, _ = check_graph(g)
         assert len(pair_gap_builds) == 1
+        cycles = _bicolored_cycles(g)
         hats = [colors for colors in labelled if len(colors) == 4]
         triples = [colors for colors in labelled if len(colors) == 3]
-        assert sorted(hats) == list(combinations(range(5), 4))
+        assert sorted(hats) == [
+            hat for hat in combinations(range(5), 4) if not _one_cycle_pair(cycles, hat)
+        ]
         assert len(hats) + len(triples) == len(labelled)
-        assert len(set(triples)) == len(triples) <= 10
+        assert len(set(triples)) == len(triples)
+        assert not any(_one_cycle_pair(cycles, triple) for triple in triples)
         assert faced == triples
+        walked.update(hats=len(hats), triples=len(triples))
         branches.add((flags["singular_manifold"], "crystallization_profile" in flags))
     assert branches == {(False, False), (True, False), (True, True)}
+    assert walked["hats"] and walked["triples"]
 
 
 def test_d4_battery_builds_no_graphs(built_graphs, g4, odd_degree_witness):
