@@ -19,6 +19,7 @@ import json
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from operator import mul
 from typing import Iterable
 
 __all__ = [
@@ -180,8 +181,9 @@ def _color_mask(g: ColoredGraph, colors: Iterable[int]) -> int:
 def _vector_plan(n: int, size: int) -> tuple[tuple[int, int, int, bool], ...]:
     """``(mask, rest, top, kept)`` for each subset of 2 to ``size`` of n colors,
     by ascending bitmask: ``top`` is its last color, ``rest`` the mask without
-    it, and ``kept`` whether its forest is ever extended (it lacks color
-    n - 1 and has fewer than ``size`` colors)."""
+    it, and ``kept`` whether its forest may be extended (it lacks color
+    n - 1 and has fewer than ``size`` colors).  A kept set's forest is read
+    only while the set has more than one component."""
     plan = []
     for mask in range(3, 1 << n):
         colors = mask.bit_count()
@@ -208,6 +210,13 @@ def _build_vector(
     larger subsets are None, never counted.  Each subset's predecessor, new
     color and whether it is kept come from a plan built once per ``(n, size)``
     (:func:`_vector_plan`), so no bit is counted per graph.
+
+    Adding colors splits no component, so a set whose predecessor is
+    connected is connected too: its entry is 1, with no copy and no merge,
+    and a merge stops once its count reaches 1.  A forest is thus read only
+    for a set with more than one component, and every such set was merged
+    in full; the ``[]`` placeholder of a set that was skipped, and the
+    partial forest of one that stopped early, are never read.
     """
     n = len(matchings)
     if size is None:
@@ -223,21 +232,24 @@ def _build_vector(
         if 1 << c < extended and size > 1:
             forests[1 << c] = [v if v < w - 1 else w - 1 for v, w in enumerate(mu)]
     for mask, rest, top, kept in _vector_plan(n, size):
-        parent = forests[rest][:]
         count = counts[rest]
-        for a, b in edges[top]:
-            # path halving: point each vertex walked at its grandparent
-            # (parent[a] is assigned before a moves on)
-            while a != (up := parent[a]):
-                parent[a] = a = parent[up]
-            while b != (up := parent[b]):
-                parent[b] = b = parent[up]
-            if a != b:
-                parent[b] = a
-                count -= 1
+        if count > 1:
+            parent = forests[rest][:]
+            for a, b in edges[top]:
+                # path halving: point each vertex walked at its grandparent
+                # (parent[a] is assigned before a moves on)
+                while a != (up := parent[a]):
+                    parent[a] = a = parent[up]
+                while b != (up := parent[b]):
+                    parent[b] = b = parent[up]
+                if a != b:
+                    parent[b] = a
+                    count -= 1
+                    if count == 1:
+                        break
+            if kept:
+                forests[mask] = parent
         counts[mask] = count
-        if kept:
-            forests[mask] = parent
     return tuple(counts)
 
 
@@ -372,9 +384,17 @@ def simplex_counts(g: ColoredGraph) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _chi_signs(d: int) -> tuple[int, ...]:
+    """(-1)^(d - |B|) for each proper color subset B of 0..d, by bitmask."""
+    return tuple(-1 if (d - mask.bit_count()) % 2 else 1 for mask in range((1 << d + 1) - 1))
+
+
 def euler_characteristic_complex(g: ColoredGraph) -> int:
-    """Alternating sum of the simplex counts of the associated pseudocomplex."""
-    return sum((-1) ** k * n for k, n in enumerate(simplex_counts(g)))
+    """Alternating sum of the simplex counts of the associated pseudocomplex,
+    taken in one pass as the sum of (-1)^(d - |B|) g_B over the proper color
+    subsets B (the full set's entry is past the end of the signs)."""
+    return sum(map(mul, _chi_signs(g.d), residue_vector(g)))
 
 
 def serialize_gem(g: ColoredGraph) -> str:

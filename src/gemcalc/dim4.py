@@ -183,14 +183,16 @@ def _component_faces(
     return [(f, size // 2) for f, size in zip(faces, sizes)]
 
 
-def _spherical_triples(g: ColoredGraph, cycles: dict[tuple[int, int], list[int]]) -> bool:
+def _spherical_triples(
+    g: ColoredGraph, cycles: dict[tuple[int, int], list[int]], counts: list[int]
+) -> bool:
     """True iff every component of every 3-colored residue is a sphere
-    (Euler characteristic faces - p_c = 2).
+    (Euler characteristic faces - p_c = 2); ``counts`` is the walk's
+    :func:`_cycle_counts`.
 
     A residue with a one-cycle pair is connected, so its one component holds
     all its pairs' cycles and has half-order p; only the other residues are
     labelled."""
-    counts = _cycle_counts(cycles)
     p = g.p
     for triple, gather in _TRIPLE_PAIRS[g.d]:
         faces = gather(counts)
@@ -206,7 +208,8 @@ def _spherical_triples(g: ColoredGraph, cycles: dict[tuple[int, int], list[int]]
 def is_closed_3_manifold(g: ColoredGraph) -> bool:
     """True iff every 3-colored residue component of the 4-colored graph is a sphere."""
     _require_d(g, 3)
-    return _spherical_triples(g, _bicolored_cycles(g))
+    cycles = _bicolored_cycles(g)
+    return _spherical_triples(g, cycles, _cycle_counts(cycles))
 
 
 @lru_cache(maxsize=4096)
@@ -215,7 +218,8 @@ def is_singular_4_manifold(g: ColoredGraph) -> bool:
     that is, iff every 3-colored residue component is a sphere."""
     _require_d(g, 4)
     _require_connected(g, "singular-manifold recognition")
-    return _spherical_triples(g, _bicolored_cycles(g))
+    cycles = _bicolored_cycles(g)
+    return _spherical_triples(g, cycles, _cycle_counts(cycles))
 
 
 def _partner_differences(twices: tuple[int, ...]) -> tuple[int, ...]:
@@ -435,10 +439,10 @@ def check_identities(
     sums, which at n = 5 are twice rho_e + rho_e' for the pairs of
     ``_PAIRS``.  ``flags`` already holds ``bipartite`` and
     ``odd_reduced_degree``, and ``checks`` ``class_genus_sum_constant``.
-    The pair sums, the partner differences, the pair gaps (the twelve
-    adjacent-minus-skip pair sums, off the walk's cycle counts), the hat
-    counts and the regular genus are each formed once, and read by every
-    identity that needs them; so are the two sides of the minimal-degree
+    The pair sums, the partner differences, the walk's cycle counts, the
+    pair gaps (the twelve adjacent-minus-skip pair sums, off those counts),
+    the hat counts and the regular genus are each formed once, and read by
+    every identity that needs them; so are the two sides of the minimal-degree
     criterion, which the classification reads again on a crystallization.
     There every excess check is one comparison, read at the rank 0 that the
     ledger accepted: no excess is negative, and p = 3 chi - 5 + q.
@@ -450,7 +454,7 @@ def check_identities(
     diffs = _partner_differences(twices)
     hats = _HAT_COUNTS(vec)
     hat_sum = sum(hats)
-    singular = _spherical_triples(g, cycles)
+    singular = _spherical_triples(g, cycles, counts)
     flags["singular_manifold"] = singular
 
     checks["pair_degree_identity"] = [6 * t for t in pair_twices] == [omega_twice] * 6

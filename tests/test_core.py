@@ -231,20 +231,76 @@ def _hamiltonian_pair_gem(d: int, p: int, seed: int) -> ColoredGraph:
     return ColoredGraph(d=d, order=n, matchings=tuple(mats))
 
 
-@pytest.mark.parametrize("d, p", [(2, 2000), (4, 300)])
-def test_forest_dp_on_one_long_bicolored_cycle(d, p):
-    # the forests of the sets holding colors 0 and 1 span one long cycle,
-    # and every larger set is merged from a copy of them
-    g = _hamiltonian_pair_gem(d, p, seed=d)
-    assert oracle_components(g, (0, 1)) == 1
+def _assert_vector_matches_oracle(g: ColoredGraph) -> tuple[int, ...]:
+    """Every entry of the full vector and of the size-2 and size-3 bounded
+    ones against the oracle; returns the full vector."""
     full = _build_vector(g.order, g.matchings)
+    assert len(full) == 2 ** (g.d + 1)
     for mask, value in enumerate(full):
         colors = [c for c in g.colors if mask >> c & 1]
-        assert value == oracle_components(g, colors), mask
+        assert value == oracle_components(g, colors), (g, mask)
     for size in (2, 3):
         bounded = _build_vector(g.order, g.matchings, size)
         for mask, value in enumerate(bounded):
-            assert value == (full[mask] if mask.bit_count() <= size else None), (size, mask)
+            assert value == (full[mask] if mask.bit_count() <= size else None), (g, size, mask)
+    return full
+
+
+@pytest.mark.parametrize("d, p", [(2, 2000), (4, 300)])
+def test_forest_dp_on_one_long_bicolored_cycle(d, p):
+    # the forests of colors 0 and 1 merge into one long cycle, and every
+    # larger set is read off them
+    g = _hamiltonian_pair_gem(d, p, seed=d)
+    assert oracle_components(g, (0, 1)) == 1
+    _assert_vector_matches_oracle(g)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_vector_matches_oracle_on_every_small_gem(d):
+    # every gem at p <= 2, disconnected ones included: a set whose
+    # predecessor is connected is decided with no merge, a merge stops at
+    # one component, and every other set is merged in full
+    gems = [g for p in (1, 2) for g in enumerate_gems(d, p)]
+    assert any(not is_connected(g) for g in gems)
+    connected_rests = 0
+    for g in gems:
+        full = _assert_vector_matches_oracle(g)
+        connected_rests += sum(
+            full[mask & ~(1 << mask.bit_length() - 1)] == 1
+            for mask in range(1, len(full))
+            if mask.bit_count() >= 2
+        )
+        chi = sum((-1) ** k * n for k, n in enumerate(oracle_simplex_counts(g)))
+        assert euler_characteristic_complex(g) == chi
+    assert connected_rests
+
+
+@pytest.mark.parametrize("d", range(2, MAX_DIMENSION + 1))
+def test_vector_at_one_edge_per_color(d):
+    # at p = 1 each color is one edge on the two vertices, so every set of
+    # colors but the empty one is connected
+    g = dipole(d)
+    assert g.p == 1
+    n = d + 1
+    for size in (None, 2, 3):
+        bound = n if size is None else size
+        assert _build_vector(g.order, g.matchings, size) == (2,) + tuple(
+            1 if mask.bit_count() <= bound else None for mask in range(1, 1 << n)
+        )
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_kept_set_connected_before_its_last_edge(p):
+    # colors 0 and 1 make one cycle through all 2p vertices: the p color-0
+    # edges and the first p - 1 color-1 edges already span it as a path, so
+    # the merge of {0, 1}, a kept set, reaches one component before its last
+    # color-1 edge; {0, 1, 2} and {0, 1, 3} are then read with {0, 1} as
+    # their predecessor, and every set holding both colors is connected
+    g = _hamiltonian_pair_gem(3, p, seed=p)
+    assert oracle_components(g, (0, 1)) == 1
+    full = _assert_vector_matches_oracle(g)
+    assert [full[mask] for mask in range(16) if mask & 0b11 == 0b11] == [1] * 4
+    assert any(full[mask] > 1 for mask in (0b0101, 0b0110, 0b1001, 0b1010, 0b1100))
 
 
 def test_residue_color_out_of_range(g4):

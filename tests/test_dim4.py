@@ -871,12 +871,14 @@ def test_one_more_cycle_on_both_sides_breaks_the_main_theorem(monkeypatch, flag,
     # bipartite, and some bipartite ones singular
     spherical = dim4_module._spherical_triples
     if flag == "bipartite":
-        monkeypatch.setattr(dim4_module, "_spherical_triples", lambda g, cycles: False)
+        monkeypatch.setattr(dim4_module, "_spherical_triples", lambda g, cycles, counts: False)
         gems = _bipartite_corpus(d)
     else:
-        monkeypatch.setattr(
-            dim4_module, "_spherical_triples", lambda g, cycles: spherical(g, _bicolored_cycles(g))
-        )
+        def true_walk(g, cycles, counts):
+            walk = _bicolored_cycles(g)
+            return spherical(g, walk, _cycle_counts(walk))
+
+        monkeypatch.setattr(dim4_module, "_spherical_triples", true_walk)
         gems = _singular_corpus()
         monkeypatch.setattr(reports_module, "is_bipartite", lambda g: False)
     tampers = 0
@@ -1125,7 +1127,7 @@ def test_one_cycle_pair_proves_its_residues_connected():
                         (sum(oracle_faces(c, r, s) for r, s in combinations(c.colors, 2)), c.p)
                         for c in oracle_residues(g, colors)
                     ] == [(faces, g.p)]
-        assert _spherical_triples(g, cycles) == all(
+        assert _spherical_triples(g, cycles, _cycle_counts(cycles)) == all(
             faces - p_c == 2
             for triple in combinations(g.colors, 3)
             for faces, p_c in _component_faces(g, cycles, triple)
