@@ -142,10 +142,6 @@ _HAT_COUNTS = itemgetter(*_HATS)
 _HAT_PAIRS = tuple(map(_pair_gather, _HAT_COLORS))
 
 
-def _hat_sum(vec: tuple[int, ...]) -> int:
-    return sum(_HAT_COUNTS(vec))
-
-
 def _partner_gaps(vec: Sequence[int], gathers: tuple[itemgetter, ...]) -> tuple[int, ...]:
     """Per permutation, the sum of the counts its gather reads off a
     mask-indexed vector, minus its partner's sum."""
@@ -269,17 +265,23 @@ def crystallization_profile(g: ColoredGraph, m: int) -> CrystallizationProfile:
     if m < 0:
         raise GemError(f"rank metadata must be non-negative, got {m}")
     vec = residue_vector(g)
+    # the singular test needs a connected graph: taken only once the hats are
+    singular = _HAT_COUNTS(vec) == (1, 1, 1, 1, 1) and is_singular_4_manifold(g)
+    return _ledger(g, vec, m, euler_characteristic_complex(g), singular)
+
+
+def _ledger(
+    g: ColoredGraph, vec: tuple[int, ...], m: int, chi: int, singular: bool
+) -> CrystallizationProfile:
+    """The profile of a graph with residue vector ``vec``, Euler
+    characteristic ``chi`` and singular flag ``singular``, behind the one
+    crystallization gate: connected hats, then the flag, each refused with
+    its own message."""
     for i, hat in enumerate(_HATS):
         if vec[hat] != 1:
             raise GemError(f"residue missing color {i} is disconnected: not a crystallization")
-    if not is_singular_4_manifold(g):
+    if not singular:
         raise GemError("graph fails the singular-manifold residue test")
-    return _ledger(g, vec, m, euler_characteristic_complex(g))
-
-
-def _ledger(g: ColoredGraph, vec: tuple[int, ...], m: int, chi: int) -> CrystallizationProfile:
-    """The profile of a graph already known to pass the residue tests, whose
-    Euler characteristic is ``chi``."""
     g_triples = {t: vec[mask] for t, mask in _TRIPLE_MASK.items()}
     t_triples = {t: v - 1 - m for t, v in g_triples.items()}
     for t, v in t_triples.items():
@@ -328,14 +330,7 @@ def classify_crystallization(
     """
     if g.p != profile.half_order:
         raise GemError("profile does not belong to this graph")
-    return _classify_twices(profile, g, genus_twices(g))
-
-
-def _classify_twices(
-    profile: CrystallizationProfile, g: ColoredGraph, twices: tuple[int, ...]
-) -> ClassificationResult:
-    """The classification of the profiled graph from its genus twices, with
-    the pair gaps read off its residue vector."""
+    twices = genus_twices(g)
     least = min(twices)
     sides = _minimal_degree_sides(sum(twices), least, _pair_gaps(residue_vector(g)))
     return _classify(profile, least, _partner_differences(twices), sides)
@@ -415,7 +410,8 @@ def residue_degree_identity(g: ColoredGraph) -> bool:
     _require_d(g, 4)
     _require_connected(g, "the residue-degree identity")
     counts = _cycle_counts(_bicolored_cycles(g))
-    return _residue_degree_holds(g, counts, _hat_sum(residue_vector(g)), sum(genus_twices(g)))
+    hat_sum = sum(_HAT_COUNTS(residue_vector(g)))
+    return _residue_degree_holds(g, counts, hat_sum, sum(genus_twices(g)))
 
 
 # --- the five-color part of the identity battery -----------------------------
@@ -429,9 +425,11 @@ def check_identities(
     pair_twices: list[int],
     flags: dict,
     checks: dict,
-) -> None:
+) -> tuple:
     """Evaluate the five-color identities of one connected graph into the
-    battery's ``flags`` and ``checks``.
+    battery's ``flags`` and ``checks``, and return the facts that
+    :func:`analysis_block` reads: ``(pair_twices, hat_sum, singular, least,
+    diffs, sides)``.
 
     ``twices`` is :func:`genus_twices` of the graph and ``omega_twice``
     their sum, twice the degree, as the battery formed it; ``cycles`` is
@@ -441,11 +439,12 @@ def check_identities(
     ``odd_reduced_degree``, and ``checks`` ``class_genus_sum_constant``.
     The pair sums, the partner differences, the walk's cycle counts, the
     pair gaps (the twelve adjacent-minus-skip pair sums, off those counts),
-    the hat counts and the regular genus are each formed once, and read by
-    every identity that needs them; so are the two sides of the minimal-degree
-    criterion, which the classification reads again on a crystallization.
-    There every excess check is one comparison, read at the rank 0 that the
-    ledger accepted: no excess is negative, and p = 3 chi - 5 + q.
+    the hat counts and their sum, the singular flag and twice the regular
+    genus are each formed once, and read by every identity that needs them;
+    so are the two sides of the minimal-degree criterion, which the
+    classification reads again on a crystallization.  There every excess
+    check is one comparison, read at the rank 0 that the ledger accepted: no
+    excess is negative, and p = 3 chi - 5 + q.
     """
     vec = residue_vector(g)
     least = min(twices)
@@ -456,6 +455,8 @@ def check_identities(
     hat_sum = sum(hats)
     singular = _spherical_triples(g, cycles, counts)
     flags["singular_manifold"] = singular
+    sides = _minimal_degree_sides(omega_twice, least, gaps)
+    facts = (pair_twices, hat_sum, singular, least, diffs, sides)
 
     checks["pair_degree_identity"] = [6 * t for t in pair_twices] == [omega_twice] * 6
     # the same predicate: at n = 5 the partition classes are the pairs
@@ -463,13 +464,12 @@ def check_identities(
     # 2(rho_e' - rho_e) = sum g_{e_j e_{j+1}} - sum g_{e_j e_{j+2}} on every
     # 5-colored graph
     checks["pair_difference_bicolored"] = diffs == gaps
-    sides = _minimal_degree_sides(omega_twice, least, gaps)
     checks["minimal_degree_biconditional"] = sides[0] == sides[1]
     if flags["odd_reduced_degree"]:
         checks["odd_reduced_forces_nonorientable"] = not flags["bipartite"] and not singular
     checks["residue_degree_identity"] = _residue_degree_holds(g, counts, hat_sum, omega_twice)
     if not singular:
-        return
+        return facts
 
     # rho_e' - rho_e = consecutive minus skip triple residues on
     # singular-manifold graphs
@@ -479,14 +479,14 @@ def check_identities(
     # from each pair: twice rho_e + rho_e' is 2 * (chi + p + 2 - sum g_hat)
     checks["euler_formula_agreement"] = pair_twices == [2 * (chi + g.p + 2 - hat_sum)] * 6
     if hats != (1, 1, 1, 1, 1):
-        return
+        return facts
 
     # a crystallization: profile it with rank 0 asserted, check the excesses
     try:
-        profile = _ledger(g, vec, 0, chi)
+        profile = _ledger(g, vec, 0, chi, singular)
     except GemError:
         checks["crystallization_profile_consistent"] = False
-        return
+        return facts
     checks["crystallization_profile_consistent"] = True
     flags["crystallization_profile"] = True
     q, p = profile.q, g.p
@@ -512,22 +512,18 @@ def check_identities(
         lo - p + 3 <= chi <= min(hi, lo + q) - p + 3
         for lo, hi in (sorted((twices[a], twices[b])) for a, b in _PAIRS)
     )
+    return facts
 
 
 # --- the five-color block of the analysis report -----------------------------
 
 
-def analysis_block(
-    g: ColoredGraph,
-    twices: tuple[int, ...],
-    pair_twices: list[int],
-    singular: bool,
-    m: int | None,
-) -> dict:
-    """The five-color block of a connected graph's analysis report, from its
-    genus twices and the battery's pair sums and singular flag (see
-    :func:`check_identities`); with rank metadata ``m``, it holds the
-    crystallization profile and its classification."""
+def analysis_block(g: ColoredGraph, facts: tuple, chi: int, m: int | None) -> dict:
+    """The five-color block of a connected graph's analysis report, read off
+    the facts :func:`check_identities` returned for it and its Euler
+    characteristic ``chi``; with rank metadata ``m``, it holds the ledger
+    (behind its gate) and the classification those facts give."""
+    pair_twices, hat_sum, singular, least, diffs, sides = facts
     block: dict = {
         "associated_pair_sums": {
             f"{_perm_key(a)}|{_perm_key(b)}": str(HalfInt(t))
@@ -537,13 +533,13 @@ def analysis_block(
     }
     if singular:
         # (rho_e + rho_e') - p + sum g_hat - 2, whichever pair is taken
-        twice = pair_twices[0] + 2 * (_hat_sum(residue_vector(g)) - g.p - 2)
+        twice = pair_twices[0] + 2 * (hat_sum - g.p - 2)
         if twice % 2:
             raise InvariantViolation("non-integral Euler characteristic")
         block["euler_by_pair_formula"] = twice // 2
     if m is not None:
-        profile = crystallization_profile(g, m)
-        result = _classify_twices(profile, g, twices)
+        profile = _ledger(g, residue_vector(g), m, chi, singular)
+        result = _classify(profile, least, diffs, sides)
         excess = {_perm_key(t): v for t, v in sorted(profile.t_triples.items()) if v}
         block["crystallization"] = {
             "m": profile.m,

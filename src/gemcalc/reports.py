@@ -152,11 +152,12 @@ def check_graph(g: ColoredGraph) -> tuple[dict[str, bool], dict[str, bool]]:
 
 def _check(
     g: ColoredGraph, twices: tuple[int, ...], cycles: dict[tuple[int, int], list[int]]
-) -> tuple[dict, dict, list[int], int, int]:
-    """:func:`check_graph`'s flags and checks, then the sums formed for them:
-    the class sums (at d = 4 the associated-pair sums), twice the degree and
-    the walk's cycle total."""
+) -> tuple[dict, dict, tuple | None, int, int]:
+    """:func:`check_graph`'s flags and checks, then the facts
+    ``dim4.check_identities`` returned (None at d != 4), passed through
+    unread, twice the degree and the walk's cycle total."""
     d = g.d
+    facts = None
     checks: dict[str, bool] = {}
     flags: dict[str, bool] = {}
 
@@ -193,7 +194,7 @@ def _check(
         )
 
     if d == 4:
-        _dim4().check_identities(g, twices, omega_twice, cycles, class_sums, flags, checks)
+        facts = _dim4().check_identities(g, twices, omega_twice, cycles, class_sums, flags, checks)
 
     # the main theorem: (d-1)! divides the degree of bipartite and of
     # singular-manifold graphs in even d >= 4
@@ -203,7 +204,7 @@ def _check(
             checks["bipartite_degree_divisibility"] = divisible
         if flags.get("singular_manifold"):
             checks["singular_degree_divisibility"] = divisible
-    return flags, checks, class_sums, omega_twice, pair_sum
+    return flags, checks, facts, omega_twice, pair_sum
 
 
 def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
@@ -219,7 +220,8 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
     twices = genus_twices(g)
     least = min(twices)
 
-    flags, checks, class_sums, omega_twice, pair_sum = _check(g, twices, _bicolored_cycles(g))
+    flags, checks, facts, omega_twice, pair_sum = _check(g, twices, _bicolored_cycles(g))
+    chi = euler_characteristic_complex(g)
     report: dict = {
         "schema": REPORT_SCHEMA,
         "kind": "analysis",
@@ -237,7 +239,7 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
                 for i in g.colors
             },
         },
-        "euler_characteristic": euler_characteristic_complex(g),
+        "euler_characteristic": chi,
         "genera": {_perm_key(eps): str(HalfInt(t)) for eps, t in zip(perms, twices)},
         "regular_genus": {
             "value": str(HalfInt(least)),
@@ -258,8 +260,7 @@ def analysis_report(g: ColoredGraph, metadata: dict | None = None) -> dict:
         }
     if d == 4:
         m = None if metadata is None else metadata["m"]
-        singular = flags["singular_manifold"]
-        report["dim4"] = _dim4().analysis_block(g, twices, class_sums, singular, m)
+        report["dim4"] = _dim4().analysis_block(g, facts, chi, m)
     return report
 
 

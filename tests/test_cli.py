@@ -22,7 +22,7 @@ from gemcalc import generator as generator_module
 from gemcalc import reports as reports_module
 from gemcalc import cycle_decomp
 
-from conftest import M_A, M_C, assert_no_child
+from conftest import M_A, M_B, M_C, assert_no_child
 from gemcalc import ColoredGraph, GemError, InvariantViolation, dipole
 from gemcalc.core import ENUMERATION_BUDGET
 
@@ -211,6 +211,38 @@ def test_analyze_text_format(g4_file, capsys):
     out = capsys.readouterr().out
     assert "gurau degree: 6" in out
     assert "VIOLATED" not in out
+
+
+def test_analyze_text_format_with_metadata(g4_file, tmp_path, capsys):
+    meta = tmp_path / "meta.json"
+    meta.write_text(json.dumps({"m": 0, "closed_manifold_asserted": True}))
+    args = ["analyze", str(g4_file), "--metadata", str(meta), "--format", "text"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "singular manifold: True" in lines
+    assert "crystallization: kind=weak_semi_simple q=1 m=0 12rho=False" in lines
+
+
+@pytest.mark.parametrize(
+    "matchings, message",
+    [
+        (
+            (M_A, M_A, M_A, M_A, M_B),
+            "residue missing color 4 is disconnected: not a crystallization",
+        ),
+        ((M_A, M_A, M_A, M_B, M_C), "graph fails the singular-manifold residue test"),
+    ],
+)
+def test_analyze_refuses_a_gem_that_fails_the_crystallization_gate(
+    tmp_path, capsys, matchings, message
+):
+    # a disconnected hat, then a connected-hat gem that is not singular
+    # (the odd_degree_witness fixture)
+    gem, meta = tmp_path / "gem.json", tmp_path / "meta.json"
+    gem.write_text(serialize_gem(ColoredGraph(d=4, order=4, matchings=matchings)))
+    meta.write_text(json.dumps({"m": 0, "closed_manifold_asserted": True}))
+    assert main(["analyze", str(gem), "--metadata", str(meta)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_verify_exhaustive(tmp_path, capsys):

@@ -37,7 +37,7 @@ from gemcalc import core as core_module
 from gemcalc import dim4 as dim4_module
 from gemcalc import reports as reports_module
 from gemcalc.embeddings import _bicolored_cycles, _reduced_degree
-from gemcalc.perms import cycle_pairs
+from gemcalc.perms import _perm_key, cycle_pairs
 from gemcalc.reports import _class_indices, analysis_report, check_graph
 from gemcalc.dim4 import (
     NEITHER,
@@ -1043,6 +1043,84 @@ def test_analysis_reads_genera_once(monkeypatch, g4, rp2_gem):
         report = analysis_report(fresh, meta)
         assert calls == [None, "genus_twices"]
         assert ("crystallization" in report.get("dim4", {})) == (meta is not None)
+
+
+def test_analysis_forms_each_d4_fact_once(monkeypatch, g4, odd_degree_witness):
+    # the five-color block reads what the battery formed: one bicolored walk,
+    # one sphere test and one pair gap tuple per report, and no second
+    # singular-manifold recognition, with and without crystallization metadata
+    calls = Counter()
+    singular, closed = is_singular_4_manifold, is_closed_3_manifold
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    walk = counting("walk", _bicolored_cycles)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gemcalc") and hasattr(module, "_bicolored_cycles"):
+            monkeypatch.setattr(module, "_bicolored_cycles", walk)
+    for name, fn in [
+        ("_spherical_triples", _spherical_triples),
+        ("_pair_gaps", _pair_gaps),
+        ("is_singular_4_manifold", singular),
+    ]:
+        monkeypatch.setattr(dim4_module, name, counting(name, fn))
+    metadata = {"m": 0, "closed_manifold_asserted": True}
+    cases = [(g, meta) for g in (dipole(4), g4, odd_degree_witness) for meta in (None, metadata)]
+    for g, meta in cases:
+        singular.cache_clear()
+        closed.cache_clear()
+        calls.clear()
+        fresh = ColoredGraph(d=g.d, order=g.order, matchings=g.matchings)
+        if g is odd_degree_witness and meta is not None:
+            with pytest.raises(GemError, match="singular-manifold residue test"):
+                analysis_report(fresh, meta)
+        else:
+            report = analysis_report(fresh, meta)
+            assert ("crystallization" in report["dim4"]) == (meta is not None)
+        assert calls == {"walk": 1, "_spherical_triples": 1, "_pair_gaps": 1}
+
+
+def _crystallization_corpus() -> list[ColoredGraph]:
+    graphs = [g for p in (1, 2) for g in enumerate_gems(4, p, connected_only=True)]
+    drawn = [(1, 20, 941), (2, 200, 942), (3, 600, 903), (4, 3000, 904), (5, 8000, 915)]
+    graphs += [g for p, n, seed in drawn for g in corpus(4, p, n, seed, connected_only=True)]
+    return [g for g in graphs if "crystallization_profile" in check_graph(g)[0]]
+
+
+def test_analysis_block_agrees_with_the_public_profile_and_classification():
+    # the block classifies by the battery's pair gaps off the walk; the public
+    # path reads them off the residue vector
+    crystals = _crystallization_corpus()
+    assert {g.p for g in crystals} == {1, 2, 3, 4, 5}
+    for g in crystals:
+        for m in (0, 1):
+            metadata = {"m": m, "closed_manifold_asserted": True}
+            try:
+                profile = crystallization_profile(g, m)
+            except GemError as exc:
+                assert m == 1
+                with pytest.raises(GemError) as refused:
+                    analysis_report(g, metadata)
+                assert str(refused.value) == str(exc)
+                continue
+            result = classify_crystallization(profile, g)
+            assert analysis_report(g, metadata)["dim4"]["crystallization"] == {
+                "m": profile.m,
+                "euler": profile.euler,
+                "q": profile.q,
+                "minimal_half_order": profile.p_bar,
+                "triple_excess": {
+                    _perm_key(t): v for t, v in sorted(profile.t_triples.items()) if v
+                },
+                "kind": result.kind,
+                "witness": _perm_key(result.witness) if result.witness else None,
+                "satisfies_12rho": result.satisfies_12rho,
+            }
 
 
 # --- component labels over the bicolored cycles ---------------------------------
