@@ -12,6 +12,7 @@ campaign workers.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .reports import (
     report_json,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:
@@ -253,5 +254,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry: :func:`main`, then freeze the heap, so that the
+    interpreter's final collections at exit skip every object left alive."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

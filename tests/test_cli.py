@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -872,14 +874,18 @@ def test_oversized_random_corpus_refused_before_generation(
     assert not out.exists()
 
 
+def _src_env(**extra: str) -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this gemcalc."""
+    src = str(Path(reports_module.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **extra)
+
+
 def _run_probe(probe: str, *args: str) -> subprocess.CompletedProcess:
     """Run a probe script in a fresh interpreter under ``-X importtime``."""
-    src = str(Path(reports_module.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", probe, *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc
@@ -1073,6 +1079,98 @@ def test_dim4_loaded_only_where_its_battery_runs(tmp_path, rp2_gem, d, workers):
         loaded, at_fork = json.loads(proc.stdout)
         assert "gemcalc.dim4" not in loaded, _import_chain(proc.stderr, "gemcalc.dim4")
         assert at_fork == []
+
+
+_ENTRY_VERIFY = ["verify", "--d", "3", "--mode", "random", "--p", "3",
+                 "--count", "50", "--seed", "5"]
+
+
+# Runs in a fresh interpreter: the module named first runs as `python -m`
+# runs it, after degree_formula_agreement is made to fail on every gem.
+_SABOTAGE_PROBE = """
+import runpy, sys
+from gemcalc import reports
+
+real = reports.check_graph
+
+def sabotaged(g):
+    flags, checks = real(g)
+    checks["degree_formula_agreement"] = False
+    return flags, checks
+
+reports.check_graph = sabotaged
+runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("module", ["gemcalc", "gemcalc.cli"])
+@pytest.mark.parametrize(
+    "argv, sabotage, code",
+    [(_ENTRY_VERIFY, False, 0),
+     (["verify", "--d", "1", "--mode", "random", "--p", "3"], False, 2),
+     (_ENTRY_VERIFY, True, 1)],
+    ids=["ok", "refused", "violation"],
+)
+def test_process_entry_matches_in_process_main(
+    monkeypatch, capsys, module, argv, sabotage, code
+):
+    # the real process entry writes the bytes and exits with the code that
+    # an in-process main() gives for the same argv
+    monkeypatch.setenv("GEMCALC_THREADS", "1")
+    if sabotage:
+        real = reports_module.check_graph
+
+        def sabotaged(g):
+            flags, checks = real(g)
+            checks["degree_formula_agreement"] = False
+            return flags, checks
+
+        monkeypatch.setattr(reports_module, "check_graph", sabotaged)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    entry = ["-c", _SABOTAGE_PROBE, module] if sabotage else ["-m", module]
+    proc = subprocess.run([sys.executable, *entry, *argv], capture_output=True,
+                          env=_src_env(GEMCALC_THREADS="1"), timeout=120)
+    assert proc.returncode == code, proc.stderr[-2000:]
+    assert proc.stdout == out.encode()
+    assert proc.stderr == err.encode()
+
+
+# Runs in a fresh interpreter: registers an exit handler, then the module
+# named first runs as `python -m` runs it.  The handler writes whether the
+# heap is frozen when it runs, after what the command wrote.
+_EXIT_PROBE = """
+import atexit, gc, runpy, sys
+
+atexit.register(lambda: print(f"frozen at exit: {gc.get_freeze_count() > 0}"))
+runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("module", ["gemcalc", "gemcalc.cli"])
+def test_process_entry_freezes_the_heap_before_exit_handlers(capsys, monkeypatch, module):
+    # only the process entry freezes: an in-process main() leaves the
+    # freeze count as it found it
+    monkeypatch.setenv("GEMCALC_THREADS", "1")
+    frozen = gc.get_freeze_count()
+    assert main(_ENTRY_VERIFY) == 0
+    assert gc.get_freeze_count() == frozen
+    report = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, module, *_ENTRY_VERIFY],
+                          capture_output=True, text=True,
+                          env=_src_env(GEMCALC_THREADS="1"), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == report + "frozen at exit: True\n"
+    assert proc.stderr == ""
+
+
+def test_console_script_is_the_process_entry():
+    # read with a regex: tomllib needs Python 3.11, and the project runs on 3.10
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.M | re.S)
+    assert re.findall(r'^(\w+) = "(.+)"$', scripts.group(1), re.M) == [
+        ("gemcalc", "gemcalc.cli:run")
+    ]
 
 
 @pytest.mark.parametrize("d", [4, 6])
